@@ -1,7 +1,7 @@
 // Adaptation-path benchmark (DESIGN.md §13): wall-clock cost of the full
 // Adapt() pipeline -- statistics rebuild, query recount, quad-tree build,
-// GRIDREDUCE, GREEDYINCREMENT -- at the 1M-node / 100k-query tier, before
-// and after the incremental adaptation path.
+// GRIDREDUCE, GREEDYINCREMENT -- at the 1M-node / 100k-query tier, with and
+// without the incremental adaptation path.
 //
 //   bench_adapt_path [--nodes 1000000] [--queries 100000] [--alpha 1024]
 //                    [--l 256] [--rounds 5] [--query-growth 1000]
@@ -11,21 +11,23 @@
 // Both servers replay one precomputed update stream with a growing CQ
 // workload (--query-growth new queries between adaptations):
 //
-//   reference  columnar_rebuild = false (scalar per-node stats walk), and
-//              InstallQueries() before every Adapt() -- the pre-§13
-//              behavior, where any workload change recounted all m queries.
-//   optimized  the defaults: columnar stats rebuild with the velocity
+//   reference  incremental_stats = false (ClearNodes() + per-node
+//              repopulation every adaptation: the full-rebuild oracle that
+//              sampled statistics also run), and InstallQueries() before
+//              every Adapt(), so every workload change recounts all m
+//              queries.
+//   optimized  the defaults: incremental stats rebuild with the velocity
 //              cache, append-only query count deltas, and (--threads > 1)
 //              a worker pool for the stats chunks, quad levels, and
 //              GRIDREDUCE waves.
 //
 // The phases the two configurations share (quad build, GRIDREDUCE, greedy)
-// run the same code, so the printed speedup *understates* the win over the
-// pre-§13 tree (whose greedy solver also allocated per call). After both
-// runs the stats grids and plans are compared bitwise in-process, and each
-// run prints a state_hash line (FNV-1a over grid cells and plan regions)
-// that CI greps and compares across --threads values: the hash, like the
-// plan, must not depend on the worker count.
+// run the same code. Every time is reported per adaptation: the mean over
+// the timed rounds, with the untimed warmup adaptation left out of the
+// phase means too. After both runs the stats grids and plans are compared
+// bitwise in-process, and each run prints a state_hash line (FNV-1a over
+// grid cells and plan regions) that CI greps and compares across --threads
+// values: the hash, like the plan, must not depend on the worker count.
 
 #include <chrono>
 #include <cstdint>
@@ -105,16 +107,19 @@ double PhaseTotal(const telemetry::TelemetrySink& sink,
                          : 0.0;
 }
 
-struct RunResult {
-  double adapt_seconds = 0.0;
-  uint64_t state_hash = 0;
-};
-
 constexpr const char* kPhases[] = {
     "lira.adapt.stats_rebuild_seconds", "lira.adapt.query_rebuild_seconds",
     "lira.adapt.quad_build_seconds",    "lira.adapt.gridreduce_seconds",
     "lira.adapt.greedy_seconds",        "lira.adapt.plan_build_seconds",
     "lira.adapt.total_seconds",
+};
+constexpr size_t kNumPhases = sizeof(kPhases) / sizeof(kPhases[0]);
+
+/// Per-adaptation means over the timed rounds.
+struct RunResult {
+  double adapt_seconds = 0.0;
+  double phase_seconds[kNumPhases] = {};
+  uint64_t state_hash = 0;
 };
 
 }  // namespace
@@ -168,6 +173,11 @@ int main(int argc, char** argv) {
                    argv[0]);
       return 2;
     }
+  }
+
+  if (rounds < 1) {
+    std::fprintf(stderr, "--rounds must be >= 1\n");
+    return 2;
   }
 
   const double world_side = 100000.0;
@@ -241,8 +251,8 @@ int main(int argc, char** argv) {
 
   struct Config {
     const char* label;
-    bool columnar;
-    bool reinstall_queries;  // pre-§13: workload change = full recount
+    bool incremental;
+    bool reinstall_queries;  // workload change = full recount
     ThreadPool* pool;
   };
   const Config configs[2] = {
@@ -270,7 +280,7 @@ int main(int argc, char** argv) {
     server_config.adaptation_period = 1e9;  // every Adapt() explicit
     server_config.fixed_z = 0.5;
     server_config.maintain_index = false;
-    server_config.columnar_rebuild = cfg.columnar;
+    server_config.incremental_stats = cfg.incremental;
     server_config.telemetry = &sinks[c];
     server_config.pool = cfg.pool;
     auto server =
@@ -291,6 +301,11 @@ int main(int argc, char** argv) {
     if (auto s = server->Adapt(); !s.ok()) {  // warmup adapt, untimed
       std::fprintf(stderr, "Adapt: %s\n", s.ToString().c_str());
       return 1;
+    }
+    // The sink has recorded since Create: subtract the warmup's phases.
+    double warmup_phase[kNumPhases];
+    for (size_t p = 0; p < kNumPhases; ++p) {
+      warmup_phase[p] = PhaseTotal(sinks[c], kPhases[p]);
     }
 
     double adapt_seconds = 0.0;
@@ -316,15 +331,20 @@ int main(int argc, char** argv) {
       }
       adapt_seconds += Seconds(t0, std::chrono::steady_clock::now());
     }
-    results[c].adapt_seconds = adapt_seconds;
+    results[c].adapt_seconds = adapt_seconds / rounds;
+    for (size_t p = 0; p < kNumPhases; ++p) {
+      results[c].phase_seconds[p] =
+          (PhaseTotal(sinks[c], kPhases[p]) - warmup_phase[p]) / rounds;
+    }
     results[c].state_hash = StateHash(*server);
   }
 
-  std::printf("%-32s %14s %14s\n", "phase (seconds, summed)",
+  std::printf("%-32s %14s %14s\n", "phase (seconds per adaptation)",
               configs[0].label, configs[1].label);
-  for (const char* phase : kPhases) {
-    std::printf("%-32s %14.4f %14.4f\n", phase + sizeof("lira.adapt.") - 1,
-                PhaseTotal(sinks[0], phase), PhaseTotal(sinks[1], phase));
+  for (size_t p = 0; p < kNumPhases; ++p) {
+    std::printf("%-32s %14.4f %14.4f\n",
+                kPhases[p] + sizeof("lira.adapt.") - 1,
+                results[0].phase_seconds[p], results[1].phase_seconds[p]);
   }
   std::printf("%-32s %14.4f %14.4f\n", "adapt_wall_seconds",
               results[0].adapt_seconds, results[1].adapt_seconds);
@@ -354,9 +374,9 @@ int main(int argc, char** argv) {
   for (int c = 0; c < 2; ++c) {
     const std::string prefix = std::string(configs[c].label) + ".";
     export_.SetMetric(prefix + "adapt_seconds", results[c].adapt_seconds);
-    for (const char* phase : kPhases) {
-      const char* short_name = phase + sizeof("lira.adapt.") - 1;
-      export_.SetMetric(prefix + short_name, PhaseTotal(sinks[c], phase));
+    for (size_t p = 0; p < kNumPhases; ++p) {
+      const char* short_name = kPhases[p] + sizeof("lira.adapt.") - 1;
+      export_.SetMetric(prefix + short_name, results[c].phase_seconds[p]);
     }
   }
   export_.SetMetric("speedup", speedup);

@@ -116,37 +116,6 @@ BENCHMARK(BM_QuadHierarchyBuild)
     ->Arg(512)
     ->Arg(1024);
 
-void BM_StatisticsGridMerge(benchmark::State& state) {
-  // Serial shard-grid merge at coordinator scale: the per-adaptation cost
-  // the parallel AssignNodeSum below replaces.
-  const StatisticsGrid src =
-      RandomGrid(static_cast<int32_t>(state.range(0)), 37);
-  StatisticsGrid dst = RandomGrid(static_cast<int32_t>(state.range(0)), 41);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dst.Merge(src));
-  }
-  state.SetLabel("alpha=" + std::to_string(state.range(0)));
-}
-BENCHMARK(BM_StatisticsGridMerge)->Arg(256)->Arg(1024);
-
-void BM_StatisticsGridAssignNodeSum(benchmark::State& state) {
-  // Four-shard node-sum overwrite (serial path; the ParallelFor split is
-  // covered by BM_ParallelForDispatch). Overwrite semantics make the
-  // iteration repeatable without re-clearing.
-  const int32_t alpha = static_cast<int32_t>(state.range(0));
-  const StatisticsGrid a = RandomGrid(alpha, 43);
-  const StatisticsGrid b = RandomGrid(alpha, 47);
-  const StatisticsGrid c = RandomGrid(alpha, 53);
-  const StatisticsGrid d = RandomGrid(alpha, 59);
-  StatisticsGrid dst = RandomGrid(alpha, 61);
-  const std::vector<const StatisticsGrid*> parts = {&a, &b, &c, &d};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dst.AssignNodeSum(parts, nullptr));
-  }
-  state.SetLabel("alpha=" + std::to_string(state.range(0)) + " parts=4");
-}
-BENCHMARK(BM_StatisticsGridAssignNodeSum)->Arg(256)->Arg(1024);
-
 void BM_GridReduce(benchmark::State& state) {
   const StatisticsGrid grid = RandomGrid(128, 13);
   const QuadHierarchy tree = QuadHierarchy::Build(grid);

@@ -106,12 +106,6 @@ enum : uint8_t {
   void UnpackFrame(int64_t n, const float* states, double* x, double* y,       \
                    double* vx, double* vy);                                    \
                                                                                \
-  /* out[i] += in[i] over int64 lanes. Integer addition is associative and    \
-     exact, so any chunking / reduction shape over these lanes is bitwise     \
-     identical to a serial accumulation -- the property the coordinator's     \
-     parallel shard-grid merge relies on. */                                   \
-  void AddI64(int64_t n, const int64_t* in, int64_t* out);                     \
-                                                                               \
   /* cell[i] = flat row-major grid cell (iy * alpha + ix) of point i, or -1   \
      for lanes with known[i] == 0 (known == nullptr means all lanes valid).   \
      Per axis this is StatisticsGrid::LocateCell's exact expression:          \
@@ -224,11 +218,6 @@ inline void UnpackFrame(int64_t n, const float* states, double* x, double* y,
                         double* vx, double* vy) {
   scalar_reference_enabled() ? ref::UnpackFrame(n, states, x, y, vx, vy)
                              : vec::UnpackFrame(n, states, x, y, vx, vy);
-}
-
-inline void AddI64(int64_t n, const int64_t* in, int64_t* out) {
-  scalar_reference_enabled() ? ref::AddI64(n, in, out)
-                             : vec::AddI64(n, in, out);
 }
 
 inline void LocateCells(int64_t n, const double* px, const double* py,

@@ -144,78 +144,6 @@ void StatisticsGrid::ApplyNodeDelta(int32_t cell, int64_t count_delta,
   total_speed_q_ += speed_q_delta;
 }
 
-Status StatisticsGrid::Merge(const StatisticsGrid& other) {
-  if (alpha_ != other.alpha_ || world_.min_x != other.world_.min_x ||
-      world_.min_y != other.world_.min_y ||
-      world_.max_x != other.world_.max_x ||
-      world_.max_y != other.world_.max_y) {
-    return InvalidArgumentError(
-        "cannot merge statistics grids with different worlds or resolutions");
-  }
-  // Interleaved count/speed lanes sum lane-wise in one pass.
-  for (size_t i = 0; i < node_acc_.size(); ++i) {
-    node_acc_[i] += other.node_acc_[i];
-  }
-  for (size_t i = 0; i < query_count_.size(); ++i) {
-    if (other.query_count_[i] != 0.0) {
-      query_count_[i] += other.query_count_[i];
-    }
-  }
-  total_node_count_ += other.total_node_count_;
-  total_speed_q_ += other.total_speed_q_;
-  total_queries_valid_ = false;
-  return OkStatus();
-}
-
-Status StatisticsGrid::AssignNodeSum(
-    const std::vector<const StatisticsGrid*>& parts, ThreadPool* pool) {
-  for (const StatisticsGrid* part : parts) {
-    if (alpha_ != part->alpha_ || world_.min_x != part->world_.min_x ||
-        world_.min_y != part->world_.min_y ||
-        world_.max_x != part->world_.max_x ||
-        world_.max_y != part->world_.max_y) {
-      return InvalidArgumentError(
-          "cannot merge statistics grids with different worlds or "
-          "resolutions");
-    }
-  }
-  // Chunk by cell; each cell spans two interleaved int64 lanes, and every
-  // lane is an independent integer sum, so AddI64 over the doubled range is
-  // bitwise identical to summing counts and speeds separately.
-  const auto cells = static_cast<int64_t>(node_acc_.size() / 2);
-  const auto body = [&](int32_t /*chunk*/, int64_t begin, int64_t end) {
-    const size_t lane0 = 2 * static_cast<size_t>(begin);
-    const size_t lanes = 2 * static_cast<size_t>(end - begin);
-    if (parts.empty()) {
-      std::memset(node_acc_.data() + lane0, 0, lanes * sizeof(int64_t));
-      return;
-    }
-    std::memcpy(node_acc_.data() + lane0, parts[0]->node_acc_.data() + lane0,
-                lanes * sizeof(int64_t));
-    for (size_t p = 1; p < parts.size(); ++p) {
-      kernels::AddI64(static_cast<int64_t>(lanes),
-                      parts[p]->node_acc_.data() + lane0,
-                      node_acc_.data() + lane0);
-    }
-  };
-  // Chunks of whole rows keep lanes cache-line aligned; any chunking is
-  // bitwise equivalent (disjoint lanes, integer sums).
-  const int64_t grain = std::max<int64_t>(alpha_, 1024);
-  if (pool != nullptr && pool->num_threads() > 1 && cells > grain) {
-    pool->ParallelFor(0, cells, grain, body);
-  } else {
-    body(0, 0, cells);
-  }
-  // The running totals are already integer sums per part.
-  total_node_count_ = 0;
-  total_speed_q_ = 0;
-  for (const StatisticsGrid* part : parts) {
-    total_node_count_ += part->total_node_count_;
-    total_speed_q_ += part->total_speed_q_;
-  }
-  return OkStatus();
-}
-
 void StatisticsGrid::AddQueries(const QueryRegistry& registry,
                                 double margin) {
   AddQueriesRange(registry, 0, registry.size(), margin);

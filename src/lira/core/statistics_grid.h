@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "lira/common/geometry.h"
-#include "lira/common/parallel.h"
 #include "lira/common/status.h"
 #include "lira/cq/query_registry.h"
 #include "lira/core/region_stats.h"
@@ -91,28 +90,6 @@ class StatisticsGrid {
   /// delta-relocation path by construction does); unmatched removals are
   /// NOT clamped the way RemoveNodeAt clamps.
   void ApplyNodeDelta(int32_t cell, int64_t count_delta, int64_t speed_q_delta);
-
-  /// Adds every accumulator of `other` into this grid (same world and
-  /// alpha required). Node statistics are integer accumulators, so merging
-  /// disjoint partitions of an observation set is bitwise identical to
-  /// populating one grid with all observations -- the property the
-  /// ServerCluster coordinator relies on when it combines per-shard grids.
-  /// Fractional query counts are added cell-wise as well; callers that need
-  /// bitwise-reproducible query statistics count queries into exactly one
-  /// of the merged grids (FP addition is not associative across orderings).
-  Status Merge(const StatisticsGrid& other);
-
-  /// Overwrites this grid's *node* accumulators (n, s and their totals) with
-  /// the cell-wise sum of `parts`, leaving query counts untouched -- the
-  /// coordinator's parallel replacement for ClearNodes() + a serial Merge()
-  /// per shard. The flat cell range is partitioned into contiguous chunks
-  /// (ParallelFor when `pool` is non-null); each chunk copies the first
-  /// part's lanes and accumulates the rest with the vectorized AddI64
-  /// kernel. Integer addition is associative, so every chunking and every
-  /// accumulation shape is bitwise identical to the serial merge loop.
-  /// All parts must share this grid's world and alpha.
-  Status AssignNodeSum(const std::vector<const StatisticsGrid*>& parts,
-                       ThreadPool* pool);
 
   /// Adds the registry's queries with fractional counting: each query adds
   /// area(q ∩ cell) / area(q) to every overlapped cell's m.

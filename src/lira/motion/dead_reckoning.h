@@ -96,6 +96,17 @@ class DeadReckoningEncoder {
   std::atomic<int64_t> updates_emitted_{0};
 };
 
+/// Read-only view of a PositionTracker's motion-model columns, or of a
+/// caller's lane-aligned copy of them (lane i of every column is one node).
+struct ModelColumns {
+  const double* origin_x = nullptr;
+  const double* origin_y = nullptr;
+  const double* vel_x = nullptr;
+  const double* vel_y = nullptr;
+  const double* t0 = nullptr;
+  const uint8_t* has = nullptr;
+};
+
 /// Server-side tracker: the server's belief about node positions, built from
 /// the ModelUpdates that survived the network and the input queue.
 ///
@@ -150,12 +161,16 @@ class PositionTracker {
     return id >= 0 && id < num_nodes() && has_model_[id] != 0;
   }
 
-  /// Raw believed-velocity columns (lane i = node i; meaningful only where
-  /// HasModel(i)). Bulk consumers compare lanes across rebuilds to skip
-  /// recomputing the non-vectorizable hypot in BelievedSpeed: equal operand
-  /// bits imply an equal speed, so a cached speed is bitwise safe.
-  const double* vel_x_data() const { return vel_x_.data(); }
-  const double* vel_y_data() const { return vel_y_.data(); }
+  /// Raw model columns (lane i = node i; the operands are meaningful only
+  /// where has[i] != 0, i.e. HasModel(i)). Bulk consumers stream lanes
+  /// through the kernels in place; the statistics rebuild also compares
+  /// velocity lanes across rebuilds to skip recomputing the
+  /// non-vectorizable hypot in BelievedSpeed: equal operand bits imply an
+  /// equal speed, so a cached speed is bitwise safe.
+  ModelColumns columns() const {
+    return {origin_x_.data(), origin_y_.data(), vel_x_.data(),
+            vel_y_.data(),    t0_.data(),       has_model_.data()};
+  }
   int32_t num_nodes() const { return static_cast<int32_t>(t0_.size()); }
   int64_t updates_applied() const { return updates_applied_.load(); }
 

@@ -55,7 +55,6 @@ StatusOr<CqServer> CqServer::Create(const CqServerConfig& config,
   stats_config.alpha = config.alpha;
   stats_config.stats_sample_fraction = config.stats_sample_fraction;
   stats_config.incremental_stats = config.incremental_stats;
-  stats_config.columnar_rebuild = config.columnar_rebuild;
   stats_config.seed = config.seed ^ 0x57a75ULL;
   stats_config.telemetry = config.telemetry;
   stats_config.pool = config.pool;

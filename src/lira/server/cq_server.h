@@ -12,8 +12,8 @@
 // stages together exactly as the original monolithic server did; its
 // public API, metric names, and bitwise behavior are unchanged. The stages
 // are separately constructible and tested (tests/server/*_stage_test), and
-// ServerCluster composes S ingest/tracker/stats triples under one
-// coordinator-owned optimizer (server_cluster.h).
+// ServerCluster composes S ingest/tracker pairs under one coordinator-owned
+// stats stage and optimizer (server_cluster.h).
 
 #ifndef LIRA_SERVER_CQ_SERVER_H_
 #define LIRA_SERVER_CQ_SERVER_H_
@@ -83,11 +83,6 @@ struct CqServerConfig {
   /// (integer grid accumulators; neither path consumes stats RNG at
   /// fraction 1.0). Sampled statistics fall back to the rebuild.
   bool incremental_stats = true;
-  /// When false the statistics rebuild uses the scalar per-node walk
-  /// instead of the columnar (block-predicted, velocity-cached) kernel.
-  /// Bitwise identical either way; the flag exists so benchmarks can A/B
-  /// the two flavors (bench_adapt_path). See StatsStageConfig.
-  bool columnar_rebuild = true;
   /// Optional telemetry (not owned; must outlive the server). When set, the
   /// server maintains `lira.queue.*` instruments on every Receive and
   /// records the adaptation loop -- z trajectory, per-stage plan-build

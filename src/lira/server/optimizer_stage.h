@@ -4,7 +4,7 @@
 // and the plan-build accounting + telemetry. A CqServer runs one of these
 // per server; a ServerCluster runs exactly one at the coordinator -- the
 // throttle window and the statistics grid it optimizes over are *global*
-// (summed arrivals, merged grid), so the plan honors the global budget
+// (summed arrivals, one grid), so the plan honors the global budget
 // z * n * f(delta) and the fairness constraint across shard boundaries.
 
 #ifndef LIRA_SERVER_OPTIMIZER_STAGE_H_

@@ -28,23 +28,23 @@ ServerCluster::ServerCluster(const ServerClusterConfig& config,
                              const LoadSheddingPolicy* policy,
                              const UpdateReductionFunction* reduction,
                              const QueryRegistry* queries, ShardMap shard_map,
-                             std::vector<Shard> shards,
-                             StatsStage merged_stats, OptimizerStage optimizer,
-                             int32_t pool_threads)
+                             std::vector<Shard> shards, StatsStage stats,
+                             OptimizerStage optimizer, int32_t pool_threads)
     : config_(config),
       policy_(policy),
       reduction_(reduction),
       queries_(queries),
       shard_map_(std::move(shard_map)),
       shards_(std::move(shards)),
-      merged_stats_(std::move(merged_stats)),
+      stats_(std::move(stats)),
       optimizer_(std::move(optimizer)),
       pool_(pool_threads),
       next_adaptation_(config.server.adaptation_period),
       owner_of_(config.server.num_nodes, -1) {
-  // The coordinator-side adaptation phases (shard-grid merge, quad build,
+  // The coordinator-side adaptation phases (stats rebuild, quad build,
   // GRIDREDUCE waves) reuse the shard fan-out pool once the fan-out has
-  // returned; shard stages themselves must stay pool-free (no nesting).
+  // returned (ParallelFor does not nest).
+  stats_.set_pool(&pool_);
   optimizer_.set_pool(&pool_);
   if (config_.server.telemetry != nullptr) {
     telemetry::MetricRegistry& metrics = config_.server.telemetry->metrics();
@@ -146,47 +146,29 @@ StatusOr<std::unique_ptr<ServerCluster>> ServerCluster::Create(
       return tracker.status();
     }
 
-    StatsStageConfig stats_config;
-    stats_config.num_nodes = server.num_nodes;
-    stats_config.world = server.world;
-    stats_config.alpha = server.alpha;
-    stats_config.stats_sample_fraction = server.stats_sample_fraction;
-    stats_config.incremental_stats = server.incremental_stats;
-    stats_config.owned_only = true;
-    stats_config.seed = seed ^ 0x57a75ULL;
-    stats_config.metric_prefix = prefix;
-    stats_config.telemetry = server.telemetry;
-    auto stats = StatsStage::Create(stats_config);
-    if (!stats.ok()) {
-      return stats.status();
-    }
-
-    shards.push_back(Shard{*std::move(ingest), *std::move(tracker),
-                           *std::move(stats), {}, {}, 0});
+    shards.push_back(
+        Shard{*std::move(ingest), *std::move(tracker), 0, {}, {}, 0});
   }
 
-  // The coordinator's merged grid; its query-count cache plays the role
-  // the single server's grid cache does (counted once here, refreshed
-  // only when the registry or margin changes).
-  StatsStageConfig merged_config;
-  merged_config.num_nodes = server.num_nodes;
-  merged_config.world = server.world;
-  merged_config.alpha = server.alpha;
-  merged_config.stats_sample_fraction = server.stats_sample_fraction;
-  merged_config.incremental_stats = server.incremental_stats;
-  merged_config.seed = server.seed ^ 0x57a75ULL;
-  // The coordinator's own instruments live under `lira.coord.*`; the shard
-  // stages own the `lira.shard<k>.*` rebuild instruments, so the merged
-  // stage no longer has to run blind just to avoid name collisions.
-  merged_config.metric_prefix = "lira.coord";
-  merged_config.telemetry = server.telemetry;
-  auto merged = StatsStage::Create(merged_config);
-  if (!merged.ok()) {
-    return merged.status();
+  // The cluster's only grid, rebuilt from the owning shards' trackers. Its
+  // sampling stream and query-count cache are the single server's (one RNG
+  // draw per node id, so sampled statistics do not depend on S).
+  StatsStageConfig stats_config;
+  stats_config.num_nodes = server.num_nodes;
+  stats_config.world = server.world;
+  stats_config.alpha = server.alpha;
+  stats_config.stats_sample_fraction = server.stats_sample_fraction;
+  stats_config.incremental_stats = server.incremental_stats;
+  stats_config.seed = server.seed ^ 0x57a75ULL;
+  stats_config.metric_prefix = "lira.coord";
+  stats_config.telemetry = server.telemetry;
+  auto stats = StatsStage::Create(stats_config);
+  if (!stats.ok()) {
+    return stats.status();
   }
   const double margin = server.query_margin >= 0.0 ? server.query_margin
                                                    : reduction->delta_max();
-  merged->RebuildQueries(*queries, margin);
+  stats->RebuildQueries(*queries, margin);
 
   OptimizerStageConfig optimizer_config;
   optimizer_config.queue_capacity =
@@ -207,7 +189,7 @@ StatusOr<std::unique_ptr<ServerCluster>> ServerCluster::Create(
       num_shards);
   return std::unique_ptr<ServerCluster>(new ServerCluster(
       config, policy, reduction, queries, *std::move(shard_map),
-      std::move(shards), *std::move(merged), *std::move(optimizer),
+      std::move(shards), *std::move(stats), *std::move(optimizer),
       pool_threads));
 }
 
@@ -216,7 +198,7 @@ Status ServerCluster::InstallQueries(const QueryRegistry* queries) {
     return InvalidArgumentError("queries must be non-null");
   }
   queries_ = queries;
-  merged_stats_.InvalidateQueryCache();
+  stats_.InvalidateQueryCache();
   RebuildSubQueries();
   return OkStatus();
 }
@@ -356,7 +338,7 @@ void ServerCluster::RecordFlightSamples() {
     sample.queue_dropped = shard.ingest.queue().total_dropped();
     sample.queue_arrivals = shard.ingest.queue().total_arrivals();
     sample.z = optimizer_.z();
-    sample.nodes = static_cast<int64_t>(shard.stats.grid().TotalNodes());
+    sample.nodes = shard.owned;
     recorder->Record(sample);
   }
   telemetry::FlightSample coord;
@@ -369,7 +351,7 @@ void ServerCluster::RecordFlightSamples() {
   coord.z = optimizer_.z();
   coord.lambda = optimizer_.last_lambda();
   coord.utilization = optimizer_.last_utilization();
-  coord.nodes = static_cast<int64_t>(merged_stats_.grid().TotalNodes());
+  coord.nodes = static_cast<int64_t>(stats_.grid().TotalNodes());
   coord.plan_regions = static_cast<int32_t>(optimizer_.plan().NumRegions());
   coord.plan_min_delta = optimizer_.plan().MinDelta();
   coord.plan_max_delta = optimizer_.plan().MaxDelta();
@@ -386,12 +368,15 @@ void ServerCluster::ProcessHandoffs() {
   for (int32_t k = 0; k < num_shards(); ++k) {
     for (const NodeId id : shards_[k].applied) {
       const int32_t previous = owner_of_[id];
-      if (previous >= 0 && previous != k) {
-        shards_[previous].stats.ForgetNode(id);
+      if (previous == k) {
+        continue;
+      }
+      if (previous >= 0) {
         shards_[previous].tracker.Forget(id);
+        --shards_[previous].owned;
       }
       owner_of_[id] = k;
-      shards_[k].stats.NoteOwned(id);
+      ++shards_[k].owned;
     }
   }
 }
@@ -404,11 +389,10 @@ Status ServerCluster::Adapt() {
       tr != nullptr ? tr->lane(telemetry::TraceRecorder::kDriverLane)
                     : nullptr;
   // Rebalance phase (DESIGN.md §12): every R-th adaptation re-splits the
-  // strip boundaries from the *previous* adaptation's merged grid -- the
-  // only cross-shard state every thread count agrees on -- then migrates
-  // ownership serially before this adaptation's rebuild re-establishes the
-  // migrated grid contributions at their new shards. The first adaptation
-  // is skipped (no merged occupancy yet).
+  // strip boundaries from the *previous* adaptation's grid -- the only
+  // cross-shard state every thread count agrees on -- then migrates
+  // ownership serially before this adaptation's rebuild. The first
+  // adaptation is skipped (no occupancy yet).
   if (config_.rebalance_stride > 0 && num_shards() > 1 && adaptations_ > 0 &&
       adaptations_ % config_.rebalance_stride == 0) {
     telemetry::ScopedSpan rebalance_span(tr, driver_lane,
@@ -441,61 +425,36 @@ Status ServerCluster::Adapt() {
   {
     telemetry::ScopedTimer stats_timer(t, "lira.adapt.stats_rebuild_seconds",
                                        time_);
-    // Per-shard rebuilds run in parallel (disjoint grids and trackers,
-    // disjoint trace lanes), then the coordinator merges in shard order:
-    // integer accumulators make the merged grid bitwise equal to a single
-    // grid fed the same observations, independent of thread count.
-    pool_.ParallelFor(
-        0, num_shards(), 1,
-        [&](int32_t /*chunk*/, int64_t begin, int64_t end) {
-          for (int64_t k = begin; k < end; ++k) {
-            const auto shard_id = static_cast<int32_t>(k);
-            telemetry::ScopedSpan span(
-                tr,
-                tr != nullptr
-                    ? tr->lane(
-                          telemetry::TraceRecorder::LaneForShard(shard_id))
-                    : nullptr,
-                "stats.rebuild", tick_, shard_id, time_);
-            shards_[k].stats.RebuildNodes(shards_[k].tracker.tracker(),
-                                          time_);
-            span.set_value(shards_[k].stats.grid().TotalNodes());
-          }
-        });
-    telemetry::ScopedSpan merge_span(tr, driver_lane, "stats.merge", tick_,
+    telemetry::ScopedSpan stats_span(tr, driver_lane, "stats.rebuild", tick_,
                                      -1, time_);
-    telemetry::ScopedTimer merge_timer(t, "lira.adapt.merge_seconds", time_);
-    // Column-partitioned tree reduction over the shard grids' integer node
-    // accumulators (AssignNodeSum) replaces the serial per-shard Merge
-    // loop; integer addition keeps the result bitwise identical to it.
-    // Query counts stay untouched: shard grids never count queries (the
-    // merged stage owns them), so the old loop only ever added FP zeros.
-    std::vector<const StatisticsGrid*> parts;
-    parts.reserve(static_cast<size_t>(num_shards()));
-    for (int32_t k = 0; k < num_shards(); ++k) {
-      parts.push_back(&shards_[k].stats.grid());
-      if (t != nullptr) {
-        shard_nodes_gauges_[k]->Set(shards_[k].stats.grid().TotalNodes());
+    // One grid for the cluster: each node contributes the model its owning
+    // shard's tracker holds. The rebuild runs after the shard fan-out, so
+    // it may split the id range across the same pool.
+    std::vector<const PositionTracker*> trackers;
+    trackers.reserve(shards_.size());
+    for (const Shard& shard : shards_) {
+      trackers.push_back(&shard.tracker.tracker());
+    }
+    stats_.RebuildNodes(trackers, owner_of_, time_);
+    if (t != nullptr) {
+      for (int32_t k = 0; k < num_shards(); ++k) {
+        shard_nodes_gauges_[k]->Set(static_cast<double>(shards_[k].owned));
       }
     }
-    LIRA_RETURN_IF_ERROR(
-        merged_stats_.mutable_grid()->AssignNodeSum(parts, &pool_));
-    merge_timer.Stop();
     {
       telemetry::ScopedTimer query_timer(t, "lira.adapt.query_rebuild_seconds",
                                          time_);
       telemetry::ScopedSpan query_span(tr, driver_lane, "stats.query_rebuild",
                                        tick_, -1, time_);
-      merged_stats_.RebuildQueries(*queries_, QueryMargin());
+      stats_.RebuildQueries(*queries_, QueryMargin());
     }
-    merge_span.set_value(merged_stats_.grid().TotalNodes());
+    stats_span.set_value(stats_.grid().TotalNodes());
   }
   Status built;
   {
     telemetry::ScopedSpan plan_span(tr, driver_lane, "optimizer.plan_build",
                                     tick_, -1, time_);
-    built = optimizer_.BuildPlan(*policy_, merged_stats_.grid(), *reduction_,
-                                 time_);
+    built = optimizer_.BuildPlan(*policy_, stats_.grid(), *reduction_, time_);
     plan_span.set_value(static_cast<double>(optimizer_.plan().NumRegions()));
   }
   // The new plan is what every shard (and the encoders) sees from here on.
@@ -528,7 +487,7 @@ double ServerCluster::SpanImbalance(
 
 void ServerCluster::MaybeRebalance() {
   std::vector<int64_t> column_load;
-  merged_stats_.grid().ColumnNodeCounts(&column_load);
+  stats_.grid().ColumnNodeCounts(&column_load);
   const double before = SpanImbalance(column_load);
   const int32_t moved =
       shard_map_.Rebalance(column_load, config_.rebalance_max_moves);
@@ -562,11 +521,11 @@ void ServerCluster::MaybeRebalance() {
 }
 
 int64_t ServerCluster::MigrateOwnership() {
-  // Serial, ascending node id: the same Forget/NoteOwned handoff path the
-  // per-tick ownership transfers use, so grids stay exactly a union of
-  // owned cells and Merge stays integer-exact across epochs. The adopting
-  // tracker restores the model without counting it as an applied update;
-  // its grid contribution is re-established by this adaptation's rebuild.
+  // Serial, ascending node id, through the same Forget handoff path the
+  // per-tick ownership transfers use. The adopting tracker restores the
+  // model without counting it as an applied update. Statistics are not
+  // touched: the grid's per-node state is keyed by id, so the unchanged
+  // model leaves its cell alone at this adaptation's rebuild.
   int64_t migrated = 0;
   for (NodeId id = 0; id < config_.server.num_nodes; ++id) {
     const int32_t previous = owner_of_[id];
@@ -581,10 +540,10 @@ int64_t ServerCluster::MigrateOwnership() {
     if (next == previous) {
       continue;
     }
-    shards_[previous].stats.ForgetNode(id);
     shards_[previous].tracker.Forget(id);
     shards_[next].tracker.Adopt(ModelUpdate{id, *model});
-    shards_[next].stats.NoteOwned(id);
+    --shards_[previous].owned;
+    ++shards_[next].owned;
     owner_of_[id] = next;
     ++migrated;
   }
@@ -597,22 +556,14 @@ ClusterHealth ServerCluster::HealthSnapshot() const {
   health.tick = tick_;
   health.num_shards = num_shards();
   health.z = optimizer_.z();
-  // Ownership counts come from the live owner map (always current, unlike
-  // the per-shard grids which refresh only at adaptations).
-  std::vector<int64_t> owned(static_cast<size_t>(num_shards()), 0);
-  for (const int32_t owner : owner_of_) {
-    if (owner >= 0) {
-      ++owned[static_cast<size_t>(owner)];
-    }
-  }
   health.map_epoch = shard_map_.epoch();
   health.rebalances = rebalances_;
   health.nodes_migrated = nodes_migrated_;
-  health.shards.reserve(owned.size());
+  health.shards.reserve(shards_.size());
   for (int32_t k = 0; k < num_shards(); ++k) {
     ShardHealth shard;
     shard.shard = k;
-    shard.nodes_owned = owned[static_cast<size_t>(k)];
+    shard.nodes_owned = shards_[k].owned;
     shard.queue_depth =
         static_cast<int64_t>(shards_[k].ingest.queue().size());
     shard.queue_arrivals = shards_[k].ingest.queue().total_arrivals();

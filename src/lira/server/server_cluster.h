@@ -1,23 +1,23 @@
 // Region-sharded CQ server cluster (DESIGN.md §9).
 //
-// S shard pipelines -- each an IngestStage + TrackerStage + StatsStage
-// triple with its own bounded queue (capacity ceil(B/S)), service rate
-// mu/S, and seed stream -- fed by a spatial ShardMap that routes each update
-// by its model origin to the shard owning that statistics-grid column
-// strip. A coordinator owns the single OptimizerStage: at each adaptation
-// it merges the per-shard StatisticsGrids into one global grid
-// (StatisticsGrid::Merge, integer-exact) and builds ONE global SheddingPlan
-// under the global budget z * n * f(delta) and the fairness constraint, so
-// shard boundaries never fragment the optimizer's view.
+// S shard pipelines -- each an IngestStage + TrackerStage pair with its own
+// bounded queue (capacity ceil(B/S)), service rate mu/S, and seed stream --
+// fed by a spatial ShardMap that routes each update by its model origin to
+// the shard owning that statistics-grid column strip. A coordinator owns
+// the single StatsStage and OptimizerStage: at each adaptation it rebuilds
+// the one global grid from the model each node's owning shard holds, and
+// builds ONE global SheddingPlan under the global budget z * n * f(delta)
+// and the fairness constraint, so shard boundaries never fragment the
+// optimizer's view.
 //
 // Node ownership follows the updates: when a shard applies an update for a
 // node previously owned elsewhere, the coordinator retracts the old
-// shard's tracker model and grid contribution (handoff, processed serially
-// in shard order every tick). Histories are retained at every shard a node
-// visited; historical reconstruction picks the shard holding the freshest
-// record at the probed time.
+// shard's tracker model (handoff, processed serially in shard order every
+// tick). Histories are retained at every shard a node visited; historical
+// reconstruction picks the shard holding the freshest record at the probed
+// time.
 //
-// Determinism contract: all cross-shard work (routing, handoff, merge,
+// Determinism contract: all cross-shard work (routing, handoff,
 // throttle-window summation) is ordered by shard index, every shard's
 // random stream is a pure function of (config seed, shard index), and the
 // parallel sections touch only per-shard state plus atomic instruments.
@@ -63,7 +63,7 @@ struct ServerClusterConfig {
   /// set, additionally gains per-shard `lira.shard<k>.*` instruments (the
   /// shard id is a label dimension the Prometheus exporter folds back into
   /// `{shard="k"}`, telemetry/exposition.h) and coordinator-owned
-  /// `lira.coord.*` instruments for the merged statistics stage. The trace
+  /// `lira.coord.*` instruments for the statistics stage. The trace
   /// recorder, when set, needs shards + 1 lanes: shard k records its
   /// parallel-section spans into lane k + 1 and the coordinator into lane 0.
   CqServerConfig server;
@@ -74,10 +74,10 @@ struct ServerClusterConfig {
   int32_t threads = 0;
   /// Shard-map rebalancing stride R (DESIGN.md §12): every R adaptation
   /// windows the coordinator re-splits the grid columns across shards from
-  /// the merged grid's integer per-column occupancy. 0 (default) disables
+  /// the grid's integer per-column occupancy. 0 (default) disables
   /// rebalancing entirely -- the map stays the initial even split and every
   /// observable output is unchanged from earlier versions. The decision
-  /// consumes only merged integer state, so any thread count produces the
+  /// consumes only integer grid state, so any thread count produces the
   /// identical map sequence.
   int32_t rebalance_stride = 0;
   /// Hysteresis bound: max columns each strip boundary may travel per
@@ -149,7 +149,7 @@ class ServerCluster : public ServerPipeline {
   /// Point-in-time cluster health: per-shard occupancy / queue state plus
   /// load-skew statistics (max/mean owned nodes and their imbalance ratio).
   /// Serializable via WriteHealthJson / WriteHealthPrometheus
-  /// (cluster_health.h). O(num_nodes + shards); not for per-tick use.
+  /// (cluster_health.h). O(shards).
   ClusterHealth HealthSnapshot() const;
 
   /// Ticks processed so far (the frame stamp on trace spans).
@@ -165,12 +165,9 @@ class ServerCluster : public ServerPipeline {
   int64_t nodes_migrated() const { return nodes_migrated_; }
   /// The installed shard-local sub-queries, for tests and diagnostics.
   const ShardedQueryTable& sub_queries() const { return sub_queries_; }
-  /// The coordinator's merged grid (valid after an adaptation).
-  const StatisticsGrid& stats() const { return merged_stats_.grid(); }
-  /// One shard's own grid / queue, for tests and diagnostics.
-  const StatisticsGrid& shard_stats(int32_t shard) const {
-    return shards_[shard].stats.grid();
-  }
+  /// The cluster's statistics grid (valid after an adaptation).
+  const StatisticsGrid& stats() const { return stats_.grid(); }
+  /// One shard's queue, for tests and diagnostics.
   const UpdateQueue& shard_queue(int32_t shard) const {
     return shards_[shard].ingest.queue();
   }
@@ -179,7 +176,8 @@ class ServerCluster : public ServerPipeline {
   struct Shard {
     IngestStage ingest;
     TrackerStage tracker;
-    StatsStage stats;
+    /// Nodes this shard owns (owner_of_ entries equal to its index).
+    int64_t owned = 0;
     /// Node ids applied this tick (handoff scratch, reused).
     std::vector<NodeId> applied;
     /// Batch routing scratch, reused across ticks.
@@ -192,7 +190,7 @@ class ServerCluster : public ServerPipeline {
                 const LoadSheddingPolicy* policy,
                 const UpdateReductionFunction* reduction,
                 const QueryRegistry* queries, ShardMap shard_map,
-                std::vector<Shard> shards, StatsStage merged_stats,
+                std::vector<Shard> shards, StatsStage stats,
                 OptimizerStage optimizer, int32_t pool_threads);
 
   double QueryMargin() const;
@@ -211,7 +209,7 @@ class ServerCluster : public ServerPipeline {
   /// `bounds` is the shard tree's root box at t.
   bool ClipIsExact(int32_t shard, const Rect& bounds) const;
   /// The deterministic rebalance step (start of every R-th adaptation):
-  /// re-splits the map from the merged grid's column occupancy, migrates
+  /// re-splits the map from the grid's column occupancy, migrates
   /// ownership through the Forget/Adopt handoff path in ascending node
   /// order, reinstalls sub-queries, and records flight/telemetry.
   void MaybeRebalance();
@@ -234,8 +232,8 @@ class ServerCluster : public ServerPipeline {
   const QueryRegistry* queries_;
   ShardMap shard_map_;
   std::vector<Shard> shards_;
-  /// Coordinator-owned: the merged global grid (+ query-count cache).
-  StatsStage merged_stats_;
+  /// Coordinator-owned: the cluster's only grid (+ query-count cache).
+  StatsStage stats_;
   OptimizerStage optimizer_;
   ThreadPool pool_;
   double time_ = 0.0;
@@ -257,7 +255,7 @@ class ServerCluster : public ServerPipeline {
   telemetry::Counter* rebalance_epochs_counter_ = nullptr;
   telemetry::Counter* rebalance_columns_counter_ = nullptr;
   telemetry::Counter* rebalance_migrated_counter_ = nullptr;
-  /// Per-shard node-count gauges, set after each adaptation's rebuild.
+  /// Per-shard owned-node gauges, set after each adaptation's rebuild.
   std::vector<telemetry::Gauge*> shard_nodes_gauges_;
 };
 

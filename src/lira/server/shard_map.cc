@@ -74,7 +74,7 @@ int32_t ShardMap::Rebalance(const std::vector<int64_t>& column_load,
     return 0;
   }
   // prefix[c] = load of columns [0, c); all-integer so every replica that
-  // sees the same merged grid computes the identical split.
+  // sees the same grid computes the identical split.
   std::vector<int64_t> prefix(static_cast<size_t>(alpha_) + 1, 0);
   for (int32_t c = 0; c < alpha_; ++c) {
     LIRA_CHECK(column_load[c] >= 0);

@@ -1,18 +1,16 @@
 // Spatial shard routing for ServerCluster.
 //
 // The world is split into S vertical strips of whole statistics-grid
-// columns, so a shard's region is exactly a union of grid cells: per-shard
-// StatisticsGrid contributions never straddle a shard boundary cell, and
-// the coordinator's Merge reconstructs the global grid cell-for-cell.
-// Routing a point is two multiplies and a clamp -- the same column
-// computation the grid itself uses -- so the ingest fan-out adds O(1) per
-// update.
+// columns, so a shard's region is exactly a union of grid cells and its
+// load is a sum of the coordinator grid's column counts. Routing a point
+// is two multiplies and a clamp -- the same column computation the grid
+// itself uses -- so the ingest fan-out adds O(1) per update.
 //
 // The map is epoch-versioned (DESIGN.md §12): it starts as the balanced
 // even split (epoch 0) and the cluster coordinator may Rebalance() it from
 // observed per-column load. A rebalance is a pure function of the integer
 // column loads, the previous boundaries, and the hysteresis bound, so any
-// replica (or any thread count) fed the same merged statistics computes the
+// replica (or any thread count) fed the same grid statistics computes the
 // identical next map. Strips stay contiguous across epochs: only the
 // boundary positions move, each by at most `max_moves` columns per epoch,
 // and every shard always keeps at least one column.
@@ -62,7 +60,7 @@ class ShardMap {
   int32_t ColumnEnd(int32_t shard) const { return col_begin_[shard + 1]; }
 
   /// Re-splits the columns from observed load (one non-negative entry per
-  /// column, e.g. the merged StatisticsGrid's per-column node counts): each
+  /// column, e.g. the StatisticsGrid's per-column node counts): each
   /// internal boundary moves toward its balanced-prefix position -- the
   /// smallest column index where the cumulative load reaches k/S of the
   /// total, compared in exact integer arithmetic -- clamped to at most

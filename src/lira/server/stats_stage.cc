@@ -20,20 +20,13 @@ StatsStage::StatsStage(const StatsStageConfig& config, StatisticsGrid grid)
     : world_(config.world),
       stats_sample_fraction_(config.stats_sample_fraction),
       incremental_stats_(config.incremental_stats),
-      owned_only_(config.owned_only),
-      columnar_rebuild_(config.columnar_rebuild),
       pool_(config.pool),
       grid_(std::move(grid)),
       stats_rng_(config.seed),
       stats_cell_of_(config.num_nodes, -1),
-      stats_speed_of_(config.num_nodes, 0.0),
       stats_speed_q_of_(config.num_nodes, 0),
-      stats_vel_x_(config.columnar_rebuild ? config.num_nodes : 0, 0.0),
-      stats_vel_y_(config.columnar_rebuild ? config.num_nodes : 0, 0.0),
-      owned_words_(config.owned_only
-                       ? (static_cast<size_t>(config.num_nodes) + 63) / 64
-                       : 0,
-                   0) {
+      stats_vel_x_(config.num_nodes, 0.0),
+      stats_vel_y_(config.num_nodes, 0.0) {
   if (config.telemetry != nullptr) {
     cells_dirtied_counter_ = config.telemetry->metrics().GetCounter(
         config.metric_prefix + ".stats.cells_dirtied");
@@ -55,126 +48,73 @@ StatusOr<StatsStage> StatsStage::Create(const StatsStageConfig& config) {
   return StatsStage(config, *std::move(grid));
 }
 
-void StatsStage::NoteOwned(NodeId id) {
-  if (!owned_only_) {
-    return;
-  }
-  LIRA_DCHECK(id >= 0 &&
-              static_cast<size_t>(id) < stats_cell_of_.size());
-  owned_words_[static_cast<size_t>(id) / 64] |= uint64_t{1}
-                                                << (static_cast<size_t>(id) %
-                                                    64);
-}
-
-void StatsStage::ForgetNode(NodeId id) {
-  LIRA_DCHECK(id >= 0 &&
-              static_cast<size_t>(id) < stats_cell_of_.size());
-  if (stats_cell_of_[id] >= 0) {
-    grid_.RemoveNodeAt(stats_cell_of_[id], stats_speed_of_[id]);
-    stats_cell_of_[id] = -1;
-    stats_speed_of_[id] = 0.0;
-    stats_speed_q_of_[id] = 0;
-  }
-  if (owned_only_) {
-    owned_words_[static_cast<size_t>(id) / 64] &=
-        ~(uint64_t{1} << (static_cast<size_t>(id) % 64));
-  }
-}
-
-int64_t StatsStage::RelocateNode(const PositionTracker& tracker, NodeId id,
-                                 double now) {
-  const auto position = tracker.PredictAt(id, now);
-  int32_t new_cell = -1;
-  double new_speed = 0.0;
-  if (position.has_value()) {
-    const Point where = world_.Clamp(*position);
-    new_cell = grid_.CellIndexOf(where);
-    new_speed = tracker.BelievedSpeed(id);
-  }
-  const int32_t old_cell = stats_cell_of_[id];
-  if (old_cell == new_cell &&
-      (new_cell < 0 || StatisticsGrid::QuantizeSpeed(stats_speed_of_[id]) ==
-                           StatisticsGrid::QuantizeSpeed(new_speed))) {
-    return 0;
-  }
-  int64_t dirtied = 0;
-  if (old_cell >= 0) {
-    grid_.RemoveNodeAt(old_cell, stats_speed_of_[id]);
-    ++dirtied;
-  }
-  if (new_cell >= 0) {
-    grid_.AddNodeAt(new_cell, new_speed);
-    if (new_cell != old_cell) {
-      ++dirtied;
-    }
-  }
-  stats_cell_of_[id] = new_cell;
-  stats_speed_of_[id] = new_speed;
-  stats_speed_q_of_[id] =
-      new_cell >= 0 ? StatisticsGrid::QuantizeSpeed(new_speed) : 0;
-  return dirtied;
-}
-
-void StatsStage::RebuildNodesIncremental(const PositionTracker& tracker,
-                                         double now) {
-  // Delta maintenance: relocate only the contributions whose cell or
-  // quantized speed changed since the last rebuild. The grid's integer
-  // accumulators make the result bitwise identical to ClearNodes() + full
-  // repopulation, and at fraction 1.0 neither path draws from stats_rng_,
-  // so the two paths are interchangeable mid-run.
-  int64_t dirtied = 0;
-  if (owned_only_) {
-    // Ascending set bits == ascending ids; unmarked ids are no-ops in the
-    // all-ids loop (no model, no previous contribution), so the two
-    // iteration orders produce the same accumulator sequence.
-    for (size_t w = 0; w < owned_words_.size(); ++w) {
-      uint64_t word = owned_words_[w];
-      while (word != 0) {
-        const int bit = __builtin_ctzll(word);
-        word &= word - 1;
-        dirtied += RelocateNode(
-            tracker, static_cast<NodeId>(w * 64 + static_cast<size_t>(bit)),
-            now);
-      }
-    }
-  } else {
-    for (NodeId id = 0; id < tracker.num_nodes(); ++id) {
-      dirtied += RelocateNode(tracker, id, now);
-    }
-  }
-  if (cells_dirtied_counter_ != nullptr) {
-    cells_dirtied_counter_->Increment(dirtied);
-  }
-}
-
-int64_t StatsStage::RelocateRange(const PositionTracker& tracker, double now,
+int64_t StatsStage::RelocateRange(std::span<const ModelColumns> columns,
+                                  const int32_t* owner_of, double now,
                                   FrameArena* arena, int64_t begin,
                                   int64_t end,
                                   std::vector<CellDelta>* deltas) {
-  const double* vel_x = tracker.vel_x_data();
-  const double* vel_y = tracker.vel_y_data();
   arena->Reset();
-  const int64_t span = std::min<int64_t>(end - begin, kColumnarBlock);
-  auto px = arena->AllocSpan<double>(static_cast<size_t>(span));
-  auto py = arena->AllocSpan<double>(static_cast<size_t>(span));
-  auto known = arena->AllocSpan<uint8_t>(static_cast<size_t>(span));
-  auto cells = arena->AllocSpan<int32_t>(static_cast<size_t>(span));
-  auto skip = arena->AllocSpan<uint8_t>(static_cast<size_t>(span));
+  const auto span =
+      static_cast<size_t>(std::min<int64_t>(end - begin, kColumnarBlock));
+  auto px = arena->AllocSpan<double>(span);
+  auto py = arena->AllocSpan<double>(span);
+  auto cells = arena->AllocSpan<int32_t>(span);
+  auto skip = arena->AllocSpan<uint8_t>(span);
+  const bool in_place = columns.size() == 1;
+  double* ox = nullptr;
+  double* oy = nullptr;
+  double* vx = nullptr;
+  double* vy = nullptr;
+  double* t0 = nullptr;
+  uint8_t* has = nullptr;
+  if (!in_place) {
+    ox = arena->AllocSpan<double>(span);
+    oy = arena->AllocSpan<double>(span);
+    vx = arena->AllocSpan<double>(span);
+    vy = arena->AllocSpan<double>(span);
+    t0 = arena->AllocSpan<double>(span);
+    has = arena->AllocSpan<uint8_t>(span);
+  }
   int64_t dirtied = 0;
   for (int64_t block = begin; block < end; block += kColumnarBlock) {
     const int64_t n = std::min<int64_t>(kColumnarBlock, end - block);
-    tracker.PredictSpan(static_cast<NodeId>(block), n, now, nullptr, nullptr,
-                        px, py, known);
+    ModelColumns m;
+    if (in_place) {
+      const ModelColumns& c = columns[0];
+      m = {c.origin_x + block, c.origin_y + block, c.vel_x + block,
+           c.vel_y + block,    c.t0 + block,       c.has + block};
+    } else {
+      // Gather each lane's model from the tracker its owner entry names;
+      // unowned lanes get zeroed operands (the kernels read every lane).
+      for (int64_t i = 0; i < n; ++i) {
+        const int64_t id = block + i;
+        const int32_t owner = owner_of[id];
+        if (owner < 0) {
+          ox[i] = oy[i] = vx[i] = vy[i] = t0[i] = 0.0;
+          has[i] = 0;
+          continue;
+        }
+        const ModelColumns& c = columns[owner];
+        ox[i] = c.origin_x[id];
+        oy[i] = c.origin_y[id];
+        vx[i] = c.vel_x[id];
+        vy[i] = c.vel_y[id];
+        t0[i] = c.t0[id];
+        has[i] = c.has[id];
+      }
+      m = {ox, oy, vx, vy, t0, has};
+    }
+    kernels::PredictPositions(n, m.origin_x, m.origin_y, m.vel_x, m.vel_y,
+                              m.t0, m.has, now, nullptr, nullptr, px, py);
     // The LocateCells kernel clamps internally and Rect::Clamp is
-    // idempotent, so locating the raw predicted points matches the scalar
-    // path's Clamp-then-CellIndexOf bit-for-bit; unknown lanes come back -1.
-    grid_.LocateCells(n, px, py, known, cells);
+    // idempotent, so locating the raw predicted points matches a
+    // Clamp-then-CellIndexOf bit-for-bit; model-less lanes come back -1.
+    grid_.LocateCells(n, px, py, m.has, cells);
     // Vectorized fast-path test: same cell, same velocity bits -> the grid
-    // already holds this node's exact contribution. (A -1 unknown lane
+    // already holds this node's exact contribution. (A -1 model-less lane
     // never sets skip: cell >= 0 fails.)
     kernels::RelocateSkipMask(n, cells, stats_cell_of_.data() + block,
-                              vel_x + block, vel_y + block,
-                              stats_vel_x_.data() + block,
+                              m.vel_x, m.vel_y, stats_vel_x_.data() + block,
                               stats_vel_y_.data() + block, skip);
     // How far ahead the direct-mutation loop prefetches grid lines: far
     // enough to cover the lanes between two relocations, near enough that
@@ -199,23 +139,21 @@ int64_t StatsStage::RelocateRange(const PositionTracker& tracker, double now,
       const int32_t old_cell = stats_cell_of_[id];
       int32_t new_cell = -1;
       int64_t new_q = 0;
-      double new_speed = 0.0;
-      if (known[i] != 0) {
+      if (m.has[i] != 0) {
         new_cell = cells[i];
-        if (old_cell >= 0 && vel_x[id] == stats_vel_x_[id] &&
-            vel_y[id] == stats_vel_y_[id]) {
+        if (old_cell >= 0 && m.vel_x[i] == stats_vel_x_[id] &&
+            m.vel_y[i] == stats_vel_y_[id]) {
           // Velocity bits unchanged since the stored contribution:
           // BelievedSpeed would hypot the same operands, so the stored
-          // speed (and its cached quantization) is bitwise the recomputed
-          // one. The mask already skipped the same-cell case, so this is
-          // always a pure cell move.
-          new_speed = stats_speed_of_[id];
+          // quantized speed is bitwise the recomputed one. The mask already
+          // skipped the same-cell case, so this is always a pure cell move.
           new_q = stats_speed_q_of_[id];
         } else {
-          new_speed = tracker.BelievedSpeed(id);
-          new_q = StatisticsGrid::QuantizeSpeed(new_speed);
-          stats_vel_x_[id] = vel_x[id];
-          stats_vel_y_[id] = vel_y[id];
+          // PositionTracker::BelievedSpeed's expression.
+          new_q = StatisticsGrid::QuantizeSpeed(
+              Norm(Vec2{m.vel_x[i], m.vel_y[i]}));
+          stats_vel_x_[id] = m.vel_x[i];
+          stats_vel_y_[id] = m.vel_y[i];
         }
       }
       const int64_t old_q = old_cell >= 0 ? stats_speed_q_of_[id] : 0;
@@ -246,7 +184,6 @@ int64_t StatsStage::RelocateRange(const PositionTracker& tracker, double now,
         }
       }
       stats_cell_of_[id] = new_cell;
-      stats_speed_of_[id] = new_speed;
       stats_speed_q_of_[id] = new_q;
     }
   }
@@ -287,9 +224,16 @@ void StatsStage::ApplyDeltas(const std::vector<CellDelta>& deltas) {
   }
 }
 
-void StatsStage::RebuildNodesColumnar(const PositionTracker& tracker,
-                                      double now) {
-  const int64_t n = tracker.num_nodes();
+void StatsStage::RebuildNodesColumnar(
+    std::span<const PositionTracker* const> trackers,
+    std::span<const int32_t> owner_of, double now) {
+  std::vector<ModelColumns> columns;
+  columns.reserve(trackers.size());
+  for (const PositionTracker* tracker : trackers) {
+    columns.push_back(tracker->columns());
+  }
+  const int32_t* owner = trackers.size() == 1 ? nullptr : owner_of.data();
+  const auto n = static_cast<int64_t>(stats_cell_of_.size());
   const bool pooled = pool_ != nullptr && pool_->num_threads() > 1 &&
                       n >= 2 * kColumnarBlock;
   int64_t dirtied = 0;
@@ -297,7 +241,8 @@ void StatsStage::RebuildNodesColumnar(const PositionTracker& tracker,
     if (rebuild_arenas_.empty()) {
       rebuild_arenas_.resize(1);
     }
-    dirtied = RelocateRange(tracker, now, &rebuild_arenas_[0], 0, n, nullptr);
+    dirtied = RelocateRange(columns, owner, now, &rebuild_arenas_[0], 0, n,
+                            nullptr);
   } else {
     const auto workers = static_cast<size_t>(pool_->num_threads());
     if (rebuild_arenas_.size() < workers) {
@@ -316,8 +261,8 @@ void StatsStage::RebuildNodesColumnar(const PositionTracker& tracker,
     pool_->ParallelFor(0, n, kColumnarBlock,
                        [&](int32_t chunk, int64_t begin, int64_t end) {
                          rebuild_dirtied_[chunk] = RelocateRange(
-                             tracker, now, &rebuild_arenas_[chunk], begin,
-                             end, &rebuild_deltas_[chunk]);
+                             columns, owner, now, &rebuild_arenas_[chunk],
+                             begin, end, &rebuild_deltas_[chunk]);
                        });
     for (size_t c = 0; c < workers; ++c) {
       dirtied += rebuild_dirtied_[c];
@@ -330,16 +275,20 @@ void StatsStage::RebuildNodesColumnar(const PositionTracker& tracker,
 }
 
 void StatsStage::RebuildNodes(const PositionTracker& tracker, double now) {
+  const PositionTracker* const one = &tracker;
+  RebuildNodes(std::span<const PositionTracker* const>(&one, 1), {}, now);
+}
+
+void StatsStage::RebuildNodes(std::span<const PositionTracker* const> trackers,
+                              std::span<const int32_t> owner_of, double now) {
+  const auto num_nodes = static_cast<NodeId>(stats_cell_of_.size());
+  for (const PositionTracker* tracker : trackers) {
+    LIRA_CHECK(tracker->num_nodes() == num_nodes);
+  }
+  LIRA_CHECK(trackers.size() == 1 ||
+             owner_of.size() == stats_cell_of_.size());
   if (IncrementalEnabled()) {
-    // The owned-only path keeps the scalar owned-bitmap iteration: shard
-    // rebuilds already run inside the coordinator's shard fan-out (no pool
-    // here -- ParallelFor does not nest) and touch O(owned) ids rather
-    // than scanning every lane.
-    if (columnar_rebuild_ && !owned_only_) {
-      RebuildNodesColumnar(tracker, now);
-    } else {
-      RebuildNodesIncremental(tracker, now);
-    }
+    RebuildNodesColumnar(trackers, owner_of, now);
     return;
   }
   grid_.ClearNodes();
@@ -347,10 +296,15 @@ void StatsStage::RebuildNodes(const PositionTracker& tracker, double now) {
   const double weight = 1.0 / fraction;
   // Every id draws from the RNG (sampled mode) whether or not it has a
   // model, keeping the stream independent of ownership and report state.
-  for (NodeId id = 0; id < tracker.num_nodes(); ++id) {
+  for (NodeId id = 0; id < num_nodes; ++id) {
     if (fraction < 1.0 && !stats_rng_.Bernoulli(fraction)) {
       continue;
     }
+    const int32_t owner = trackers.size() == 1 ? 0 : owner_of[id];
+    if (owner < 0) {
+      continue;
+    }
+    const PositionTracker& tracker = *trackers[owner];
     const auto position = tracker.PredictAt(id, now);
     if (!position.has_value()) {
       continue;

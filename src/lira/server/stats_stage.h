@@ -1,43 +1,36 @@
 // Pipeline stage 3: statistics-grid maintenance.
 //
-// Owns the StatisticsGrid and everything needed to refresh it from the
-// tracker's believed node states at each adaptation: the delta-maintenance
+// Owns a server's only StatisticsGrid and everything needed to refresh it
+// from the believed node states at each adaptation: the delta-maintenance
 // state (last contribution per node), the sampling RNG, and the query-count
-// refresh cache. The rebuild paths keep the original monolithic CqServer's
-// bitwise guarantees:
+// refresh cache. The believed states live in one tracker (CqServer) or in
+// S shard trackers plus an owner map naming the tracker that holds each
+// node's model (ServerCluster). The rebuild paths keep the original
+// monolithic CqServer's bitwise guarantees:
 //
 //  * incremental (fraction == 1.0): relocate only contributions whose cell
 //    or quantized speed changed -- bitwise identical to ClearNodes() + full
 //    repopulation (integer accumulators), no RNG consumed;
-//  * sampled (fraction < 1.0): ClearNodes() + Bernoulli-sampled
-//    repopulation with unbiased 1/fraction weighting. One RNG draw per
-//    node id, reported or not, so the stream is a function of (seed,
-//    rebuild ordinal) only.
+//  * full (incremental_stats off) or sampled (fraction < 1.0):
+//    ClearNodes() + repopulation, when sampled Bernoulli-sampled with
+//    unbiased 1/fraction weighting. One RNG draw per node id, reported or
+//    not, so the stream is a function of (seed, rebuild ordinal) only --
+//    never of the shard count.
 //
-// The incremental path comes in two interchangeable flavors sharing the
-// same per-node state:
-//
-//  * scalar: the original per-node loop (PredictAt + BelievedSpeed per id),
-//    kept verbatim as the bitwise reference path for A/B benchmarking;
-//  * columnar (default): streams id blocks through the PredictPositions
-//    kernel, locates cells from the bulk-predicted positions (Rect::Clamp
-//    is idempotent, so clamping once in CellIndexOf matches the scalar
-//    Clamp-then-locate bit-for-bit), and caches each node's believed
-//    velocity so the non-vectorizable std::hypot in BelievedSpeed runs
-//    only for nodes whose velocity bits actually changed. With a worker
-//    pool the id range splits into contiguous chunks: workers relocate
-//    their own nodes into per-worker sparse cell-delta lists which the
-//    caller applies in chunk order after the join -- integer deltas from
-//    matched remove/add pairs commute, so the grid is bitwise identical
-//    to the scalar path for every thread count.
-//
-// Cluster shards set `owned_only`: the incremental path then iterates just
-// the ids ever marked via NoteOwned (scalar path; shard rebuilds already
-// run inside the coordinator's shard fan-out, and ParallelFor does not
-// nest, so shard stages take no pool). Unmarked ids contribute nothing in
-// either mode (no model -> no cell, no RNG in the incremental path), so an
-// S=1 shard stays bitwise identical to the all-ids server. The sampled
-// path always iterates every id to preserve that per-id RNG stream.
+// The incremental path streams id blocks through the PredictPositions
+// kernel. A single tracker's columns are read in place; with an owner map,
+// each lane's model is first copied from its owner's tracker into the
+// block's arena spans. Cells are located from the bulk-predicted positions
+// (Rect::Clamp is idempotent, so clamping once in CellIndexOf matches a
+// Clamp-then-locate bit-for-bit), and each node's believed velocity is
+// cached so the non-vectorizable std::hypot in BelievedSpeed runs only for
+// nodes whose velocity bits actually changed. The per-node state is keyed
+// by node id, not by tracker: a model that moves between trackers
+// unchanged (cross-shard migration) relocates nothing. With a worker pool
+// the id range splits into contiguous chunks: workers relocate their own
+// nodes into per-worker sparse cell-delta lists which the caller applies in
+// chunk order after the join -- integer deltas from matched remove/add
+// pairs commute, so the grid is bitwise identical for every thread count.
 //
 // Query counts are delta-maintained: the registry is append-only, so when
 // only its size grew (same margin), the stage counts just the appended
@@ -49,6 +42,7 @@
 #define LIRA_SERVER_STATS_STAGE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -74,33 +68,33 @@ struct StatsStageConfig {
   double stats_sample_fraction = 1.0;
   /// Delta-maintain across rebuilds when the fraction is 1.0.
   bool incremental_stats = true;
-  /// Iterate only NoteOwned ids in the incremental path (cluster shards).
-  bool owned_only = false;
-  /// Final sampling-RNG seed; the caller pre-mixes (the facade server
-  /// passes `seed ^ 0x57a75`, shard k mixes its shard stream in first).
+  /// Final sampling-RNG seed; the caller pre-mixes (both servers pass
+  /// `seed ^ 0x57a75`).
   uint64_t seed = 1234;
   /// Instrument namespace: "<metric_prefix>.stats.cells_dirtied".
   std::string metric_prefix = "lira";
   /// Optional telemetry (not owned; must outlive the stage).
   telemetry::TelemetrySink* telemetry = nullptr;
-  /// Optional worker pool (not owned) for the columnar incremental rebuild.
-  /// Cluster shard stages must leave this null: their rebuilds run inside
-  /// the coordinator's shard fan-out and ParallelFor does not nest.
+  /// Optional worker pool (not owned) for the incremental rebuild. The
+  /// rebuild calls ParallelFor, which does not nest: it must run outside
+  /// any other section of the same pool.
   ThreadPool* pool = nullptr;
-  /// Columnar incremental rebuild (kernel spans + velocity cache); false
-  /// pins the original scalar per-node loop -- the bitwise reference path
-  /// the adaptation bench A/Bs against.
-  bool columnar_rebuild = true;
 };
 
-/// Grid + rebuild machinery. Not thread-safe; distinct stages (cluster
-/// shards) are independent and may rebuild concurrently.
+/// Grid + rebuild machinery. Not thread-safe.
 class StatsStage {
  public:
   static StatusOr<StatsStage> Create(const StatsStageConfig& config);
 
-  /// Refreshes node statistics (n, s) from the tracker's believed state at
-  /// time `now`, by delta relocation or sampled repopulation per config.
+  /// Refreshes node statistics (n, s) from the believed state at time
+  /// `now`, by delta relocation or sampled repopulation per config. Node
+  /// id's model is the one trackers[owner_of[id]] holds (owner_of[id] < 0:
+  /// none); models other trackers still hold for it are ignored. A single
+  /// tracker holds every model, so its owner map is not consulted and may
+  /// be empty. Every tracker and the owner map span num_nodes ids.
+  void RebuildNodes(std::span<const PositionTracker* const> trackers,
+                    std::span<const int32_t> owner_of, double now);
+  /// The single-tracker case.
   void RebuildNodes(const PositionTracker& tracker, double now);
 
   /// Refreshes query statistics (m) with `margin` meters added around each
@@ -112,16 +106,11 @@ class StatsStage {
   void RebuildQueries(const QueryRegistry& queries, double margin);
   void InvalidateQueryCache() { query_stats_valid_ = false; }
 
-  /// Marks a node as owned by this stage (owned_only iteration set).
-  void NoteOwned(NodeId id);
-  /// Retracts a node's grid contribution and ownership mark (cross-shard
-  /// handoff). The incremental path removes the contribution immediately;
-  /// the rebuild paths drop it at their next ClearNodes().
-  void ForgetNode(NodeId id);
+  /// Points the incremental rebuild at a worker pool (not owned; nullptr =
+  /// serial), for owners whose pool outlives construction (ServerCluster).
+  void set_pool(ThreadPool* pool) { pool_ = pool; }
 
   const StatisticsGrid& grid() const { return grid_; }
-  /// The coordinator merges shard grids into its own through this.
-  StatisticsGrid* mutable_grid() { return &grid_; }
 
   /// True when the delta-maintenance fast path owns the node statistics.
   bool IncrementalEnabled() const {
@@ -139,17 +128,17 @@ class StatsStage {
 
   StatsStage(const StatsStageConfig& config, StatisticsGrid grid);
 
-  void RebuildNodesIncremental(const PositionTracker& tracker, double now);
-  /// One node's delta-relocation step; returns cells dirtied (0..2).
-  int64_t RelocateNode(const PositionTracker& tracker, NodeId id, double now);
-
-  /// Columnar incremental rebuild (see file comment). `deltas` == nullptr
-  /// mutates the grid directly (serial mode); otherwise relocations are
-  /// queued for deferred application. Returns cells dirtied.
-  int64_t RelocateRange(const PositionTracker& tracker, double now,
+  /// Incremental rebuild over [begin, end) (see file comment). With one
+  /// entry in `columns` it is read in place; otherwise lane id reads
+  /// columns[owner_of[id]]. `deltas` == nullptr mutates the grid
+  /// directly (serial mode); otherwise relocations are queued for deferred
+  /// application. Returns cells dirtied.
+  int64_t RelocateRange(std::span<const ModelColumns> columns,
+                        const int32_t* owner_of, double now,
                         FrameArena* arena, int64_t begin, int64_t end,
                         std::vector<CellDelta>* deltas);
-  void RebuildNodesColumnar(const PositionTracker& tracker, double now);
+  void RebuildNodesColumnar(std::span<const PositionTracker* const> trackers,
+                            std::span<const int32_t> owner_of, double now);
 
   /// Applies a relocation delta list to the grid. Large lists are
   /// radix-partitioned by cell first so the read-modify-writes walk the
@@ -161,30 +150,23 @@ class StatsStage {
   Rect world_;
   double stats_sample_fraction_;
   bool incremental_stats_;
-  bool owned_only_;
-  bool columnar_rebuild_;
   ThreadPool* pool_;
   StatisticsGrid grid_;
   Rng stats_rng_;
   /// Delta-maintenance state: each node's last contribution to the grid
-  /// (flat cell index, -1 = none, and the speed it was added with).
+  /// (flat cell index, -1 = none, and its quantized speed, valid while the
+  /// cell is >= 0).
   std::vector<int32_t> stats_cell_of_;
-  std::vector<double> stats_speed_of_;
-  /// QuantizeSpeed(stats_speed_of_[id]) cached at store time, valid while
-  /// stats_cell_of_[id] >= 0 -- the columnar path's removal operand, saving
-  /// one llround per relocation (the cached value is the same bits the
-  /// on-demand quantization would produce).
   std::vector<int64_t> stats_speed_q_of_;
-  /// Believed-velocity cache (columnar path): the velocity bits behind
-  /// stats_speed_of_. Consulted only while the node contributes
-  /// (stats_cell_of_ >= 0); equal bits let the rebuild reuse the stored
-  /// speed instead of recomputing std::hypot.
+  /// Believed-velocity cache: the velocity bits behind stats_speed_q_of_.
+  /// Consulted only while the node contributes (stats_cell_of_ >= 0); equal
+  /// bits let the rebuild reuse the stored quantized speed instead of
+  /// recomputing std::hypot.
   std::vector<double> stats_vel_x_;
   std::vector<double> stats_vel_y_;
-  /// Owned-id bitmap (64 ids per word), iterated in ascending id order.
-  std::vector<uint64_t> owned_words_;
-  /// Columnar-rebuild scratch: one arena (and, under a pool, one delta
-  /// list) per worker; arenas hold the per-block prediction spans.
+  /// Incremental-rebuild scratch: one arena (and, under a pool, one delta
+  /// list) per worker; arenas hold the per-block model and prediction
+  /// spans.
   std::vector<FrameArena> rebuild_arenas_;
   std::vector<std::vector<CellDelta>> rebuild_deltas_;
   std::vector<int64_t> rebuild_dirtied_;

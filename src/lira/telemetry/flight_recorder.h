@@ -66,7 +66,7 @@ struct RebalanceRecord {
   /// Nodes whose ownership migrated as a result.
   int64_t nodes_migrated = 0;
   /// max/mean per-shard column load before and after the boundary move
-  /// (from the merged integer grid the decision was made on).
+  /// (from the integer grid the decision was made on).
   double imbalance_before = 0.0;
   double imbalance_after = 0.0;
 };

@@ -286,83 +286,6 @@ TEST(StatisticsGridTest, TotalsStayConsistentWithCellSums) {
   EXPECT_EQ(grid.TotalQueries(), 0.0);
 }
 
-// The ServerCluster coordinator's contract: partition any observation set
-// across S grids arbitrarily, Merge them into one, and the result is
-// bitwise identical to a single grid populated with every observation.
-// Integer node/speed accumulators make this exact for any partition.
-TEST(StatisticsGridTest, MergeOfPartitionsIsBitwiseEqualToSingleGrid) {
-  Rng rng(271);
-  for (int32_t num_parts : {1, 2, 3, 5}) {
-    StatisticsGrid whole = MakeGrid(16);
-    std::vector<StatisticsGrid> parts;
-    for (int32_t k = 0; k < num_parts; ++k) {
-      parts.push_back(MakeGrid(16));
-    }
-    for (int i = 0; i < 500; ++i) {
-      const Point p{rng.Uniform(-40.0, 840.0), rng.Uniform(-40.0, 840.0)};
-      const double speed = rng.Uniform(0.0, 40.0);
-      whole.AddNode(p, speed);
-      // Arbitrary (not spatial) partition: merge must not care how the
-      // observations were split.
-      parts[rng.UniformInt(static_cast<uint64_t>(num_parts))].AddNode(p,
-                                                                      speed);
-    }
-    // Queries are counted into exactly one of the merged grids -- the
-    // coordinator's policy -- so the FP query sums see one addition order.
-    QueryRegistry registry;
-    registry.Add(Rect{100, 100, 300, 250});
-    registry.Add(Rect{420, 500, 700, 780});
-    whole.AddQueries(registry);
-    parts[0].AddQueries(registry);
-
-    StatisticsGrid merged = MakeGrid(16);
-    for (const StatisticsGrid& part : parts) {
-      ASSERT_TRUE(merged.Merge(part).ok());
-    }
-    for (int32_t iy = 0; iy < 16; ++iy) {
-      for (int32_t ix = 0; ix < 16; ++ix) {
-        ASSERT_EQ(merged.NodeCount(ix, iy), whole.NodeCount(ix, iy))
-            << "parts=" << num_parts << " cell (" << ix << ", " << iy << ")";
-        ASSERT_EQ(merged.MeanSpeed(ix, iy), whole.MeanSpeed(ix, iy))
-            << "parts=" << num_parts << " cell (" << ix << ", " << iy << ")";
-        ASSERT_EQ(merged.QueryCount(ix, iy), whole.QueryCount(ix, iy))
-            << "parts=" << num_parts << " cell (" << ix << ", " << iy << ")";
-      }
-    }
-    EXPECT_EQ(merged.TotalNodes(), whole.TotalNodes());
-    EXPECT_EQ(merged.OverallMeanSpeed(), whole.OverallMeanSpeed());
-    EXPECT_EQ(merged.TotalQueries(), whole.TotalQueries());
-  }
-}
-
-TEST(StatisticsGridTest, MergeIsRepeatableAfterClearNodes) {
-  // The coordinator clears and re-merges every adaptation; node statistics
-  // must not leak across rounds while query counts (owned by the
-  // coordinator grid itself, not the merged-in shard grids) survive.
-  StatisticsGrid coordinator = MakeGrid();
-  QueryRegistry registry;
-  registry.Add(Rect{0, 0, 200, 200});
-  coordinator.AddQueries(registry);
-  StatisticsGrid shard = MakeGrid();
-  shard.AddNode({50.0, 50.0}, 10.0);
-  for (int round = 0; round < 3; ++round) {
-    coordinator.ClearNodes();
-    ASSERT_TRUE(coordinator.Merge(shard).ok());
-    EXPECT_DOUBLE_EQ(coordinator.TotalNodes(), 1.0);
-    EXPECT_DOUBLE_EQ(coordinator.MeanSpeed(0, 0), 10.0);
-    EXPECT_NEAR(coordinator.TotalQueries(), 1.0, 1e-12);
-  }
-}
-
-TEST(StatisticsGridTest, MergeRejectsMismatchedGrids) {
-  StatisticsGrid grid = MakeGrid(8);
-  StatisticsGrid other_alpha = MakeGrid(16);
-  EXPECT_FALSE(grid.Merge(other_alpha).ok());
-  auto other_world = StatisticsGrid::Create(Rect{0, 0, 400, 800}, 8);
-  ASSERT_TRUE(other_world.ok());
-  EXPECT_FALSE(grid.Merge(*other_world).ok());
-}
-
 TEST(StatisticsGridTest, QAtVariantsMatchDoubleSpeedVariants) {
   StatisticsGrid a = MakeGrid();
   StatisticsGrid b = MakeGrid();
@@ -423,57 +346,6 @@ TEST(StatisticsGridTest, ApplyNodeDeltaMatchesDirectPairsAnyOrder) {
   }
   EXPECT_EQ(direct.TotalNodes(), deferred.TotalNodes());
   EXPECT_EQ(direct.OverallMeanSpeed(), deferred.OverallMeanSpeed());
-}
-
-TEST(StatisticsGridTest, AssignNodeSumMatchesSerialMergeLoop) {
-  Rng rng(91);
-  std::vector<StatisticsGrid> parts;
-  for (int p = 0; p < 5; ++p) {
-    StatisticsGrid part = MakeGrid();
-    for (int i = 0; i < 30 + p * 17; ++i) {
-      part.AddNode({rng.Uniform(0.0, 800.0), rng.Uniform(0.0, 800.0)},
-                   rng.Uniform(0.0, 30.0));
-    }
-    parts.push_back(std::move(part));
-  }
-  StatisticsGrid reference = MakeGrid();
-  for (const StatisticsGrid& part : parts) {
-    ASSERT_TRUE(reference.Merge(part).ok());
-  }
-  std::vector<const StatisticsGrid*> part_ptrs;
-  for (const StatisticsGrid& part : parts) {
-    part_ptrs.push_back(&part);
-  }
-  ThreadPool pool(4);
-  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-    StatisticsGrid sum = MakeGrid();
-    // Pre-pollute node accumulators: AssignNodeSum overwrites them.
-    sum.AddNode({10.0, 10.0}, 99.0);
-    ASSERT_TRUE(sum.AssignNodeSum(part_ptrs, p).ok());
-    for (int32_t iy = 0; iy < 8; ++iy) {
-      for (int32_t ix = 0; ix < 8; ++ix) {
-        ASSERT_EQ(reference.NodeCount(ix, iy), sum.NodeCount(ix, iy));
-        ASSERT_EQ(reference.MeanSpeed(ix, iy), sum.MeanSpeed(ix, iy));
-      }
-    }
-    EXPECT_EQ(reference.TotalNodes(), sum.TotalNodes());
-    EXPECT_EQ(reference.OverallMeanSpeed(), sum.OverallMeanSpeed());
-  }
-}
-
-TEST(StatisticsGridTest, AssignNodeSumLeavesQueryCountsAndHandlesEmpty) {
-  QueryRegistry registry;
-  registry.Add(Rect{100, 100, 300, 300});
-  StatisticsGrid sum = MakeGrid();
-  sum.AddQueries(registry);
-  StatisticsGrid snapshot = sum;
-  sum.AddNode({50.0, 50.0}, 5.0);
-  ASSERT_TRUE(sum.AssignNodeSum({}, nullptr).ok());
-  EXPECT_EQ(sum.TotalNodes(), 0.0);  // empty parts == cleared node stats
-  EXPECT_TRUE(sum.QueryCountsEqual(snapshot));
-
-  StatisticsGrid other_alpha = MakeGrid(16);
-  EXPECT_FALSE(sum.AssignNodeSum({&other_alpha}, nullptr).ok());
 }
 
 TEST(StatisticsGridTest, AddQueriesRangeAppendMatchesFullPass) {

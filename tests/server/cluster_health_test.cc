@@ -2,6 +2,7 @@
 
 #include <optional>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -142,7 +143,10 @@ TEST_F(ClusterHealthTest, JsonRoundTripsThroughFlattener) {
 TEST_F(ClusterHealthTest, RebalanceFieldsSurfaceAndRoundTrip) {
   // Enable rebalancing and drive a skewed load through two adaptations so
   // the map leaves epoch 0 and nodes migrate.
+  telemetry::MemoryEventSink events;
+  telemetry::TelemetrySink sink(&events);
   ServerClusterConfig config;
+  config.server.telemetry = &sink;
   config.server.num_nodes = 80;
   config.server.world = kWorld;
   config.server.alpha = 16;
@@ -169,12 +173,18 @@ TEST_F(ClusterHealthTest, RebalanceFieldsSurfaceAndRoundTrip) {
   EXPECT_GE(health.map_epoch, 1);
   EXPECT_GE(health.rebalances, 1);
   EXPECT_GT(health.nodes_migrated, 0);
-  // The per-shard spans partition [0, alpha).
+  // The per-shard spans partition [0, alpha), and each shard's node gauge
+  // (set at the adaptation, after the migration) reads its owned count.
   int32_t col = 0;
   for (const ShardHealth& shard : health.shards) {
     EXPECT_EQ(shard.col_begin, col);
     EXPECT_GT(shard.col_end, shard.col_begin);
     col = shard.col_end;
+    EXPECT_EQ(sink.metrics()
+                  .FindGauge("lira.shard" + std::to_string(shard.shard) +
+                             ".stats.nodes")
+                  ->value(),
+              static_cast<double>(shard.nodes_owned));
   }
   EXPECT_EQ(col, 16);
 

@@ -263,6 +263,56 @@ TEST_F(RebalanceTest, RebalancedRunIsThreadCountInvariant) {
   EXPECT_GE(serial.counters[serial.counters.size() - 8], 1);
 }
 
+TEST_F(RebalanceTest, SampledStatisticsMatchUnshardedServer) {
+  // Sampled statistics draw one RNG stream over all node ids, so a sharded
+  // cluster -- across rebalance epochs -- samples exactly the nodes the
+  // single server does and builds the same grid bit for bit.
+  const int32_t nodes = 240;
+  const int32_t ticks = 90;
+  const auto batches = MakeStream(nodes, ticks, 19);
+  CqServerConfig server_config = LosslessConfig(nodes);
+  server_config.stats_sample_fraction = 0.25;
+  auto server =
+      CqServer::Create(server_config, &policy_, &*reduction_, &registry_a_);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  ServerClusterConfig cluster_config;
+  cluster_config.server = server_config;
+  cluster_config.shards = 4;
+  cluster_config.threads = 2;
+  cluster_config.rebalance_stride = 1;
+  auto cluster = ServerCluster::Create(cluster_config, &policy_,
+                                       &*reduction_, &registry_a_);
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+
+  std::vector<ModelUpdate> scratch;
+  for (int32_t t = 0; t < ticks; ++t) {
+    scratch = batches[t];
+    server->ReceiveBatch(&scratch);
+    scratch = batches[t];
+    (*cluster)->ReceiveBatch(&scratch);
+    ASSERT_TRUE(server->Tick(kTick).ok());
+    ASSERT_TRUE((*cluster)->Tick(kTick).ok());
+    if ((t + 1) % 10 != 0) continue;
+    ASSERT_TRUE(server->Adapt().ok());
+    ASSERT_TRUE((*cluster)->Adapt().ok());
+    ASSERT_EQ((*cluster)->updates_applied(), server->updates_applied());
+    const StatisticsGrid& want = server->stats();
+    const StatisticsGrid& got = (*cluster)->stats();
+    for (int32_t iy = 0; iy < want.alpha(); ++iy) {
+      for (int32_t ix = 0; ix < want.alpha(); ++ix) {
+        ASSERT_EQ(got.NodeCount(ix, iy), want.NodeCount(ix, iy))
+            << "tick " << t << " cell (" << ix << ", " << iy << ")";
+        ASSERT_EQ(got.MeanSpeed(ix, iy), want.MeanSpeed(ix, iy))
+            << "tick " << t << " cell (" << ix << ", " << iy << ")";
+      }
+    }
+    ASSERT_EQ((*cluster)->plan().NumRegions(), server->plan().NumRegions());
+    ASSERT_EQ((*cluster)->plan().MaxDelta(), server->plan().MaxDelta());
+  }
+  EXPECT_GE((*cluster)->map_epoch(), 1);
+  EXPECT_GT((*cluster)->nodes_migrated(), 0);
+}
+
 TEST_F(RebalanceTest, StrideZeroKeepsTheInitialMapForever) {
   const int32_t nodes = 120;
   const auto batches = MakeStream(nodes, 60, 13);

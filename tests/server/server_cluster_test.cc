@@ -232,8 +232,9 @@ TEST_F(ServerClusterTest, HandoffMovesOwnershipAcrossShards) {
 
   ASSERT_TRUE(cluster->Adapt().ok());
   EXPECT_DOUBLE_EQ(cluster->stats().TotalNodes(), 1.0);
-  EXPECT_DOUBLE_EQ(cluster->shard_stats(0).TotalNodes(), 0.0);
-  EXPECT_DOUBLE_EQ(cluster->shard_stats(1).TotalNodes(), 1.0);
+  const ClusterHealth health = cluster->HealthSnapshot();
+  EXPECT_EQ(health.shards[0].nodes_owned, 0);
+  EXPECT_EQ(health.shards[1].nodes_owned, 1);
 
   // The snapshot answer sees the node exactly once, at its new home.
   auto everywhere = cluster->AnswerRange(kWorld, cluster->time());

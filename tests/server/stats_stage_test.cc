@@ -1,5 +1,8 @@
 #include "lira/server/stats_stage.h"
 
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "lira/common/parallel.h"
@@ -43,89 +46,135 @@ TEST(StatsStageTest, CreateValidation) {
 }
 
 TEST(StatsStageTest, IncrementalMatchesFullRescanBitwise) {
-  auto incremental = StatsStage::Create(BaseConfig());
-  auto config = BaseConfig();
-  config.incremental_stats = false;
-  auto rescan = StatsStage::Create(config);
-  ASSERT_TRUE(incremental.ok() && rescan.ok());
-  EXPECT_TRUE(incremental->IncrementalEnabled());
-  EXPECT_FALSE(rescan->IncrementalEnabled());
+  // Each input is (seed, share of nodes silent per epoch); silent nodes
+  // keep stale models, so their unchanged velocity bits hit the cache.
+  for (const auto& [seed, silent] :
+       {std::pair<uint64_t, double>{31, 0.3}, {47, 0.4}}) {
+    auto incremental = StatsStage::Create(BaseConfig());
+    auto config = BaseConfig();
+    config.incremental_stats = false;
+    auto rescan = StatsStage::Create(config);
+    ASSERT_TRUE(incremental.ok() && rescan.ok());
+    EXPECT_TRUE(incremental->IncrementalEnabled());
+    EXPECT_FALSE(rescan->IncrementalEnabled());
 
-  PositionTracker tracker(60);
-  Rng rng(31);
-  for (int t = 0; t < 12; ++t) {
-    for (NodeId id = 0; id < 60; ++id) {
-      if (rng.Uniform(0.0, 1.0) < 0.3) continue;  // some nodes go silent
-      tracker.Apply(UpdateFor(id,
-                              {rng.Uniform(-40.0, 1640.0),
-                               rng.Uniform(-40.0, 1640.0)},
-                              {rng.Uniform(-8.0, 8.0), rng.Uniform(-8.0, 8.0)},
-                              t));
-    }
-    incremental->RebuildNodes(tracker, t + 0.5);
-    rescan->RebuildNodes(tracker, t + 0.5);
-    for (int32_t iy = 0; iy < 16; ++iy) {
-      for (int32_t ix = 0; ix < 16; ++ix) {
-        ASSERT_EQ(incremental->grid().NodeCount(ix, iy),
-                  rescan->grid().NodeCount(ix, iy))
-            << "t=" << t << " cell (" << ix << ", " << iy << ")";
-        ASSERT_EQ(incremental->grid().MeanSpeed(ix, iy),
-                  rescan->grid().MeanSpeed(ix, iy))
-            << "t=" << t << " cell (" << ix << ", " << iy << ")";
+    PositionTracker tracker(60);
+    Rng rng(seed);
+    for (int t = 0; t < 12; ++t) {
+      for (NodeId id = 0; id < 60; ++id) {
+        if (rng.Uniform(0.0, 1.0) < silent) continue;
+        tracker.Apply(
+            UpdateFor(id,
+                      {rng.Uniform(-40.0, 1640.0), rng.Uniform(-40.0, 1640.0)},
+                      {rng.Uniform(-8.0, 8.0), rng.Uniform(-8.0, 8.0)}, t));
+      }
+      incremental->RebuildNodes(tracker, t + 0.5);
+      rescan->RebuildNodes(tracker, t + 0.5);
+      for (int32_t iy = 0; iy < 16; ++iy) {
+        for (int32_t ix = 0; ix < 16; ++ix) {
+          ASSERT_EQ(incremental->grid().NodeCount(ix, iy),
+                    rescan->grid().NodeCount(ix, iy))
+              << "seed=" << seed << " t=" << t << " cell (" << ix << ", "
+              << iy << ")";
+          ASSERT_EQ(incremental->grid().MeanSpeed(ix, iy),
+                    rescan->grid().MeanSpeed(ix, iy))
+              << "seed=" << seed << " t=" << t << " cell (" << ix << ", "
+              << iy << ")";
+        }
       }
     }
   }
 }
 
-TEST(StatsStageTest, OwnedOnlyIterationMatchesAllIdsWhenAllOwned) {
-  auto all_ids = StatsStage::Create(BaseConfig());
-  auto config = BaseConfig();
-  config.owned_only = true;
-  auto owned = StatsStage::Create(config);
-  ASSERT_TRUE(all_ids.ok() && owned.ok());
+TEST(StatsStageTest, ShardedTrackersMatchOneTrackerHoldingTheUnion) {
+  // S trackers plus an owner map must build the grid one tracker holding
+  // every owned model builds, on the incremental, full-rebuild and pooled
+  // paths. Former owners keep their stale models (the owner map alone
+  // decides), and a model moved between trackers unchanged dirties no cell.
+  constexpr int32_t kNodes = 20000;  // crosses the pooled block threshold
+  constexpr int32_t kShards = 3;
+  struct Variant {
+    bool incremental;
+    int32_t threads;
+  };
+  for (const Variant v : {Variant{true, 1}, Variant{false, 1},
+                          Variant{true, 2}, Variant{true, 8}}) {
+    SCOPED_TRACE(::testing::Message() << "incremental=" << v.incremental
+                                      << " threads=" << v.threads);
+    ThreadPool pool(v.threads);
+    telemetry::MemoryEventSink events;
+    telemetry::TelemetrySink sink(&events);
+    auto config = BaseConfig(kNodes);
+    config.incremental_stats = v.incremental;
+    config.telemetry = &sink;
+    config.pool = v.threads > 1 ? &pool : nullptr;
+    auto sharded = StatsStage::Create(config);
+    config = BaseConfig(kNodes);
+    config.incremental_stats = v.incremental;
+    auto whole = StatsStage::Create(config);
+    ASSERT_TRUE(sharded.ok() && whole.ok());
 
-  PositionTracker tracker(60);
-  for (NodeId id = 0; id < 60; ++id) {
-    tracker.Apply(UpdateFor(id, {26.0 * id, 26.0 * id}, {1.0, 0.0}, 0.0));
-    owned->NoteOwned(id);
-  }
-  all_ids->RebuildNodes(tracker, 1.0);
-  owned->RebuildNodes(tracker, 1.0);
-  for (int32_t iy = 0; iy < 16; ++iy) {
-    for (int32_t ix = 0; ix < 16; ++ix) {
-      ASSERT_EQ(all_ids->grid().NodeCount(ix, iy),
-                owned->grid().NodeCount(ix, iy));
-      ASSERT_EQ(all_ids->grid().MeanSpeed(ix, iy),
-                owned->grid().MeanSpeed(ix, iy));
+    std::vector<PositionTracker> shards;
+    std::vector<const PositionTracker*> trackers;
+    shards.reserve(kShards);
+    for (int32_t k = 0; k < kShards; ++k) {
+      shards.emplace_back(kNodes);
+    }
+    for (const PositionTracker& shard : shards) {
+      trackers.push_back(&shard);
+    }
+    PositionTracker all(kNodes);
+    std::vector<int32_t> owner(kNodes, -1);
+    auto expect_equal = [&](const char* when) {
+      for (int32_t iy = 0; iy < 16; ++iy) {
+        for (int32_t ix = 0; ix < 16; ++ix) {
+          ASSERT_EQ(whole->grid().NodeCount(ix, iy),
+                    sharded->grid().NodeCount(ix, iy))
+              << when << " cell (" << ix << ", " << iy << ")";
+          ASSERT_EQ(whole->grid().MeanSpeed(ix, iy),
+                    sharded->grid().MeanSpeed(ix, iy))
+              << when << " cell (" << ix << ", " << iy << ")";
+        }
+      }
+    };
+
+    Rng rng(5 + v.threads);
+    double now = 0.0;
+    for (int t = 0; t < 4; ++t) {
+      for (NodeId id = 0; id < kNodes; ++id) {
+        if (rng.Uniform(0.0, 1.0) < 0.3) continue;
+        const ModelUpdate update = UpdateFor(
+            id, {rng.Uniform(-40.0, 1640.0), rng.Uniform(-40.0, 1640.0)},
+            {rng.Uniform(-8.0, 8.0), rng.Uniform(-8.0, 8.0)}, t);
+        const auto k = static_cast<int32_t>(rng.UniformInt(kShards));
+        shards[k].Apply(update);
+        all.Apply(update);
+        owner[id] = k;
+      }
+      now = t + 0.5;
+      sharded->RebuildNodes(trackers, owner, now);
+      whole->RebuildNodes(all, now);
+      expect_equal("rebuild");
+    }
+
+    // Migrate shard 0's nodes to shard 1 with their models unchanged.
+    const int64_t dirtied_before =
+        sink.metrics().FindCounter("lira.stats.cells_dirtied")->value();
+    for (NodeId id = 0; id < kNodes; ++id) {
+      if (owner[id] != 0) continue;
+      const auto model = shards[0].ModelOf(id);
+      ASSERT_TRUE(model.has_value());
+      shards[0].Forget(id);
+      shards[1].Restore(ModelUpdate{id, *model});
+      owner[id] = 1;
+    }
+    sharded->RebuildNodes(trackers, owner, now);
+    expect_equal("migration");
+    if (v.incremental) {
+      EXPECT_EQ(sink.metrics().FindCounter("lira.stats.cells_dirtied")->value(),
+                dirtied_before);
     }
   }
-}
-
-TEST(StatsStageTest, OwnedOnlySkipsUnownedAndForgetRetracts) {
-  auto config = BaseConfig(10);
-  config.owned_only = true;
-  auto stage = StatsStage::Create(config);
-  ASSERT_TRUE(stage.ok());
-  PositionTracker tracker(10);
-  for (NodeId id = 0; id < 10; ++id) {
-    tracker.Apply(UpdateFor(id, {100.0 + 10.0 * id, 100.0}, {0.0, 0.0}, 0.0));
-  }
-  // Only ids 0..4 are owned by this stage.
-  for (NodeId id = 0; id < 5; ++id) {
-    stage->NoteOwned(id);
-  }
-  stage->RebuildNodes(tracker, 0.0);
-  EXPECT_DOUBLE_EQ(stage->grid().TotalNodes(), 5.0);
-
-  // Handoff: node 2 migrates away; its contribution disappears immediately.
-  stage->ForgetNode(2);
-  EXPECT_DOUBLE_EQ(stage->grid().TotalNodes(), 4.0);
-  // And it stays out of later rebuilds until re-owned.
-  stage->RebuildNodes(tracker, 1.0);
-  EXPECT_DOUBLE_EQ(stage->grid().TotalNodes(), 4.0);
-  stage->NoteOwned(2);
-  stage->RebuildNodes(tracker, 2.0);
-  EXPECT_DOUBLE_EQ(stage->grid().TotalNodes(), 5.0);
 }
 
 TEST(StatsStageTest, QueryRebuildCachesOnSizeAndMargin) {
@@ -149,42 +198,6 @@ TEST(StatsStageTest, QueryRebuildCachesOnSizeAndMargin) {
   stage->InvalidateQueryCache();
   stage->RebuildQueries(queries, 50.0);
   EXPECT_DOUBLE_EQ(stage->grid().TotalQueries(), with_margin);
-}
-
-TEST(StatsStageTest, ColumnarMatchesScalarIncrementalBitwise) {
-  // The columnar (block-predicted, velocity-cached) rebuild is the default;
-  // the scalar per-node walk is the reference. Both must agree bitwise on
-  // every cell across epochs with silent nodes and re-located nodes.
-  auto columnar = StatsStage::Create(BaseConfig());
-  auto config = BaseConfig();
-  config.columnar_rebuild = false;
-  auto scalar = StatsStage::Create(config);
-  ASSERT_TRUE(columnar.ok() && scalar.ok());
-
-  PositionTracker tracker(60);
-  Rng rng(47);
-  for (int t = 0; t < 12; ++t) {
-    for (NodeId id = 0; id < 60; ++id) {
-      if (rng.Uniform(0.0, 1.0) < 0.4) continue;  // stale model: cache hits
-      tracker.Apply(UpdateFor(id,
-                              {rng.Uniform(-40.0, 1640.0),
-                               rng.Uniform(-40.0, 1640.0)},
-                              {rng.Uniform(-8.0, 8.0), rng.Uniform(-8.0, 8.0)},
-                              t));
-    }
-    columnar->RebuildNodes(tracker, t + 0.5);
-    scalar->RebuildNodes(tracker, t + 0.5);
-    for (int32_t iy = 0; iy < 16; ++iy) {
-      for (int32_t ix = 0; ix < 16; ++ix) {
-        ASSERT_EQ(columnar->grid().NodeCount(ix, iy),
-                  scalar->grid().NodeCount(ix, iy))
-            << "t=" << t << " cell (" << ix << ", " << iy << ")";
-        ASSERT_EQ(columnar->grid().MeanSpeed(ix, iy),
-                  scalar->grid().MeanSpeed(ix, iy))
-            << "t=" << t << " cell (" << ix << ", " << iy << ")";
-      }
-    }
-  }
 }
 
 TEST(StatsStageTest, PooledColumnarMatchesSerialBitwise) {
@@ -290,7 +303,7 @@ TEST(StatsStageTest, CellsDirtiedCounterUsesPrefix) {
   telemetry::MemoryEventSink events;
   telemetry::TelemetrySink sink(&events);
   auto config = BaseConfig(4);
-  config.metric_prefix = "lira.shard1";
+  config.metric_prefix = "lira.coord";
   config.telemetry = &sink;
   auto stage = StatsStage::Create(config);
   ASSERT_TRUE(stage.ok());
@@ -298,7 +311,7 @@ TEST(StatsStageTest, CellsDirtiedCounterUsesPrefix) {
   tracker.Apply(UpdateFor(0, {100.0, 100.0}, {0.0, 0.0}, 0.0));
   stage->RebuildNodes(tracker, 0.0);
   EXPECT_GT(
-      sink.metrics().FindCounter("lira.shard1.stats.cells_dirtied")->value(),
+      sink.metrics().FindCounter("lira.coord.stats.cells_dirtied")->value(),
       0);
 }
 

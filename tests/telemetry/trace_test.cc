@@ -260,7 +260,6 @@ TEST(TraceDeterminismTest, MergedStreamIdenticalAcrossThreadCounts) {
   EXPECT_TRUE(contains("tracker.apply"));
   EXPECT_TRUE(contains("tracker.handoffs"));
   EXPECT_TRUE(contains("stats.rebuild"));
-  EXPECT_TRUE(contains("stats.merge"));
   EXPECT_TRUE(contains("optimizer.throttle"));
   EXPECT_TRUE(contains("optimizer.plan_build"));
   EXPECT_TRUE(contains("plan.broadcast"));
