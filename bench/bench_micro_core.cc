@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) of the hot paths: GREEDYINCREMENT,
 // GRIDREDUCE (incl. quad-tree build), statistics-grid maintenance, grid-
-// index updates/queries, dead-reckoning encoding, the parallel-for
-// dispatch, and the telemetry instruments. These back the "lightweight by
-// design" claim with per-operation numbers.
+// index updates/queries, dead-reckoning encoding, f(delta) calibration, the
+// parallel-for dispatch, and the telemetry instruments. These back the
+// "lightweight by design" claim with per-operation numbers.
 //
 // Besides the console table, the run writes BENCH_micro.json in the shared
 // bench_compare schema (metrics = name -> median real nanoseconds; the
@@ -27,8 +27,11 @@
 #include "lira/core/quad_hierarchy.h"
 #include "lira/core/statistics_grid.h"
 #include "lira/index/grid_index.h"
+#include "lira/mobility/trace.h"
+#include "lira/mobility/traffic_model.h"
 #include "lira/motion/dead_reckoning.h"
 #include "lira/motion/update_reduction.h"
+#include "lira/roadnet/map_generator.h"
 #include "lira/telemetry/flight_recorder.h"
 #include "lira/telemetry/telemetry.h"
 #include "lira/telemetry/trace.h"
@@ -182,6 +185,37 @@ void BM_DeadReckoningObserve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DeadReckoningObserve);
+
+/// A fixed 4096-vehicle, 60-frame trace on the default 14 km map, recorded
+/// once per process.
+const Trace& CalibrationTrace() {
+  static const Trace* trace = [] {
+    auto map = GenerateMap(MapGeneratorConfig{});
+    TrafficModelConfig traffic;
+    traffic.num_vehicles = 4096;
+    auto model = TrafficModel::Create(map->network, traffic);
+    auto recorded = Trace::Record(*model, 60, 1.0);
+    return new Trace(*std::move(recorded));
+  }();
+  return *trace;
+}
+
+// One f(delta) calibration as a world build runs it: 12 probe thresholds
+// counted in one pass over the trace, then the kappa = 95 PWL fit. The name
+// avoids "rate", which bench_compare reads as a higher-is-better key.
+void BM_ReductionCalibration(benchmark::State& state) {
+  const Trace& trace = CalibrationTrace();
+  const CalibrationConfig config;
+  if (!CalibrateReduction(trace, config).ok()) {
+    state.SkipWithError("calibration failed");
+    return;
+  }
+  for (auto _ : state) {
+    auto reduction = CalibrateReduction(trace, config);
+    benchmark::DoNotOptimize(reduction);
+  }
+}
+BENCHMARK(BM_ReductionCalibration);
 
 void BM_TelemetryCounterIncrement(benchmark::State& state) {
   telemetry::MetricRegistry registry;

@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "lira/common/kernels.h"
 #include "lira/motion/dead_reckoning.h"
 
 namespace lira {
@@ -142,10 +143,69 @@ double AnalyticReduction::InverseEval(double target) const {
   return hi;
 }
 
+namespace {
+
+/// Node ids per block of the counting pass. Each block keeps one
+/// block-sized encoder per threshold (41 B per lane) and one widened frame
+/// row (32 B per lane), so at the default 12 probes a block's working set
+/// stays in L2 while every frame of the trace streams through it.
+constexpr int64_t kCountBlock = 2048;
+
+/// Updates emitted at each threshold in `deltas` when every node of `trace`
+/// dead-reckons with it. Frame 0 initializes every node's model and is not
+/// counted. One pass: each block of node ids is read once per frame, widened
+/// once with UnpackFrame and fed to every threshold's encoder through
+/// ObserveSpanUniform, which is bitwise the scalar Observe. Nodes never
+/// interact, so the counts do not depend on the block size.
+std::vector<int64_t> CountUpdates(const Trace& trace,
+                                  const std::vector<double>& deltas) {
+  const int64_t num_nodes = trace.num_nodes();
+  const size_t num_deltas = deltas.size();
+  std::vector<int64_t> counts(num_deltas, 0);
+  std::vector<int64_t> initial(num_deltas, 0);
+  std::vector<double> x(kCountBlock);
+  std::vector<double> y(kCountBlock);
+  std::vector<double> vx(kCountBlock);
+  std::vector<double> vy(kCountBlock);
+  std::vector<uint8_t> decision(kCountBlock);
+  std::vector<ModelUpdate> emitted;
+  for (int64_t begin = 0; begin < num_nodes; begin += kCountBlock) {
+    const int64_t len = std::min(kCountBlock, num_nodes - begin);
+    std::vector<DeadReckoningEncoder> encoders;
+    encoders.reserve(num_deltas);
+    for (size_t p = 0; p < num_deltas; ++p) {
+      encoders.emplace_back(static_cast<int32_t>(len));
+    }
+    for (int32_t f = 0; f < trace.num_frames(); ++f) {
+      kernels::UnpackFrame(len, trace.FrameData(f) + 4 * begin, x.data(),
+                           y.data(), vx.data(), vy.data());
+      const double t = trace.TimeOf(f);
+      for (size_t p = 0; p < num_deltas; ++p) {
+        encoders[p].ObserveSpanUniform(0, len, x.data(), y.data(), vx.data(),
+                                       vy.data(), t, deltas[p],
+                                       decision.data(), &emitted);
+        emitted.clear();
+      }
+      if (f == 0) {
+        for (size_t p = 0; p < num_deltas; ++p) {
+          initial[p] = encoders[p].updates_emitted();
+        }
+      }
+    }
+    for (size_t p = 0; p < num_deltas; ++p) {
+      counts[p] += encoders[p].updates_emitted() - initial[p];
+    }
+  }
+  return counts;
+}
+
+}  // namespace
+
 StatusOr<std::vector<std::pair<double, double>>> MeasureReductionProbes(
     const Trace& trace, const CalibrationConfig& config) {
-  if (!(0.0 < config.delta_min && config.delta_min < config.delta_max)) {
-    return InvalidArgumentError("require 0 < delta_min < delta_max");
+  if (!(std::isfinite(config.delta_max) && 0.0 < config.delta_min &&
+        config.delta_min < config.delta_max)) {
+    return InvalidArgumentError("require finite 0 < delta_min < delta_max");
   }
   if (config.num_probes < 2) {
     return InvalidArgumentError("need at least 2 probe thresholds");
@@ -153,68 +213,47 @@ StatusOr<std::vector<std::pair<double, double>>> MeasureReductionProbes(
   if (trace.num_frames() < 2) {
     return FailedPreconditionError("trace too short to calibrate");
   }
-  std::vector<std::pair<double, double>> probes;
-  probes.reserve(config.num_probes);
+  std::vector<double> deltas(config.num_probes);
   const double ratio = config.delta_max / config.delta_min;
-  double base_count = 0.0;
   for (int32_t p = 0; p < config.num_probes; ++p) {
-    const double delta =
+    deltas[p] =
         config.delta_min *
         std::pow(ratio, static_cast<double>(p) / (config.num_probes - 1));
-    DeadReckoningEncoder encoder(trace.num_nodes());
-    // Frame 0 initializes every node's reference model; not counted.
-    for (NodeId id = 0; id < trace.num_nodes(); ++id) {
-      encoder.Observe(trace.Sample(0, id), delta);
-    }
-    const int64_t initial = encoder.updates_emitted();
-    for (int32_t f = 1; f < trace.num_frames(); ++f) {
-      for (NodeId id = 0; id < trace.num_nodes(); ++id) {
-        encoder.Observe(trace.Sample(f, id), delta);
-      }
-    }
-    const auto count =
-        static_cast<double>(encoder.updates_emitted() - initial);
-    if (p == 0) {
-      base_count = count;
-      if (base_count <= 0.0) {
-        return FailedPreconditionError(
-            "no updates emitted at delta_min; trace is degenerate");
-      }
-    }
-    probes.emplace_back(delta, count / base_count);
+  }
+  const std::vector<int64_t> counts = CountUpdates(trace, deltas);
+  const auto base_count = static_cast<double>(counts[0]);
+  if (base_count <= 0.0) {
+    return FailedPreconditionError(
+        "no updates emitted at delta_min; trace is degenerate");
+  }
+  std::vector<std::pair<double, double>> probes;
+  probes.reserve(config.num_probes);
+  for (int32_t p = 0; p < config.num_probes; ++p) {
+    probes.emplace_back(deltas[p],
+                        static_cast<double>(counts[p]) / base_count);
   }
   return probes;
 }
 
 StatusOr<double> MeasureUpdateRate(const Trace& trace, double delta) {
-  if (delta <= 0.0) {
-    return InvalidArgumentError("delta must be positive");
+  if (!(std::isfinite(delta) && delta > 0.0)) {
+    return InvalidArgumentError("delta must be finite and positive");
   }
   if (trace.num_frames() < 2) {
     return FailedPreconditionError("trace too short");
   }
-  DeadReckoningEncoder encoder(trace.num_nodes());
-  for (NodeId id = 0; id < trace.num_nodes(); ++id) {
-    encoder.Observe(trace.Sample(0, id), delta);
-  }
-  const int64_t initial = encoder.updates_emitted();
-  for (int32_t f = 1; f < trace.num_frames(); ++f) {
-    for (NodeId id = 0; id < trace.num_nodes(); ++id) {
-      encoder.Observe(trace.Sample(f, id), delta);
-    }
-  }
   const double seconds = (trace.num_frames() - 1) * trace.dt();
-  return static_cast<double>(encoder.updates_emitted() - initial) / seconds;
+  return static_cast<double>(CountUpdates(trace, {delta})[0]) / seconds;
 }
 
 StatusOr<PiecewiseLinearReduction> CalibrateReduction(
     const Trace& trace, const CalibrationConfig& config) {
+  if (config.kappa < 1) {
+    return InvalidArgumentError("kappa must be >= 1");
+  }
   auto probes = MeasureReductionProbes(trace, config);
   if (!probes.ok()) {
     return probes.status();
-  }
-  if (config.kappa < 1) {
-    return InvalidArgumentError("kappa must be >= 1");
   }
   // Linear interpolation of the probe curve onto the PWL knot grid.
   const auto& pts = *probes;

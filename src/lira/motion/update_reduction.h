@@ -129,17 +129,24 @@ struct CalibrationConfig {
 /// threshold and counting emitted updates (the first frame initializes the
 /// encoders and is not counted), then interpolates the probe measurements
 /// onto the PWL knot grid. This reproduces how the paper obtained Figure 1.
+/// Rejects a bad config (see MeasureReductionProbes, and kappa >= 1) before
+/// reading the trace.
 StatusOr<PiecewiseLinearReduction> CalibrateReduction(
     const Trace& trace, const CalibrationConfig& config);
 
 /// Raw probe measurements (delta, relative update count), exposed for the
-/// Figure 1 bench.
+/// Figure 1 bench. All probes are counted in one pass over the trace: each
+/// block of node ids is read once per frame and fed to every probe's
+/// encoder, with counts identical to one scalar Observe per node, frame and
+/// probe. Requires finite 0 < delta_min < delta_max and num_probes >= 2,
+/// checked before the pass.
 StatusOr<std::vector<std::pair<double, double>>> MeasureReductionProbes(
     const Trace& trace, const CalibrationConfig& config);
 
 /// Absolute update rate (updates/second, whole population) when every node
 /// dead-reckons with threshold `delta` on `trace`. Used to size the server's
-/// service capacity relative to the full load at delta_min.
+/// service capacity relative to the full load at delta_min. `delta` must be
+/// finite and positive.
 StatusOr<double> MeasureUpdateRate(const Trace& trace, double delta);
 
 }  // namespace lira

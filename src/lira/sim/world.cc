@@ -9,6 +9,44 @@
 
 namespace lira {
 
+namespace {
+
+/// The tail of BuildWorld and BuildWorldFromTrace: calibrates f and measures
+/// the full update rate on `trace`, then places round(query_node_ratio *
+/// trace nodes) queries in `map.world`, biased by the node density of the
+/// first frame.
+StatusOr<World> FinishWorld(GeneratedMap map, Trace trace,
+                            const WorldConfig& config) {
+  auto reduction = CalibrateReduction(trace, config.calibration);
+  if (!reduction.ok()) {
+    return reduction.status();
+  }
+  auto full_rate = MeasureUpdateRate(trace, config.calibration.delta_min);
+  if (!full_rate.ok()) {
+    return full_rate.status();
+  }
+  std::vector<Point> density_positions;
+  density_positions.reserve(trace.num_nodes());
+  for (NodeId id = 0; id < trace.num_nodes(); ++id) {
+    density_positions.push_back(trace.Position(0, id));
+  }
+  QueryWorkloadConfig workload;
+  workload.num_queries = static_cast<int32_t>(
+      std::lround(config.query_node_ratio * trace.num_nodes()));
+  workload.side_length = config.query_side_length;
+  workload.distribution = config.query_distribution;
+  workload.seed = config.seed * 7046029254386353ULL + 5;
+  auto queries = GenerateQueries(workload, map.world, density_positions);
+  if (!queries.ok()) {
+    return queries.status();
+  }
+  World world{std::move(map), std::move(trace), *std::move(queries),
+              *std::move(reduction), *full_rate};
+  return world;
+}
+
+}  // namespace
+
 StatusOr<World> BuildWorld(const WorldConfig& config) {
   if (config.query_node_ratio < 0.0) {
     return InvalidArgumentError("query_node_ratio must be >= 0");
@@ -42,35 +80,7 @@ StatusOr<World> BuildWorld(const WorldConfig& config) {
     return trace.status();
   }
 
-  auto reduction = CalibrateReduction(*trace, config.calibration);
-  if (!reduction.ok()) {
-    return reduction.status();
-  }
-  auto full_rate = MeasureUpdateRate(*trace, config.calibration.delta_min);
-  if (!full_rate.ok()) {
-    return full_rate.status();
-  }
-
-  // Query placement biased by the node density of the first frame.
-  std::vector<Point> density_positions;
-  density_positions.reserve(trace->num_nodes());
-  for (NodeId id = 0; id < trace->num_nodes(); ++id) {
-    density_positions.push_back(trace->Position(0, id));
-  }
-  QueryWorkloadConfig workload;
-  workload.num_queries = static_cast<int32_t>(
-      std::lround(config.query_node_ratio * config.num_nodes));
-  workload.side_length = config.query_side_length;
-  workload.distribution = config.query_distribution;
-  workload.seed = config.seed * 7046029254386353ULL + 5;
-  auto queries = GenerateQueries(workload, map->world, density_positions);
-  if (!queries.ok()) {
-    return queries.status();
-  }
-
-  World world{*std::move(map), *std::move(trace), *std::move(queries),
-              *std::move(reduction), *full_rate};
-  return world;
+  return FinishWorld(*std::move(map), *std::move(trace), config);
 }
 
 StatusOr<World> BuildWorldFromTrace(Trace trace, const Rect& world_rect,
@@ -93,34 +103,9 @@ StatusOr<World> BuildWorldFromTrace(Trace trace, const Rect& world_rect,
     }
   }
 
-  auto reduction = CalibrateReduction(trace, config.calibration);
-  if (!reduction.ok()) {
-    return reduction.status();
-  }
-  auto full_rate = MeasureUpdateRate(trace, config.calibration.delta_min);
-  if (!full_rate.ok()) {
-    return full_rate.status();
-  }
-  std::vector<Point> density_positions;
-  density_positions.reserve(trace.num_nodes());
-  for (NodeId id = 0; id < trace.num_nodes(); ++id) {
-    density_positions.push_back(trace.Position(0, id));
-  }
-  QueryWorkloadConfig workload;
-  workload.num_queries = static_cast<int32_t>(
-      std::lround(config.query_node_ratio * trace.num_nodes()));
-  workload.side_length = config.query_side_length;
-  workload.distribution = config.query_distribution;
-  workload.seed = config.seed * 7046029254386353ULL + 5;
-  auto queries = GenerateQueries(workload, world_rect, density_positions);
-  if (!queries.ok()) {
-    return queries.status();
-  }
   GeneratedMap stub_map;
   stub_map.world = world_rect;
-  World world{std::move(stub_map), std::move(trace), *std::move(queries),
-              *std::move(reduction), *full_rate};
-  return world;
+  return FinishWorld(std::move(stub_map), std::move(trace), config);
 }
 
 }  // namespace lira

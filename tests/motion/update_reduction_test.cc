@@ -1,12 +1,17 @@
 #include "lira/motion/update_reduction.h"
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "lira/common/kernels.h"
 #include "lira/mobility/traffic_model.h"
+#include "lira/motion/dead_reckoning.h"
 #include "lira/roadnet/map_generator.h"
 
 namespace lira {
@@ -126,20 +131,99 @@ TEST(AnalyticReductionTest, RejectsBadParameters) {
   EXPECT_FALSE(AnalyticReduction::Create(5.0, 100.0, 0.5, 0.0).ok());
 }
 
+/// Records `num_vehicles` random-walk vehicles for `num_frames` 1 s frames
+/// on a small two-town map.
+StatusOr<Trace> RecordFixtureTrace(int32_t num_vehicles, int32_t num_frames) {
+  MapGeneratorConfig map_config;
+  map_config.world_side = 6000.0;
+  map_config.arterial_cells = 4;
+  map_config.num_towns = 2;
+  auto map = GenerateMap(map_config);
+  if (!map.ok()) {
+    return map.status();
+  }
+  TrafficModelConfig traffic;
+  traffic.num_vehicles = num_vehicles;
+  auto model = TrafficModel::Create(map->network, traffic);
+  if (!model.ok()) {
+    return model.status();
+  }
+  return Trace::Record(*model, num_frames, 1.0);
+}
+
+/// The per-node loop the counting pass replaced, kept as its oracle: one
+/// scalar Observe per node and frame at one threshold; frame 0 initializes
+/// every node's model and is not counted.
+int64_t OracleUpdateCount(const Trace& trace, double delta) {
+  DeadReckoningEncoder encoder(trace.num_nodes());
+  for (NodeId id = 0; id < trace.num_nodes(); ++id) {
+    encoder.Observe(trace.Sample(0, id), delta);
+  }
+  const int64_t initial = encoder.updates_emitted();
+  for (int32_t f = 1; f < trace.num_frames(); ++f) {
+    for (NodeId id = 0; id < trace.num_nodes(); ++id) {
+      encoder.Observe(trace.Sample(f, id), delta);
+    }
+  }
+  return encoder.updates_emitted() - initial;
+}
+
+/// Pins the process to one kernel build for a scope and restores the
+/// previous choice on exit, also when an assertion returns early.
+class ScopedKernelBuild {
+ public:
+  explicit ScopedKernelBuild(bool scalar)
+      : was_scalar_(kernels::scalar_reference_enabled()) {
+    kernels::set_scalar_reference(scalar);
+  }
+  ~ScopedKernelBuild() { kernels::set_scalar_reference(was_scalar_); }
+  ScopedKernelBuild(const ScopedKernelBuild&) = delete;
+  ScopedKernelBuild& operator=(const ScopedKernelBuild&) = delete;
+
+ private:
+  bool was_scalar_;
+};
+
+/// MeasureReductionProbes and MeasureUpdateRate must equal the oracle
+/// exactly under both kernel builds.
+void ExpectCountsMatchOracle(const Trace& trace) {
+  const CalibrationConfig config;
+  const double ratio = config.delta_max / config.delta_min;
+  std::vector<double> deltas;
+  std::vector<int64_t> counts;
+  for (int32_t p = 0; p < config.num_probes; ++p) {
+    deltas.push_back(
+        config.delta_min *
+        std::pow(ratio, static_cast<double>(p) / (config.num_probes - 1)));
+    counts.push_back(OracleUpdateCount(trace, deltas.back()));
+  }
+  ASSERT_GT(counts[0], 0);
+  const double seconds = (trace.num_frames() - 1) * trace.dt();
+  for (const bool scalar : {false, true}) {
+    SCOPED_TRACE(scalar ? "scalar reference kernels" : "vector kernels");
+    const ScopedKernelBuild build(scalar);
+    auto probes = MeasureReductionProbes(trace, config);
+    ASSERT_TRUE(probes.ok());
+    ASSERT_EQ(probes->size(), deltas.size());
+    for (size_t p = 0; p < deltas.size(); ++p) {
+      EXPECT_EQ((*probes)[p].first, deltas[p]) << "probe " << p;
+      EXPECT_EQ((*probes)[p].second, static_cast<double>(counts[p]) /
+                                         static_cast<double>(counts[0]))
+          << "probe " << p;
+    }
+    for (const size_t p : {size_t{0}, deltas.size() / 2, deltas.size() - 1}) {
+      auto rate = MeasureUpdateRate(trace, deltas[p]);
+      ASSERT_TRUE(rate.ok());
+      EXPECT_EQ(*rate, static_cast<double>(counts[p]) / seconds)
+          << "delta " << deltas[p];
+    }
+  }
+}
+
 class CalibrationTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    MapGeneratorConfig map_config;
-    map_config.world_side = 6000.0;
-    map_config.arterial_cells = 4;
-    map_config.num_towns = 2;
-    auto map = GenerateMap(map_config);
-    ASSERT_TRUE(map.ok());
-    TrafficModelConfig traffic;
-    traffic.num_vehicles = 400;
-    auto model = TrafficModel::Create(map->network, traffic);
-    ASSERT_TRUE(model.ok());
-    auto trace = Trace::Record(*model, 240, 1.0);
+    auto trace = RecordFixtureTrace(400, 240);
     ASSERT_TRUE(trace.ok());
     trace_.emplace(*std::move(trace));
   }
@@ -195,6 +279,62 @@ TEST_F(CalibrationTest, RejectsBadConfigs) {
   config.delta_min = -1.0;
   EXPECT_FALSE(MeasureReductionProbes(*trace_, config).ok());
   EXPECT_FALSE(MeasureUpdateRate(*trace_, 0.0).ok());
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(MeasureUpdateRate(*trace_, nan).ok());
+  EXPECT_FALSE(MeasureUpdateRate(*trace_, inf).ok());
+  EXPECT_FALSE(MeasureUpdateRate(*trace_, -inf).ok());
+  const std::pair<double, double> bad_domains[] = {
+      {5.0, inf}, {nan, 100.0}, {5.0, nan}, {-inf, 100.0}, {100.0, 5.0}};
+  for (const auto& [delta_min, delta_max] : bad_domains) {
+    config = CalibrationConfig{};
+    config.delta_min = delta_min;
+    config.delta_max = delta_max;
+    EXPECT_FALSE(MeasureReductionProbes(*trace_, config).ok())
+        << delta_min << ", " << delta_max;
+    EXPECT_FALSE(CalibrateReduction(*trace_, config).ok())
+        << delta_min << ", " << delta_max;
+  }
+}
+
+TEST_F(CalibrationTest, CountsMatchScalarOracleWithinOneBlock) {
+  ExpectCountsMatchOracle(*trace_);
+}
+
+TEST(CalibrationOracleTest, CountsMatchScalarOracleAcrossBlocks) {
+  // More than two 2048-node blocks of the counting pass, ending in a
+  // partial one.
+  auto trace = RecordFixtureTrace(4500, 40);
+  ASSERT_TRUE(trace.ok());
+  ExpectCountsMatchOracle(*trace);
+}
+
+TEST(CalibrationOracleTest, RejectsBadInputBeforeReadingTheTrace) {
+  // A one-frame trace fails the counting pass with FAILED_PRECONDITION;
+  // a bad input must be reported as INVALID_ARGUMENT before that.
+  auto trace = Trace::FromFlatStates(1, 1, 1.0, {0.0f, 0.0f, 1.0f, 0.0f});
+  ASSERT_TRUE(trace.ok());
+  CalibrationConfig config;
+  EXPECT_EQ(CalibrateReduction(*trace, config).status().code(),
+            StatusCode::kFailedPrecondition);
+  config.kappa = 0;
+  EXPECT_EQ(CalibrateReduction(*trace, config).status().code(),
+            StatusCode::kInvalidArgument);
+  config = CalibrationConfig{};
+  config.num_probes = 1;
+  EXPECT_EQ(CalibrateReduction(*trace, config).status().code(),
+            StatusCode::kInvalidArgument);
+  config = CalibrationConfig{};
+  config.delta_max = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(MeasureReductionProbes(*trace, config).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(CalibrateReduction(*trace, config).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(MeasureUpdateRate(*trace, std::nan("")).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(MeasureUpdateRate(*trace, 5.0).status().code(),
+            StatusCode::kFailedPrecondition);
 }
 
 }  // namespace
