@@ -133,17 +133,6 @@ void StatisticsGrid::RemoveNodeQAt(int32_t cell, int64_t q) {
   total_speed_q_ -= speed_delta;
 }
 
-void StatisticsGrid::ApplyNodeDelta(int32_t cell, int64_t count_delta,
-                                    int64_t speed_q_delta) {
-  LIRA_DCHECK(cell >= 0 &&
-              cell < static_cast<int32_t>(node_acc_.size() / 2));
-  int64_t* const acc = node_acc_.data() + 2 * static_cast<size_t>(cell);
-  acc[0] += count_delta;
-  acc[1] += speed_q_delta;
-  total_node_count_ += count_delta;
-  total_speed_q_ += speed_q_delta;
-}
-
 void StatisticsGrid::AddQueries(const QueryRegistry& registry,
                                 double margin) {
   AddQueriesRange(registry, 0, registry.size(), margin);

@@ -14,6 +14,7 @@
 #ifndef LIRA_CORE_STATISTICS_GRID_H_
 #define LIRA_CORE_STATISTICS_GRID_H_
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -80,16 +81,40 @@ class StatisticsGrid {
   void AddNodeQAt(int32_t cell, int64_t q);
   void RemoveNodeQAt(int32_t cell, int64_t q);
 
-  /// Applies a signed integer node-statistics delta to one cell (and the
-  /// grid totals). Deltas from any partition of a set of AddNodeQAt /
-  /// RemoveNodeQAt pairs may be applied in any order: integer addition is
-  /// commutative and associative, so the final accumulators are bitwise
-  /// identical to performing the pairs directly, even when a cell's count
-  /// is transiently negative mid-application. Callers must only submit
-  /// deltas whose removals match previously present contributions (the
-  /// delta-relocation path by construction does); unmatched removals are
-  /// NOT clamped the way RemoveNodeAt clamps.
-  void ApplyNodeDelta(int32_t cell, int64_t count_delta, int64_t speed_q_delta);
+  /// Concurrent AddNodeQAt/RemoveNodeQAt for the pooled relocation: adds a
+  /// signed integer delta to one cell's accumulators with relaxed atomic
+  /// adds, so several threads may add into the same cell at once. The grid
+  /// totals are left alone: each thread sums its own deltas and the caller
+  /// adds those sums once per thread through AddNodeTotals after the
+  /// threads join (never once per delta, which would make every thread
+  /// contend on the totals' cache line). Integer addition commutes and
+  /// associates, so any interleaving of a set of matched remove/add pairs
+  /// leaves the accumulators bitwise identical to performing the pairs
+  /// serially, even when a cell's count is transiently negative; a pair
+  /// within one cell may be folded into one (0, new_q - old_q) delta, which
+  /// skips the count add. Removals must match contributions already present
+  /// (the relocation path's do by construction); unlike RemoveNodeQAt they
+  /// are NOT clamped. Nothing else may touch the grid while threads add.
+  void AddNodeDeltaAtomic(int32_t cell, int64_t count_delta,
+                          int64_t speed_q_delta) {
+    // atomic_ref needs this alignment; node_acc_'s lanes only have int64's.
+    static_assert(std::atomic_ref<int64_t>::required_alignment <=
+                  alignof(int64_t));
+    LIRA_DCHECK(cell >= 0 &&
+                cell < static_cast<int32_t>(node_acc_.size() / 2));
+    int64_t* const acc = node_acc_.data() + 2 * static_cast<size_t>(cell);
+    if (count_delta != 0) {
+      std::atomic_ref<int64_t>(acc[0]).fetch_add(count_delta,
+                                                 std::memory_order_relaxed);
+    }
+    std::atomic_ref<int64_t>(acc[1]).fetch_add(speed_q_delta,
+                                               std::memory_order_relaxed);
+  }
+  /// Adds one thread's summed AddNodeDeltaAtomic deltas to the grid totals.
+  void AddNodeTotals(int64_t count_delta, int64_t speed_q_delta) {
+    total_node_count_ += count_delta;
+    total_speed_q_ += speed_q_delta;
+  }
 
   /// Adds the registry's queries with fractional counting: each query adds
   /// area(q ∩ cell) / area(q) to every overlapped cell's m.
@@ -135,9 +160,10 @@ class StatisticsGrid {
   void CellStatsRow(int32_t iy, RegionStats* out) const;
 
   /// Prefetch hint for a cell's node accumulators (no numeric effect). The
-  /// delta-relocation loop knows its upcoming cells from the bulk-located
-  /// lane array, so it issues these a few lanes ahead to hide the
-  /// read-modify-write latency of effectively random cell accesses.
+  /// relocation loop knows its upcoming cells from the bulk-located lane
+  /// array, so it issues these a few lanes ahead to hide the
+  /// read-modify-write latency of effectively random cell accesses (plain
+  /// or atomic).
   void PrefetchCellAcc(int32_t cell) const {
     __builtin_prefetch(node_acc_.data() + 2 * static_cast<size_t>(cell), 1, 1);
   }

@@ -126,13 +126,13 @@ Status CqServer::Tick(double dt) {
   {
     telemetry::ScopedSpan service_span(tr, lane, "ingest.service", tick_, -1,
                                        time_);
-    const std::vector<ModelUpdate> served = ingest_.Service(dt);
-    service_span.set_value(static_cast<double>(served.size()));
+    ingest_.Service(dt, &served_);
+    service_span.set_value(static_cast<double>(served_.size()));
     service_span.Stop();
     telemetry::ScopedSpan apply_span(tr, lane, "tracker.apply", tick_, -1,
                                      time_);
-    apply_span.set_value(static_cast<double>(served.size()));
-    for (const ModelUpdate& update : served) {
+    apply_span.set_value(static_cast<double>(served_.size()));
+    for (const ModelUpdate& update : served_) {
       tracker_stage_.Apply(update);
     }
   }

@@ -220,6 +220,8 @@ class CqServer : public ServerPipeline {
   TrackerStage tracker_stage_;
   StatsStage stats_stage_;
   OptimizerStage optimizer_;
+  /// The updates served this tick (reused across ticks).
+  std::vector<ModelUpdate> served_;
   double time_ = 0.0;
   int64_t tick_ = 0;
   double next_adaptation_;

@@ -52,11 +52,11 @@ int64_t IngestStage::Receive(std::vector<ModelUpdate>* updates, double now) {
   return dropped;
 }
 
-std::vector<ModelUpdate> IngestStage::Service(double dt) {
+void IngestStage::Service(double dt, std::vector<ModelUpdate>* served) {
   service_credit_ += service_rate_ * dt;
   const auto serve = static_cast<int64_t>(std::floor(service_credit_));
   service_credit_ -= static_cast<double>(serve);
-  return queue_.Drain(serve);
+  queue_.Drain(serve, served);
 }
 
 }  // namespace lira

@@ -49,8 +49,9 @@ class IngestStage {
   int64_t Receive(std::vector<ModelUpdate>* updates, double now);
 
   /// Advances the service clock by dt seconds and dequeues the updates the
-  /// service rate affords (FIFO order; fractional capacity carries over).
-  std::vector<ModelUpdate> Service(double dt);
+  /// service rate affords into `*served` (cleared first, capacity kept;
+  /// FIFO order; fractional capacity carries over).
+  void Service(double dt, std::vector<ModelUpdate>* served);
 
   /// Resets the queue's THROTLOOP measurement window.
   void ResetWindow() { queue_.ResetWindow(); }

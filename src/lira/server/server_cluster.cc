@@ -22,6 +22,10 @@ std::string ShardPrefix(int32_t shard) {
   return "lira.shard" + std::to_string(shard);
 }
 
+/// Smallest id chunk the migration scan hands one worker; smaller id
+/// ranges scan inline on the coordinator.
+constexpr int64_t kMigrationScanGrain = 8192;
+
 }  // namespace
 
 ServerCluster::ServerCluster(const ServerClusterConfig& config,
@@ -147,7 +151,7 @@ StatusOr<std::unique_ptr<ServerCluster>> ServerCluster::Create(
     }
 
     shards.push_back(
-        Shard{*std::move(ingest), *std::move(tracker), 0, {}, {}, 0});
+        Shard{*std::move(ingest), *std::move(tracker), 0, {}, {}, {}, 0});
   }
 
   // The cluster's only grid, rebuilt from the owning shards' trackers. Its
@@ -296,13 +300,13 @@ Status ServerCluster::Tick(double dt) {
           shard.applied.clear();
           telemetry::ScopedSpan service_span(tr, lane, "ingest.service",
                                              tick_, shard_id, time_);
-          const std::vector<ModelUpdate> served = shard.ingest.Service(dt);
-          service_span.set_value(static_cast<double>(served.size()));
+          shard.ingest.Service(dt, &shard.served);
+          service_span.set_value(static_cast<double>(shard.served.size()));
           service_span.Stop();
           telemetry::ScopedSpan apply_span(tr, lane, "tracker.apply", tick_,
                                            shard_id, time_);
-          apply_span.set_value(static_cast<double>(served.size()));
-          for (const ModelUpdate& update : served) {
+          apply_span.set_value(static_cast<double>(shard.served.size()));
+          for (const ModelUpdate& update : shard.served) {
             shard.tracker.Apply(update);
             shard.applied.push_back(update.node_id);
           }
@@ -391,8 +395,9 @@ Status ServerCluster::Adapt() {
   // Rebalance phase (DESIGN.md §12): every R-th adaptation re-splits the
   // strip boundaries from the *previous* adaptation's grid -- the only
   // cross-shard state every thread count agrees on -- then migrates
-  // ownership serially before this adaptation's rebuild. The first
-  // adaptation is skipped (no occupancy yet).
+  // ownership (movers found on the pool, committed serially in ascending
+  // id) before this adaptation's rebuild. The first adaptation is skipped
+  // (no occupancy yet).
   if (config_.rebalance_stride > 0 && num_shards() > 1 && adaptations_ > 0 &&
       adaptations_ % config_.rebalance_stride == 0) {
     telemetry::ScopedSpan rebalance_span(tr, driver_lane,
@@ -521,31 +526,58 @@ void ServerCluster::MaybeRebalance() {
 }
 
 int64_t ServerCluster::MigrateOwnership() {
-  // Serial, ascending node id, through the same Forget handoff path the
-  // per-tick ownership transfers use. The adopting tracker restores the
+  // Find the movers on the pool: each chunk of ids reads its owners'
+  // origin columns and routes them through the new map into the chunk's own
+  // list. The scan only reads (owner map, tracker columns, shard map), so
+  // chunks need no synchronization.
+  std::vector<ModelColumns> columns;
+  columns.reserve(shards_.size());
+  for (const Shard& shard : shards_) {
+    columns.push_back(shard.tracker.tracker().columns());
+  }
+  mover_lists_.resize(static_cast<size_t>(pool_.num_threads()));
+  for (std::vector<Mover>& list : mover_lists_) {
+    list.clear();
+  }
+  pool_.ParallelFor(
+      0, config_.server.num_nodes, kMigrationScanGrain,
+      [&](int32_t chunk, int64_t begin, int64_t end) {
+        std::vector<Mover>& movers = mover_lists_[chunk];
+        for (int64_t id = begin; id < end; ++id) {
+          const int32_t previous = owner_of_[id];
+          if (previous < 0) {
+            continue;
+          }
+          const ModelColumns& c = columns[previous];
+          if (c.has[id] == 0) {
+            continue;
+          }
+          const int32_t next =
+              shard_map_.ShardFor(Point{c.origin_x[id], c.origin_y[id]});
+          if (next != previous) {
+            movers.push_back({static_cast<NodeId>(id), next});
+          }
+        }
+      });
+  // Commit serially: chunks are contiguous and ascending, so chunk order is
+  // ascending node id. Each move goes through the same Forget handoff path
+  // the per-tick ownership transfers use; the adopting tracker restores the
   // model without counting it as an applied update. Statistics are not
   // touched: the grid's per-node state is keyed by id, so the unchanged
   // model leaves its cell alone at this adaptation's rebuild.
   int64_t migrated = 0;
-  for (NodeId id = 0; id < config_.server.num_nodes; ++id) {
-    const int32_t previous = owner_of_[id];
-    if (previous < 0) {
-      continue;
+  for (const std::vector<Mover>& movers : mover_lists_) {
+    for (const Mover& mover : movers) {
+      const int32_t previous = owner_of_[mover.id];
+      const auto model = shards_[previous].tracker.ModelOf(mover.id);
+      LIRA_DCHECK(model.has_value());
+      shards_[previous].tracker.Forget(mover.id);
+      shards_[mover.next].tracker.Adopt(ModelUpdate{mover.id, *model});
+      --shards_[previous].owned;
+      ++shards_[mover.next].owned;
+      owner_of_[mover.id] = mover.next;
     }
-    const auto model = shards_[previous].tracker.ModelOf(id);
-    if (!model.has_value()) {
-      continue;
-    }
-    const int32_t next = shard_map_.ShardFor(model->origin);
-    if (next == previous) {
-      continue;
-    }
-    shards_[previous].tracker.Forget(id);
-    shards_[next].tracker.Adopt(ModelUpdate{id, *model});
-    --shards_[previous].owned;
-    ++shards_[next].owned;
-    owner_of_[id] = next;
-    ++migrated;
+    migrated += static_cast<int64_t>(movers.size());
   }
   return migrated;
 }

@@ -182,8 +182,16 @@ class ServerCluster : public ServerPipeline {
     std::vector<NodeId> applied;
     /// Batch routing scratch, reused across ticks.
     std::vector<ModelUpdate> route;
+    /// The updates served this tick, reused across ticks.
+    std::vector<ModelUpdate> served;
     /// Receive fan-out scratch: drops admitted this batch.
     int64_t last_dropped = 0;
+  };
+
+  /// A node whose model origin routes to another shard after a rebalance.
+  struct Mover {
+    NodeId id;
+    int32_t next;
   };
 
   ServerCluster(const ServerClusterConfig& config,
@@ -214,7 +222,8 @@ class ServerCluster : public ServerPipeline {
   /// order, reinstalls sub-queries, and records flight/telemetry.
   void MaybeRebalance();
   /// Moves every owned node whose origin column changed shards; returns the
-  /// migration count.
+  /// migration count. Movers are found by a pool-parallel scan over id
+  /// chunks and committed serially in ascending id.
   int64_t MigrateOwnership();
   /// max/mean per-shard load under the *current* strip boundaries, from
   /// per-column loads (1.0 = balanced, 0 when total load is 0).
@@ -246,6 +255,8 @@ class ServerCluster : public ServerPipeline {
   /// Cumulative rebalance accounting.
   int64_t rebalances_ = 0;
   int64_t nodes_migrated_ = 0;
+  /// MigrateOwnership scratch: one mover list per scan chunk, reused.
+  std::vector<std::vector<Mover>> mover_lists_;
   /// Registered queries clipped per shard, aligned with the current map
   /// epoch and registry.
   ShardedQueryTable sub_queries_;

@@ -51,8 +51,7 @@ StatusOr<StatsStage> StatsStage::Create(const StatsStageConfig& config) {
 int64_t StatsStage::RelocateRange(std::span<const ModelColumns> columns,
                                   const int32_t* owner_of, double now,
                                   FrameArena* arena, int64_t begin,
-                                  int64_t end,
-                                  std::vector<CellDelta>* deltas) {
+                                  int64_t end, WorkerTally* shared) {
   arena->Reset();
   const auto span =
       static_cast<size_t>(std::min<int64_t>(end - begin, kColumnarBlock));
@@ -76,6 +75,10 @@ int64_t StatsStage::RelocateRange(std::span<const ModelColumns> columns,
     has = arena->AllocSpan<uint8_t>(span);
   }
   int64_t dirtied = 0;
+  // Node and quantized-speed totals this range moved; only shared mode
+  // reports them (the serial adds keep the grid totals themselves).
+  int64_t nodes = 0;
+  int64_t speed_q = 0;
   for (int64_t block = begin; block < end; block += kColumnarBlock) {
     const int64_t n = std::min<int64_t>(kColumnarBlock, end - block);
     ModelColumns m;
@@ -116,14 +119,13 @@ int64_t StatsStage::RelocateRange(std::span<const ModelColumns> columns,
     kernels::RelocateSkipMask(n, cells, stats_cell_of_.data() + block,
                               m.vel_x, m.vel_y, stats_vel_x_.data() + block,
                               stats_vel_y_.data() + block, skip);
-    // How far ahead the direct-mutation loop prefetches grid lines: far
-    // enough to cover the lanes between two relocations, near enough that
-    // the lines survive until use.
+    // How far ahead the relocation loop prefetches grid lines: far enough
+    // to cover the lanes between two relocations, near enough that the
+    // lines survive until use.
     constexpr int64_t kPrefetchAhead = 16;
-    const bool direct = deltas == nullptr;
     for (int64_t i = 0; i < n; ++i) {
       const int64_t j = i + kPrefetchAhead;
-      if (direct && j < n && skip[j] == 0) {
+      if (j < n && skip[j] == 0) {
         const int32_t ahead_old = stats_cell_of_[block + j];
         if (ahead_old >= 0) {
           grid_.PrefetchCellAcc(ahead_old);
@@ -160,68 +162,38 @@ int64_t StatsStage::RelocateRange(std::span<const ModelColumns> columns,
       if (old_cell == new_cell && (new_cell < 0 || old_q == new_q)) {
         continue;
       }
-      if (deltas != nullptr) {
-        if (old_cell >= 0) {
-          deltas->push_back({old_cell, -1, -old_q});
-          ++dirtied;
-        }
-        if (new_cell >= 0) {
-          deltas->push_back({new_cell, 1, new_q});
-          if (new_cell != old_cell) {
-            ++dirtied;
-          }
-        }
-      } else {
+      if (shared == nullptr) {
         if (old_cell >= 0) {
           grid_.RemoveNodeQAt(old_cell, old_q);
-          ++dirtied;
         }
         if (new_cell >= 0) {
           grid_.AddNodeQAt(new_cell, new_q);
-          if (new_cell != old_cell) {
-            ++dirtied;
-          }
+        }
+      } else if (old_cell == new_cell) {
+        // A speed change within one cell: the count is unchanged, so one
+        // atomic speed add replaces the remove/add pair's four.
+        grid_.AddNodeDeltaAtomic(new_cell, 0, new_q - old_q);
+      } else {
+        if (old_cell >= 0) {
+          grid_.AddNodeDeltaAtomic(old_cell, -1, -old_q);
+        }
+        if (new_cell >= 0) {
+          grid_.AddNodeDeltaAtomic(new_cell, 1, new_q);
         }
       }
+      // Model-less sides contribute 0 to both sums (old_q / new_q are 0).
+      nodes += (new_cell >= 0 ? 1 : 0) - (old_cell >= 0 ? 1 : 0);
+      speed_q += new_q - old_q;
+      dirtied += (old_cell >= 0 ? 1 : 0) +
+                 (new_cell >= 0 && new_cell != old_cell ? 1 : 0);
       stats_cell_of_[id] = new_cell;
       stats_speed_q_of_[id] = new_q;
     }
   }
+  if (shared != nullptr) {
+    *shared = {dirtied, nodes, speed_q};
+  }
   return dirtied;
-}
-
-void StatsStage::ApplyDeltas(const std::vector<CellDelta>& deltas) {
-  // Cells per radix bucket: a bucket's slice of the two accumulator arrays
-  // is 4096 * 16 bytes = 64 KiB, comfortably cache-resident while the
-  // bucket's deltas replay against it.
-  constexpr int32_t kBucketShift = 12;
-  // Below this size the partitioning passes cost more than the (few)
-  // scattered misses they avoid.
-  constexpr size_t kMinBucketed = 1 << 14;
-  const int64_t cells =
-      static_cast<int64_t>(grid_.alpha()) * grid_.alpha();
-  if (deltas.size() < kMinBucketed || cells <= (1 << kBucketShift)) {
-    for (const CellDelta& d : deltas) {
-      grid_.ApplyNodeDelta(d.cell, d.count, d.speed_q);
-    }
-    return;
-  }
-  const auto buckets =
-      static_cast<int32_t>((cells + (1 << kBucketShift) - 1) >> kBucketShift);
-  delta_bucket_offsets_.assign(static_cast<size_t>(buckets) + 1, 0);
-  for (const CellDelta& d : deltas) {
-    ++delta_bucket_offsets_[(d.cell >> kBucketShift) + 1];
-  }
-  for (int32_t b = 0; b < buckets; ++b) {
-    delta_bucket_offsets_[b + 1] += delta_bucket_offsets_[b];
-  }
-  delta_sort_scratch_.resize(deltas.size());
-  for (const CellDelta& d : deltas) {
-    delta_sort_scratch_[delta_bucket_offsets_[d.cell >> kBucketShift]++] = d;
-  }
-  for (const CellDelta& d : delta_sort_scratch_) {
-    grid_.ApplyNodeDelta(d.cell, d.count, d.speed_q);
-  }
 }
 
 void StatsStage::RebuildNodesColumnar(
@@ -248,25 +220,21 @@ void StatsStage::RebuildNodesColumnar(
     if (rebuild_arenas_.size() < workers) {
       rebuild_arenas_.resize(workers);
     }
-    rebuild_deltas_.resize(workers);
-    rebuild_dirtied_.assign(workers, 0);
-    for (auto& list : rebuild_deltas_) {
-      list.clear();
-    }
-    // Workers own disjoint id ranges: per-node state writes are private,
-    // and grid mutations queue into the worker's delta list. Applying the
-    // lists in chunk order after the join reproduces the serial grid
-    // bit-for-bit -- the deltas are matched integer remove/add pairs, which
-    // commute (StatisticsGrid::ApplyNodeDelta).
+    rebuild_tallies_.assign(workers, WorkerTally{});
+    // Workers own disjoint id ranges, so per-node state writes are private;
+    // grid cells are shared and take atomic integer adds. Adds commute, so
+    // the cells end bitwise equal to the serial loop's whatever the
+    // interleaving, and adding each worker's totals once after the join
+    // gives the serial totals.
     pool_->ParallelFor(0, n, kColumnarBlock,
                        [&](int32_t chunk, int64_t begin, int64_t end) {
-                         rebuild_dirtied_[chunk] = RelocateRange(
-                             columns, owner, now, &rebuild_arenas_[chunk],
-                             begin, end, &rebuild_deltas_[chunk]);
+                         RelocateRange(columns, owner, now,
+                                       &rebuild_arenas_[chunk], begin, end,
+                                       &rebuild_tallies_[chunk]);
                        });
-    for (size_t c = 0; c < workers; ++c) {
-      dirtied += rebuild_dirtied_[c];
-      ApplyDeltas(rebuild_deltas_[c]);
+    for (const WorkerTally& tally : rebuild_tallies_) {
+      dirtied += tally.dirtied;
+      grid_.AddNodeTotals(tally.nodes, tally.speed_q);
     }
   }
   if (cells_dirtied_counter_ != nullptr) {

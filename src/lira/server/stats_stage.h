@@ -27,10 +27,13 @@
 // nodes whose velocity bits actually changed. The per-node state is keyed
 // by node id, not by tracker: a model that moves between trackers
 // unchanged (cross-shard migration) relocates nothing. With a worker pool
-// the id range splits into contiguous chunks: workers relocate their own
-// nodes into per-worker sparse cell-delta lists which the caller applies in
-// chunk order after the join -- integer deltas from matched remove/add
-// pairs commute, so the grid is bitwise identical for every thread count.
+// of more than one thread the id range splits into contiguous chunks and
+// each worker relocates its own nodes straight into the one grid with
+// relaxed atomic adds (StatisticsGrid::AddNodeDeltaAtomic), summing its
+// node and speed totals privately; the caller adds the per-worker totals
+// to the grid after the join. Integer adds from matched remove/add pairs
+// commute, so the grid is bitwise identical for every thread count. The
+// serial path (no pool, or one thread) keeps plain adds.
 //
 // Query counts are delta-maintained: the registry is append-only, so when
 // only its size grew (same margin), the stage counts just the appended
@@ -118,34 +121,29 @@ class StatsStage {
   }
 
  private:
-  /// One cell's node-statistics delta, queued by a rebuild worker and
-  /// applied by the caller after the join (StatisticsGrid::ApplyNodeDelta).
-  struct CellDelta {
-    int32_t cell;
-    int32_t count;
-    int64_t speed_q;
+  /// One pooled worker's relocation tally: cells dirtied, and the node and
+  /// quantized-speed totals its atomic cell adds moved, which the caller
+  /// adds to the grid totals after the join.
+  struct WorkerTally {
+    int64_t dirtied = 0;
+    int64_t nodes = 0;
+    int64_t speed_q = 0;
   };
 
   StatsStage(const StatsStageConfig& config, StatisticsGrid grid);
 
   /// Incremental rebuild over [begin, end) (see file comment). With one
   /// entry in `columns` it is read in place; otherwise lane id reads
-  /// columns[owner_of[id]]. `deltas` == nullptr mutates the grid
-  /// directly (serial mode); otherwise relocations are queued for deferred
-  /// application. Returns cells dirtied.
+  /// columns[owner_of[id]]. `shared` == nullptr mutates the grid with plain
+  /// adds (serial mode); otherwise cell adds are atomic, so other workers
+  /// may relocate into the grid at the same time, and the totals they move
+  /// go into *shared instead of the grid. Returns cells dirtied.
   int64_t RelocateRange(std::span<const ModelColumns> columns,
                         const int32_t* owner_of, double now,
                         FrameArena* arena, int64_t begin, int64_t end,
-                        std::vector<CellDelta>* deltas);
+                        WorkerTally* shared);
   void RebuildNodesColumnar(std::span<const PositionTracker* const> trackers,
                             std::span<const int32_t> owner_of, double now);
-
-  /// Applies a relocation delta list to the grid. Large lists are
-  /// radix-partitioned by cell first so the read-modify-writes walk the
-  /// accumulator arrays slice by slice (each slice cache-resident) instead
-  /// of hopping randomly across them; ApplyNodeDelta deltas commute
-  /// (integer sums), so any reordering is bitwise identical.
-  void ApplyDeltas(const std::vector<CellDelta>& deltas);
 
   Rect world_;
   double stats_sample_fraction_;
@@ -164,15 +162,10 @@ class StatsStage {
   /// recomputing std::hypot.
   std::vector<double> stats_vel_x_;
   std::vector<double> stats_vel_y_;
-  /// Incremental-rebuild scratch: one arena (and, under a pool, one delta
-  /// list) per worker; arenas hold the per-block model and prediction
-  /// spans.
+  /// Incremental-rebuild scratch: one arena (and, under a pool, one tally)
+  /// per worker; arenas hold the per-block model and prediction spans.
   std::vector<FrameArena> rebuild_arenas_;
-  std::vector<std::vector<CellDelta>> rebuild_deltas_;
-  std::vector<int64_t> rebuild_dirtied_;
-  /// ApplyDeltas radix scratch (reused across rebuilds).
-  std::vector<CellDelta> delta_sort_scratch_;
-  std::vector<int32_t> delta_bucket_offsets_;
+  std::vector<WorkerTally> rebuild_tallies_;
   /// Query-count refresh skip state.
   bool query_stats_valid_ = false;
   int32_t query_stats_size_ = -1;

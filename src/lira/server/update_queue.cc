@@ -35,18 +35,17 @@ int64_t UpdateQueue::OfferAll(std::vector<ModelUpdate>* updates) {
   return dropped;
 }
 
-std::vector<ModelUpdate> UpdateQueue::Drain(int64_t max_count) {
-  std::vector<ModelUpdate> out;
+void UpdateQueue::Drain(int64_t max_count, std::vector<ModelUpdate>* out) {
+  out->clear();
   while (max_count-- > 0) {
     auto update = queue_.TryPop();
     if (!update.has_value()) {
       break;
     }
-    out.push_back(*update);
+    out->push_back(*update);
   }
-  total_served_ += static_cast<int64_t>(out.size());
-  window_served_ += static_cast<int64_t>(out.size());
-  return out;
+  total_served_ += static_cast<int64_t>(out->size());
+  window_served_ += static_cast<int64_t>(out->size());
 }
 
 void UpdateQueue::ResetWindow() {

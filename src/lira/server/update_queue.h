@@ -31,8 +31,10 @@ class UpdateQueue {
   /// its capacity across ticks).
   int64_t OfferAll(std::vector<ModelUpdate>* updates);
 
-  /// Dequeues up to `max_count` updates in FIFO order.
-  std::vector<ModelUpdate> Drain(int64_t max_count);
+  /// Dequeues up to `max_count` updates in FIFO order into `*out`, which is
+  /// cleared first; its capacity is kept, so a caller that drains into the
+  /// same buffer every tick allocates only while the batch size grows.
+  void Drain(int64_t max_count, std::vector<ModelUpdate>* out);
 
   size_t size() const { return queue_.size(); }
   size_t capacity() const { return queue_.capacity(); }

@@ -1,5 +1,9 @@
 #include "lira/core/statistics_grid.h"
 
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "lira/common/rng.h"
@@ -302,10 +306,11 @@ TEST(StatisticsGridTest, QAtVariantsMatchDoubleSpeedVariants) {
   EXPECT_EQ(a.TotalNodes(), b.TotalNodes());
 }
 
-TEST(StatisticsGridTest, ApplyNodeDeltaMatchesDirectPairsAnyOrder) {
+TEST(StatisticsGridTest, AtomicNodeDeltaMatchesDirectPairsAnyOrder) {
   // A set of matched remove/add relocations applied directly...
   StatisticsGrid direct = MakeGrid();
   StatisticsGrid deferred = MakeGrid();
+  StatisticsGrid threaded = MakeGrid();
   Rng rng(77);
   std::vector<std::pair<int32_t, int64_t>> present;
   for (int i = 0; i < 40; ++i) {
@@ -314,10 +319,12 @@ TEST(StatisticsGridTest, ApplyNodeDeltaMatchesDirectPairsAnyOrder) {
         StatisticsGrid::QuantizeSpeed(rng.Uniform(0.0, 30.0));
     direct.AddNodeQAt(cell, q);
     deferred.AddNodeQAt(cell, q);
+    threaded.AddNodeQAt(cell, q);
     present.push_back({cell, q});
   }
-  // ...must equal the same relocations queued as per-cell deltas and
-  // applied in a different order (integer addition commutes).
+  // ...must equal the same relocations added as per-cell atomic deltas in
+  // a different order, with the totals folded in once afterwards (integer
+  // addition commutes).
   struct Delta {
     int32_t cell;
     int64_t count;
@@ -335,17 +342,46 @@ TEST(StatisticsGridTest, ApplyNodeDeltaMatchesDirectPairsAnyOrder) {
     deltas.push_back({new_cell, 1, new_q});
   }
   // Reverse order: removals may transiently precede the matching balance.
+  int64_t count_sum = 0;
+  int64_t q_sum = 0;
   for (auto it = deltas.rbegin(); it != deltas.rend(); ++it) {
-    deferred.ApplyNodeDelta(it->cell, it->count, it->q);
+    deferred.AddNodeDeltaAtomic(it->cell, it->count, it->q);
+    count_sum += it->count;
+    q_sum += it->q;
   }
-  for (int32_t iy = 0; iy < 8; ++iy) {
-    for (int32_t ix = 0; ix < 8; ++ix) {
-      ASSERT_EQ(direct.NodeCount(ix, iy), deferred.NodeCount(ix, iy));
-      ASSERT_EQ(direct.MeanSpeed(ix, iy), deferred.MeanSpeed(ix, iy));
+  deferred.AddNodeTotals(count_sum, q_sum);
+  // The same deltas from 8 threads at once, each adding a strided share
+  // and summing its own totals, folded in per thread after the join.
+  constexpr int kThreads = 8;
+  std::vector<std::pair<int64_t, int64_t>> sums(kThreads, {0, 0});
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t i = static_cast<size_t>(t); i < deltas.size();
+           i += kThreads) {
+        threaded.AddNodeDeltaAtomic(deltas[i].cell, deltas[i].count,
+                                    deltas[i].q);
+        sums[t].first += deltas[i].count;
+        sums[t].second += deltas[i].q;
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (const auto& [count, q] : sums) {
+    threaded.AddNodeTotals(count, q);
+  }
+  for (const StatisticsGrid* added : {&deferred, &threaded}) {
+    for (int32_t iy = 0; iy < 8; ++iy) {
+      for (int32_t ix = 0; ix < 8; ++ix) {
+        ASSERT_EQ(direct.NodeCount(ix, iy), added->NodeCount(ix, iy));
+        ASSERT_EQ(direct.MeanSpeed(ix, iy), added->MeanSpeed(ix, iy));
+      }
     }
+    EXPECT_EQ(direct.TotalNodes(), added->TotalNodes());
+    EXPECT_EQ(direct.OverallMeanSpeed(), added->OverallMeanSpeed());
   }
-  EXPECT_EQ(direct.TotalNodes(), deferred.TotalNodes());
-  EXPECT_EQ(direct.OverallMeanSpeed(), deferred.OverallMeanSpeed());
 }
 
 TEST(StatisticsGridTest, AddQueriesRangeAppendMatchesFullPass) {

@@ -55,12 +55,18 @@ TEST(IngestStageTest, ServiceCreditCarriesFractionsAcrossTicks) {
   auto batch = Batch(0, 10, 0.0);
   stage->Receive(&batch, 0.0);
   // 2.5 upd/s: 2, then 3 (0.5 credit carried), then 2, ...
-  EXPECT_EQ(stage->Service(1.0).size(), 2u);
-  EXPECT_EQ(stage->Service(1.0).size(), 3u);
-  EXPECT_EQ(stage->Service(1.0).size(), 2u);
-  EXPECT_EQ(stage->Service(1.0).size(), 3u);
+  std::vector<ModelUpdate> served;
+  stage->Service(1.0, &served);
+  EXPECT_EQ(served.size(), 2u);
+  stage->Service(1.0, &served);
+  EXPECT_EQ(served.size(), 3u);
+  stage->Service(1.0, &served);
+  EXPECT_EQ(served.size(), 2u);
+  stage->Service(1.0, &served);
+  EXPECT_EQ(served.size(), 3u);
   EXPECT_EQ(stage->queue().size(), 0u);
-  EXPECT_TRUE(stage->Service(1.0).empty());
+  stage->Service(1.0, &served);
+  EXPECT_TRUE(served.empty());
 }
 
 TEST(IngestStageTest, WindowResetSupportsThrotloopMeasurement) {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -261,6 +262,156 @@ TEST_F(RebalanceTest, RebalancedRunIsThreadCountInvariant) {
   EXPECT_EQ(serial.positions, parallel_hi.positions);
   // And the run actually rebalanced (epoch recorded after the last Adapt).
   EXPECT_GE(serial.counters[serial.counters.size() - 8], 1);
+}
+
+TEST_F(RebalanceTest, LargeClusterPooledAdaptationIsThreadCountInvariant) {
+  // 40k nodes cross the pooled statistics rebuild's threshold (2 x 8192
+  // ids) and span several migration-scan chunks, so at 2 and 8 threads
+  // workers add into the shared grid cells at once and movers are found
+  // by more than one chunk before the serial commit. Grids, plans,
+  // migrations, per-shard ownership and every believed position must equal
+  // the one-thread run bit for bit.
+  constexpr int32_t kNodes = 40000;
+  constexpr int32_t kShards = 4;
+  constexpr int32_t kTicks = 24;
+  constexpr int32_t kAdaptEvery = 4;
+  LiraConfig lira;
+  lira.l = 13;
+  lira.locator_cells = 16;
+  const LiraPolicy lira_policy(lira);
+
+  struct Observed {
+    /// Grid cells and plan regions after every adaptation, then every
+    /// believed position at the end, as raw bits.
+    std::vector<uint64_t> bits;
+    /// Map epoch, nodes_migrated and each shard's nodes_owned per
+    /// adaptation.
+    std::vector<int64_t> counters;
+    /// Migrations per quarter of the id range, as predicted from the
+    /// stream: each quarter is one scan chunk at 4 workers.
+    std::vector<int64_t> movers_per_quarter =
+        std::vector<int64_t>(4, 0);
+  };
+  const auto run = [&](int32_t threads) -> Observed {
+    ServerClusterConfig config;
+    config.server = LosslessConfig(kNodes);
+    config.server.maintain_index = false;
+    config.shards = kShards;
+    config.threads = threads;
+    config.rebalance_stride = 1;
+    auto created = ServerCluster::Create(config, &lira_policy, &*reduction_,
+                                         &registry_a_);
+    EXPECT_TRUE(created.ok()) << created.status().ToString();
+    ServerCluster& cluster = **created;
+    Observed observed;
+    // MakeStream's flash crowd, generated tick by tick: a uniform random
+    // walk, then 90% of the nodes crowd into x in [400, 600), so every
+    // epoch moves strip boundaries and migrates nodes across strips.
+    Rng rng(2024);
+    std::vector<Point> pos(kNodes);
+    for (Point& p : pos) {
+      p = {rng.Uniform(0.0, 1600.0), rng.Uniform(0.0, 1600.0)};
+    }
+    // The last reported origin per node. The stream is lossless and each
+    // node reports at most once a tick, so a node's owner is the shard its
+    // origin routes to under the current map, and a rebalance migrates
+    // exactly the nodes whose origin routes elsewhere under the new map.
+    std::vector<std::optional<Point>> origin(kNodes);
+    std::vector<ModelUpdate> batch;
+    for (int32_t t = 0; t < kTicks; ++t) {
+      if (t == kTicks / 3) {
+        for (int32_t id = 0; id < kNodes; ++id) {
+          if (id % 10 != 0) {
+            pos[id] = {rng.Uniform(400.0, 600.0), rng.Uniform(0.0, 1600.0)};
+          }
+        }
+      }
+      batch.clear();
+      for (int32_t id = 0; id < kNodes; ++id) {
+        pos[id].x += rng.Uniform(-10.0, 10.0);
+        pos[id].y += rng.Uniform(-10.0, 10.0);
+        if (rng.Uniform(0.0, 1.0) > 0.7) continue;
+        ModelUpdate u;
+        u.node_id = id;
+        u.model = LinearMotionModel{
+            pos[id],
+            {rng.Uniform(-10.0, 10.0), rng.Uniform(-10.0, 10.0)},
+            t * kTick};
+        origin[id] = pos[id];
+        batch.push_back(u);
+      }
+      cluster.ReceiveBatch(&batch);
+      EXPECT_TRUE(cluster.Tick(kTick).ok());
+      if ((t + 1) % kAdaptEvery != 0) continue;
+      const ShardMap before = cluster.shard_map();
+      const int64_t migrated_before = cluster.nodes_migrated();
+      EXPECT_TRUE(cluster.Adapt().ok());
+      int64_t movers = 0;
+      int64_t reported = 0;
+      for (int32_t id = 0; id < kNodes; ++id) {
+        if (!origin[id].has_value()) continue;
+        ++reported;
+        if (before.ShardFor(*origin[id]) !=
+            cluster.shard_map().ShardFor(*origin[id])) {
+          ++movers;
+          ++observed.movers_per_quarter[id / (kNodes / 4)];
+        }
+      }
+      EXPECT_EQ(cluster.nodes_migrated() - migrated_before, movers)
+          << "threads=" << threads << " t=" << t;
+      observed.counters.push_back(cluster.map_epoch());
+      observed.counters.push_back(cluster.nodes_migrated());
+      int64_t owned = 0;
+      for (const ShardHealth& shard : cluster.HealthSnapshot().shards) {
+        observed.counters.push_back(shard.nodes_owned);
+        owned += shard.nodes_owned;
+      }
+      EXPECT_EQ(owned, reported) << "threads=" << threads << " t=" << t;
+      const StatisticsGrid& grid = cluster.stats();
+      for (int32_t iy = 0; iy < grid.alpha(); ++iy) {
+        for (int32_t ix = 0; ix < grid.alpha(); ++ix) {
+          observed.bits.push_back(
+              std::bit_cast<uint64_t>(grid.NodeCount(ix, iy)));
+          observed.bits.push_back(
+              std::bit_cast<uint64_t>(grid.MeanSpeed(ix, iy)));
+          observed.bits.push_back(
+              std::bit_cast<uint64_t>(grid.QueryCount(ix, iy)));
+        }
+      }
+      for (const SheddingRegion& region : cluster.plan().regions()) {
+        for (double v : {region.area.min_x, region.area.min_y,
+                         region.area.max_x, region.area.max_y, region.delta,
+                         region.stats.n, region.stats.m, region.stats.s}) {
+          observed.bits.push_back(std::bit_cast<uint64_t>(v));
+        }
+      }
+    }
+    for (int32_t id = 0; id < kNodes; ++id) {
+      const auto p = cluster.BelievedPositionAt(id, cluster.time());
+      observed.bits.push_back(p.has_value() ? 1 : 0);
+      observed.bits.push_back(std::bit_cast<uint64_t>(p ? p->x : 0.0));
+      observed.bits.push_back(std::bit_cast<uint64_t>(p ? p->y : 0.0));
+    }
+    return observed;
+  };
+
+  const Observed serial = run(1);
+  // The crowd moved boundaries at several epochs, and movers sit in every
+  // quarter of the id range, i.e. in every scan chunk at 2 and 4 workers
+  // (8 requested threads become 4: one per shard).
+  EXPECT_GE(serial.counters[serial.counters.size() - 2 - kShards], 2);
+  for (int32_t q = 0; q < 4; ++q) {
+    EXPECT_GT(serial.movers_per_quarter[q], 0) << "quarter " << q;
+  }
+  for (int32_t threads : {2, 8}) {
+    const Observed pooled = run(threads);
+    EXPECT_EQ(serial.counters, pooled.counters) << "threads=" << threads;
+    EXPECT_EQ(serial.movers_per_quarter, pooled.movers_per_quarter)
+        << "threads=" << threads;
+    ASSERT_EQ(serial.bits.size(), pooled.bits.size())
+        << "threads=" << threads;
+    EXPECT_TRUE(serial.bits == pooled.bits) << "threads=" << threads;
+  }
 }
 
 TEST_F(RebalanceTest, SampledStatisticsMatchUnshardedServer) {

@@ -201,40 +201,61 @@ TEST(StatsStageTest, QueryRebuildCachesOnSizeAndMargin) {
 }
 
 TEST(StatsStageTest, PooledColumnarMatchesSerialBitwise) {
-  // Enough nodes to cross the parallel block threshold so the pooled stage
-  // actually splits the id range across workers and merges per-chunk delta
-  // lists in chunk order.
+  // Enough nodes to cross the parallel block threshold, so the pooled stage
+  // splits the id range across workers that relocate straight into the one
+  // grid with atomic adds and fold their totals in after the join. The
+  // crowded input keeps every node within four cells (origins in [95, 105)
+  // m per axis, at most 20 m of drift, 100 m cells), so all workers add to
+  // the same accumulators at once.
   constexpr int32_t kNodes = 20000;
-  for (int32_t threads : {2, 8}) {
-    ThreadPool pool(threads);
-    auto config = BaseConfig(kNodes);
-    config.pool = &pool;
-    auto pooled = StatsStage::Create(config);
-    auto reference = StatsStage::Create(BaseConfig(kNodes));
-    ASSERT_TRUE(pooled.ok() && reference.ok());
+  struct Input {
+    const char* name;
+    double lo;
+    double hi;
+    int32_t max_cells;
+  };
+  for (const Input& input : {Input{"spread", -40.0, 1640.0, 256},
+                             Input{"crowded", 95.0, 105.0, 4}}) {
+    for (int32_t threads : {2, 8}) {
+      ThreadPool pool(threads);
+      auto config = BaseConfig(kNodes);
+      config.pool = &pool;
+      auto pooled = StatsStage::Create(config);
+      auto reference = StatsStage::Create(BaseConfig(kNodes));
+      ASSERT_TRUE(pooled.ok() && reference.ok());
 
-    PositionTracker tracker(kNodes);
-    Rng rng(threads);
-    for (int t = 0; t < 3; ++t) {
-      for (NodeId id = 0; id < kNodes; ++id) {
-        if (rng.Uniform(0.0, 1.0) < 0.3) continue;
-        tracker.Apply(
-            UpdateFor(id,
-                      {rng.Uniform(-40.0, 1640.0), rng.Uniform(-40.0, 1640.0)},
-                      {rng.Uniform(-8.0, 8.0), rng.Uniform(-8.0, 8.0)}, t));
+      PositionTracker tracker(kNodes);
+      Rng rng(threads);
+      for (int t = 0; t < 3; ++t) {
+        for (NodeId id = 0; id < kNodes; ++id) {
+          if (rng.Uniform(0.0, 1.0) < 0.3) continue;
+          tracker.Apply(UpdateFor(
+              id,
+              {rng.Uniform(input.lo, input.hi),
+               rng.Uniform(input.lo, input.hi)},
+              {rng.Uniform(-8.0, 8.0), rng.Uniform(-8.0, 8.0)}, t));
+        }
+        pooled->RebuildNodes(tracker, t + 0.5);
+        reference->RebuildNodes(tracker, t + 0.5);
       }
-      pooled->RebuildNodes(tracker, t + 0.5);
-      reference->RebuildNodes(tracker, t + 0.5);
-    }
-    for (int32_t iy = 0; iy < 16; ++iy) {
-      for (int32_t ix = 0; ix < 16; ++ix) {
-        ASSERT_EQ(reference->grid().NodeCount(ix, iy),
-                  pooled->grid().NodeCount(ix, iy))
-            << "threads=" << threads << " cell (" << ix << ", " << iy << ")";
-        ASSERT_EQ(reference->grid().MeanSpeed(ix, iy),
-                  pooled->grid().MeanSpeed(ix, iy))
-            << "threads=" << threads << " cell (" << ix << ", " << iy << ")";
+      int32_t occupied = 0;
+      for (int32_t iy = 0; iy < 16; ++iy) {
+        for (int32_t ix = 0; ix < 16; ++ix) {
+          ASSERT_EQ(reference->grid().NodeCount(ix, iy),
+                    pooled->grid().NodeCount(ix, iy))
+              << input.name << " threads=" << threads << " cell (" << ix
+              << ", " << iy << ")";
+          ASSERT_EQ(reference->grid().MeanSpeed(ix, iy),
+                    pooled->grid().MeanSpeed(ix, iy))
+              << input.name << " threads=" << threads << " cell (" << ix
+              << ", " << iy << ")";
+          occupied += reference->grid().NodeCount(ix, iy) > 0.0 ? 1 : 0;
+        }
       }
+      EXPECT_EQ(reference->grid().TotalNodes(), pooled->grid().TotalNodes());
+      EXPECT_EQ(reference->grid().OverallMeanSpeed(),
+                pooled->grid().OverallMeanSpeed());
+      EXPECT_LE(occupied, input.max_cells) << input.name;
     }
   }
 }

@@ -32,11 +32,29 @@ TEST(UpdateQueueTest, OfferAndDrain) {
   ASSERT_TRUE(queue.ok());
   EXPECT_EQ(queue->OfferAll(Batch(5)), 0);
   EXPECT_EQ(queue->size(), 5u);
-  const auto drained = queue->Drain(3);
+  std::vector<ModelUpdate> drained;
+  queue->Drain(3, &drained);
   EXPECT_EQ(drained.size(), 3u);
   EXPECT_EQ(queue->size(), 2u);
-  EXPECT_EQ(queue->Drain(100).size(), 2u);
-  EXPECT_TRUE(queue->Drain(10).empty());
+  queue->Drain(100, &drained);
+  EXPECT_EQ(drained.size(), 2u);
+  queue->Drain(10, &drained);
+  EXPECT_TRUE(drained.empty());
+}
+
+TEST(UpdateQueueTest, DrainClearsTheCallersBufferAndKeepsItsCapacity) {
+  auto queue = UpdateQueue::Create(100, 7);
+  ASSERT_TRUE(queue.ok());
+  std::vector<ModelUpdate> drained = Batch(40, 500);  // stale contents
+  const size_t capacity = drained.capacity();
+  queue->OfferAll(Batch(3));
+  queue->Drain(10, &drained);
+  ASSERT_EQ(drained.size(), 3u);
+  for (const ModelUpdate& u : drained) {
+    EXPECT_LT(u.node_id, 3);
+  }
+  EXPECT_EQ(drained.capacity(), capacity);
+  EXPECT_EQ(queue->total_served(), 3);
 }
 
 TEST(UpdateQueueTest, DropsBeyondCapacity) {
@@ -55,7 +73,9 @@ TEST(UpdateQueueTest, OverloadDropsARandomSubsetNotATailPrefix) {
   ASSERT_TRUE(queue.ok());
   queue->OfferAll(Batch(64));
   std::set<NodeId> survivors;
-  for (const ModelUpdate& u : queue->Drain(100)) {
+  std::vector<ModelUpdate> drained;
+  queue->Drain(100, &drained);
+  for (const ModelUpdate& u : drained) {
     survivors.insert(u.node_id);
   }
   ASSERT_EQ(survivors.size(), 8u);
@@ -69,9 +89,11 @@ TEST(UpdateQueueTest, AdmittedSubsetIsRoughlyUniform) {
   ASSERT_TRUE(queue.ok());
   std::vector<int> hits(50, 0);
   const int rounds = 2000;
+  std::vector<ModelUpdate> drained;
   for (int r = 0; r < rounds; ++r) {
     queue->OfferAll(Batch(50));
-    for (const ModelUpdate& u : queue->Drain(100)) {
+    queue->Drain(100, &drained);
+    for (const ModelUpdate& u : drained) {
       ++hits[u.node_id];
     }
   }
@@ -85,7 +107,8 @@ TEST(UpdateQueueTest, WindowCountersResetIndependently) {
   auto queue = UpdateQueue::Create(100, 7);
   ASSERT_TRUE(queue.ok());
   queue->OfferAll(Batch(5));
-  queue->Drain(2);
+  std::vector<ModelUpdate> drained;
+  queue->Drain(2, &drained);
   EXPECT_EQ(queue->window_arrivals(), 5);
   EXPECT_EQ(queue->window_served(), 2);
   queue->ResetWindow();
@@ -104,14 +127,15 @@ TEST(UpdateQueueTest, WindowDroppedCountsPerWindowLoss) {
   EXPECT_EQ(queue->window_dropped(), 0);
   queue->OfferAll(Batch(10));  // 6 dropped
   EXPECT_EQ(queue->window_dropped(), 6);
-  queue->Drain(100);
+  std::vector<ModelUpdate> drained;
+  queue->Drain(100, &drained);
   queue->OfferAll(Batch(6));  // 2 dropped
   EXPECT_EQ(queue->window_dropped(), 8);
   EXPECT_EQ(queue->total_dropped(), 8);
   queue->ResetWindow();
   EXPECT_EQ(queue->window_dropped(), 0);
   EXPECT_EQ(queue->total_dropped(), 8);  // lifetime total unaffected
-  queue->Drain(100);
+  queue->Drain(100, &drained);
   queue->OfferAll(Batch(5));  // 1 dropped in the new window
   EXPECT_EQ(queue->window_dropped(), 1);
   EXPECT_EQ(queue->total_dropped(), 9);
@@ -123,10 +147,11 @@ TEST(UpdateQueueTest, HighWatermarkTracksDeepestFill) {
   EXPECT_EQ(queue->high_watermark(), 0u);
   queue->OfferAll(Batch(3));
   EXPECT_EQ(queue->high_watermark(), 3u);
-  queue->Drain(2);
+  std::vector<ModelUpdate> drained;
+  queue->Drain(2, &drained);
   queue->OfferAll(Batch(6));  // depth 7
   EXPECT_EQ(queue->high_watermark(), 7u);
-  queue->Drain(100);
+  queue->Drain(100, &drained);
   queue->OfferAll(Batch(1));
   EXPECT_EQ(queue->high_watermark(), 7u);  // never decreases
   queue->OfferAll(Batch(20));              // clamps at capacity
@@ -138,7 +163,8 @@ TEST(UpdateQueueTest, FifoAcrossBatches) {
   ASSERT_TRUE(queue.ok());
   queue->OfferAll(Batch(3, 0));
   queue->OfferAll(Batch(3, 100));
-  const auto drained = queue->Drain(6);
+  std::vector<ModelUpdate> drained;
+  queue->Drain(6, &drained);
   ASSERT_EQ(drained.size(), 6u);
   // First batch's elements (whatever their intra-batch order) come first.
   for (int i = 0; i < 3; ++i) {

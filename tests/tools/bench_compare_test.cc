@@ -42,6 +42,23 @@ TEST(HigherIsBetterTest, ThroughputStyleNames) {
   EXPECT_FALSE(HigherIsBetter("position_error"));
 }
 
+TEST(HigherIsBetterTest, MatchesWholeNameTokensOnly) {
+  // Names the baselines use for throughput stay higher-is-better.
+  EXPECT_TRUE(HigherIsBetter("metrics.frames_per_second"));
+  EXPECT_TRUE(HigherIsBetter("metrics.shards4.ingest_updates_per_second"));
+  EXPECT_TRUE(HigherIsBetter("metrics.throughput_ratio"));
+  EXPECT_TRUE(HigherIsBetter("metrics.speedup"));
+  EXPECT_TRUE(HigherIsBetter("metrics.update_rate"));
+  EXPECT_TRUE(HigherIsBetter("metrics.merge_ops"));
+  // A token that merely contains "rate", "ops" or "second" does not count.
+  EXPECT_FALSE(HigherIsBetter("static.nodes_migrated"));
+  EXPECT_FALSE(HigherIsBetter("metrics.rebalanced.nodes_migrated"));
+  EXPECT_FALSE(HigherIsBetter("BM_CalibrateReduction"));
+  EXPECT_FALSE(HigherIsBetter("metrics.stops"));
+  EXPECT_FALSE(HigherIsBetter("metrics.seconds_per_frame"));
+  EXPECT_FALSE(HigherIsBetter("metrics.per_round_seconds"));
+}
+
 FlatBench Bench(std::map<std::string, double> numbers) {
   FlatBench out;
   out.numbers = std::move(numbers);
@@ -84,6 +101,20 @@ TEST(CompareTest, HigherBetterDirectionFlips) {
       Compare(Bench({{"updates_per_second", 1200.0}}), baseline, options);
   EXPECT_EQ(faster.regressions, 0);
   EXPECT_EQ(faster.improvements, 1);
+}
+
+TEST(CompareTest, MigrationCountRiseIsARegression) {
+  // "migrated" contains "rate" but is no rate: five times the migrations
+  // is worse, and fails at the CI tolerance.
+  const FlatBench baseline = Bench({{"static.nodes_migrated", 100.0}});
+  CompareOptions options;
+  options.tolerance = 4.0;
+  const CompareResult result =
+      Compare(Bench({{"static.nodes_migrated", 500.0}}), baseline, options);
+  EXPECT_EQ(result.regressions, 1);
+  ASSERT_EQ(result.diffs.size(), 1u);
+  EXPECT_FALSE(result.diffs[0].higher_is_better);
+  EXPECT_EQ(result.diffs[0].verdict, Verdict::kRegressed);
 }
 
 TEST(CompareTest, PerMetricToleranceOverride) {

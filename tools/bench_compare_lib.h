@@ -7,10 +7,13 @@
 // baseline (bench/baselines/): for every numeric key present in both files
 // it computes current/baseline and flags a regression when the ratio moves
 // beyond the tolerance in the metric's bad direction. Direction is inferred
-// from the key: throughput-style names (containing "per_second", "rate",
-// "speedup", "throughput", "ops") are higher-better, everything else
-// (latencies in ns/seconds, error metrics, byte counts) is lower-better.
-// Deterministic count metrics compare equal and never trip the gate.
+// from the key's whole name tokens (the key split on '.' and '_'):
+// throughput-style names -- with the token pair "per second" or a token
+// "throughput", "speedup", "rate" or "ops" -- are higher-better, everything
+// else (latencies in ns/seconds, error metrics, byte counts, migration
+// counts) is lower-better. A token must match whole, so "nodes_migrated"
+// and "BM_CalibrateReduction" are not rates. Counts take the same
+// tolerance as timings, so only a count that moved past it trips the gate.
 
 #ifndef LIRA_TOOLS_BENCH_COMPARE_LIB_H_
 #define LIRA_TOOLS_BENCH_COMPARE_LIB_H_
@@ -218,10 +221,24 @@ inline FlatBench FlattenJson(const std::string& text) {
 
 /// True when a larger value of this metric is better (throughput-style
 /// names); everything else -- latencies, errors, sizes -- is lower-better.
+/// Matches whole tokens of the key split on '.' and '_' (see file comment).
 inline bool HigherIsBetter(const std::string& key) {
-  for (const char* pattern :
-       {"per_second", "throughput", "speedup", "rate", "_ops"}) {
-    if (key.find(pattern) != std::string::npos) {
+  std::vector<std::string> tokens(1);
+  for (const char c : key) {
+    if (c == '.' || c == '_') {
+      tokens.emplace_back();
+    } else {
+      tokens.back().push_back(c);
+    }
+  }
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    const std::string& token = tokens[i];
+    if (token == "throughput" || token == "speedup" || token == "rate" ||
+        token == "ops") {
+      return true;
+    }
+    if (token == "per" && i + 1 < tokens.size() &&
+        tokens[i + 1] == "second") {
       return true;
     }
   }
