@@ -1,5 +1,5 @@
-// Extension experiment: answering CQs from a TPR-tree vs rebuilding a
-// snapshot grid index per evaluation.
+// Extension experiment: answering CQs from a TPR-tree vs rebuilding the
+// server's snapshot grid per evaluation.
 //
 // The paper notes LIRA "can be used in conjunction with many of the
 // existing update indexing ... techniques" and cites the TPR-tree. This
@@ -9,8 +9,9 @@
 //   A. TPR-tree: apply each surviving update to the tree (incremental),
 //      answer every CQ with QueryAt(t) -- cost grows with the *update* rate
 //      and tree fan-out.
-//   B. Snapshot grid: on every evaluation, recompute all node positions at
-//      t and rebuild/refresh a uniform grid, then run the range queries --
+//   B. Snapshot grid (the production index, server/snapshot_grid.h): on
+//      every evaluation, predict all node positions at t, rebuild the CSR
+//      grid over the statistics grid's cells, then run the range queries --
 //      cost grows with n per evaluation regardless of the update rate.
 //
 // Both must return identical result sets (verified).
@@ -21,9 +22,9 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "lira/index/grid_index.h"
-#include "lira/index/tpr_tree.h"
+#include "bench/tpr_tree.h"
 #include "lira/motion/dead_reckoning.h"
+#include "lira/server/snapshot_grid.h"
 
 int main() {
   using namespace lira;
@@ -50,15 +51,13 @@ int main() {
   DeadReckoningEncoder encoder(world.num_nodes());
   PositionTracker tracker(world.num_nodes());
   auto tpr = TprTree::Create();
-  // Inflate the grid's frame so its edge clamping never fires (vehicles on
-  // border roads can be predicted slightly outside the world; the TPR-tree
-  // does not clamp, so identical semantics need an un-clamped frame).
-  Rect frame = world.world_rect();
-  frame.min_x -= 500.0;
-  frame.min_y -= 500.0;
-  frame.max_x += 500.0;
-  frame.max_y += 500.0;
-  auto grid = GridIndex::Create(frame, 64, world.num_nodes());
+  // The snapshot bins by the statistics grid's cells, as a server does.
+  // Positions predicted outside the world land in the border cells and
+  // are still compared exactly, so the frame needs no margin.
+  SnapshotGrid grid(world.num_nodes(), stats->alpha());
+  std::vector<double> px(world.num_nodes());
+  std::vector<double> py(world.num_nodes());
+  std::vector<uint8_t> known(world.num_nodes());
 
   double tpr_update_s = 0.0;
   double tpr_query_s = 0.0;
@@ -88,15 +87,12 @@ int main() {
       continue;
     }
     ++evaluations;
-    // Strategy B: refresh the snapshot grid from the tracker.
+    // Strategy B: rebuild the snapshot grid from the tracker.
     {
       const auto start = Clock::now();
-      for (NodeId id = 0; id < world.num_nodes(); ++id) {
-        const auto p = tracker.PredictAt(id, t);
-        if (p.has_value()) {
-          grid->Update(id, *p);
-        }
-      }
+      tracker.PredictSpan(0, world.num_nodes(), t, nullptr, nullptr,
+                          px.data(), py.data(), known.data());
+      grid.Build(t, px.data(), py.data(), known.data(), *stats);
       grid_rebuild_s +=
           std::chrono::duration<double>(Clock::now() - start).count();
     }
@@ -106,11 +102,10 @@ int main() {
       tpr_query_s +=
           std::chrono::duration<double>(Clock::now() - start_a).count();
       const auto start_b = Clock::now();
-      std::vector<NodeId> via_grid = grid->RangeQuery(q.range);
+      std::vector<NodeId> via_grid = grid.Range(*stats, q.range);
       grid_query_s +=
           std::chrono::duration<double>(Clock::now() - start_b).count();
       std::sort(via_tpr.begin(), via_tpr.end());
-      std::sort(via_grid.begin(), via_grid.end());
       if (via_tpr != via_grid) {
         ++mismatches;
       }

@@ -18,7 +18,11 @@ CqServer::CqServer(const CqServerConfig& config,
       tracker_stage_(std::move(tracker_stage)),
       stats_stage_(std::move(stats_stage)),
       optimizer_(std::move(optimizer)),
-      next_adaptation_(config.adaptation_period) {}
+      next_adaptation_(config.adaptation_period) {
+  if (config.maintain_index) {
+    snapshot_.emplace(config.num_nodes, config.alpha);
+  }
+}
 
 double CqServer::QueryMargin() const {
   return config_.query_margin >= 0.0 ? config_.query_margin
@@ -92,8 +96,8 @@ StatusOr<CqServer> CqServer::Create(const CqServerConfig& config,
     return optimizer.status();
   }
 
-  auto tracker_stage = TrackerStage::Create(
-      config.num_nodes, config.maintain_index, config.record_history);
+  auto tracker_stage =
+      TrackerStage::Create(config.num_nodes, config.record_history);
   if (!tracker_stage.ok()) {
     return tracker_stage.status();
   }
@@ -135,6 +139,9 @@ Status CqServer::Tick(double dt) {
     for (const ModelUpdate& update : served_) {
       tracker_stage_.Apply(update);
     }
+    if (snapshot_.has_value()) {
+      snapshot_->Rebuild(*this, stats_stage_.grid(), config_.pool);
+    }
   }
   if (time_ + 1e-9 >= next_adaptation_) {
     LIRA_RETURN_IF_ERROR(Adapt());
@@ -174,23 +181,14 @@ Status CqServer::InstallQueries(const QueryRegistry* queries) {
 }
 
 StatusOr<std::vector<NodeId>> CqServer::AnswerQuery(QueryId query) const {
-  if (query < 0 || query >= queries_->size()) {
-    return InvalidArgumentError("unknown query id");
-  }
-  return AnswerRange(queries_->Get(query).range, time_);
+  return AnswerSnapshotQuery(*this, snapshot_ ? &*snapshot_ : nullptr,
+                             stats_stage_.grid(), *queries_, query);
 }
 
 StatusOr<std::vector<NodeId>> CqServer::AnswerRange(const Rect& range,
                                                     double t) const {
-  if (!config_.maintain_index) {
-    return FailedPreconditionError("server index maintenance is disabled");
-  }
-  if (t + 1e-9 < time_) {
-    return InvalidArgumentError(
-        "snapshot time is in the past; use the history store for "
-        "historical queries");
-  }
-  return tracker_stage_.RangeAt(range, t);
+  return AnswerSnapshotRange(*this, snapshot_ ? &*snapshot_ : nullptr,
+                             stats_stage_.grid(), range, t);
 }
 
 StatusOr<std::vector<NodeId>> CqServer::AnswerHistoricalRange(

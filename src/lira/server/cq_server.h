@@ -3,11 +3,13 @@
 // A thin facade over the four pipeline stages:
 //
 //   IngestStage    bounded queue, drop accounting, service pacing
-//   TrackerStage   position tracker + TPR index + history
+//   TrackerStage   position tracker + history
 //   StatsStage     incremental StatisticsGrid maintenance
 //   OptimizerStage THROTLOOP (z) -> policy (GRIDREDUCE + GREEDYINCREMENT
 //                  for LIRA) -> new SheddingPlan
 //
+// plus, with maintain_index on, the believed-position SnapshotGrid that
+// range queries scan, rebuilt at the end of every tick (snapshot_grid.h).
 // The facade owns the clock and the adaptation schedule and wires the
 // stages together exactly as the original monolithic server did; its
 // public API, metric names, and bitwise behavior are unchanged. The stages
@@ -35,6 +37,7 @@
 #include "lira/server/ingest_stage.h"
 #include "lira/server/optimizer_stage.h"
 #include "lira/server/server_pipeline.h"
+#include "lira/server/snapshot_grid.h"
 #include "lira/server/stats_stage.h"
 #include "lira/server/tracker_stage.h"
 #include "lira/server/update_queue.h"
@@ -62,10 +65,11 @@ struct CqServerConfig {
   /// the statistics grid; negative means "use the reduction function's
   /// delta_max" (see StatisticsGrid::AddQueries).
   double query_margin = -1.0;
-  /// When true the server maintains a TPR-tree over the tracked motion
-  /// models and can answer range queries incrementally (AnswerQuery);
-  /// turning it off saves the index-maintenance cost for deployments that
-  /// evaluate queries elsewhere.
+  /// When true the server keeps a range index, so AnswerQuery/AnswerRange
+  /// work: a snapshot grid of every node's believed position, rebuilt at the
+  /// end of every tick in O(n) (snapshot_grid.h). Turning it off saves the
+  /// rebuild and its arrays for deployments that evaluate queries
+  /// elsewhere; the answer calls then return FailedPrecondition.
   bool maintain_index = true;
   /// When true the server retains every applied motion model in a
   /// HistoryStore, enabling historical snapshot queries (the capability the
@@ -102,10 +106,11 @@ struct CqServerConfig {
   telemetry::FlightRecorder* flight_recorder = nullptr;
   uint64_t seed = 1234;
   /// Optional worker pool (not owned; must outlive the server) for the
-  /// adaptation path: the columnar statistics rebuild, the quad-tree build,
-  /// and the GRIDREDUCE drill-down waves. Plans and statistics are bitwise
-  /// identical for every thread count (and without a pool); see the
-  /// determinism notes on StatsStage and GridReduceConfig.
+  /// adaptation path -- the columnar statistics rebuild, the quad-tree
+  /// build, and the GRIDREDUCE drill-down waves -- and the per-tick snapshot
+  /// rebuild. Plans, statistics and answers are bitwise identical for every
+  /// thread count (and without a pool); see the determinism notes on
+  /// StatsStage and GridReduceConfig.
   ThreadPool* pool = nullptr;
 };
 
@@ -139,12 +144,13 @@ class CqServer : public ServerPipeline {
   /// Forces an adaptation step immediately (also used internally).
   Status Adapt() override;
 
-  /// Answers an installed continual query from the TPR-tree at the server's
-  /// current time. Requires maintain_index.
+  /// Answers an installed continual query at the server's current time,
+  /// from the snapshot grid. Requires maintain_index. Same contract as
+  /// ServerCluster::AnswerQuery: AnswerSnapshotQuery (snapshot_grid.h).
   StatusOr<std::vector<NodeId>> AnswerQuery(QueryId query) const;
 
   /// Answers an ad-hoc snapshot range query at time t >= now. Requires
-  /// maintain_index.
+  /// maintain_index. Contract: AnswerSnapshotRange (snapshot_grid.h).
   StatusOr<std::vector<NodeId>> AnswerRange(const Rect& range,
                                             double t) const;
 
@@ -220,6 +226,8 @@ class CqServer : public ServerPipeline {
   TrackerStage tracker_stage_;
   StatsStage stats_stage_;
   OptimizerStage optimizer_;
+  /// The range index; nullopt when maintain_index is off.
+  std::optional<SnapshotGrid> snapshot_;
   /// The updates served this tick (reused across ticks).
   std::vector<ModelUpdate> served_;
   double time_ = 0.0;

@@ -4,6 +4,9 @@
 #include <string>
 #include <utility>
 
+#include "lira/common/check.h"
+#include "lira/common/kernels.h"
+
 namespace lira {
 namespace {
 
@@ -66,7 +69,9 @@ ServerCluster::ServerCluster(const ServerClusterConfig& config,
           metrics.GetGauge(ShardPrefix(k) + ".stats.nodes"));
     }
   }
-  RebuildSubQueries();
+  if (config_.server.maintain_index) {
+    snapshot_.emplace(config_.server.num_nodes, config_.server.alpha);
+  }
 }
 
 double ServerCluster::QueryMargin() const {
@@ -144,8 +149,8 @@ StatusOr<std::unique_ptr<ServerCluster>> ServerCluster::Create(
       return ingest.status();
     }
 
-    auto tracker = TrackerStage::Create(
-        server.num_nodes, server.maintain_index, server.record_history);
+    auto tracker =
+        TrackerStage::Create(server.num_nodes, server.record_history);
     if (!tracker.ok()) {
       return tracker.status();
     }
@@ -203,24 +208,7 @@ Status ServerCluster::InstallQueries(const QueryRegistry* queries) {
   }
   queries_ = queries;
   stats_.InvalidateQueryCache();
-  RebuildSubQueries();
   return OkStatus();
-}
-
-Rect ServerCluster::ExpandedStrip(int32_t shard) const {
-  const double margin = QueryMargin();
-  const Rect strip = shard_map_.ShardRect(shard);
-  return Rect{strip.min_x - margin, strip.min_y - margin,
-              strip.max_x + margin, strip.max_y + margin};
-}
-
-void ServerCluster::RebuildSubQueries() {
-  std::vector<Rect> strips;
-  strips.reserve(static_cast<size_t>(num_shards()));
-  for (int32_t k = 0; k < num_shards(); ++k) {
-    strips.push_back(shard_map_.ShardRect(k));
-  }
-  sub_queries_.Build(*queries_, strips, QueryMargin());
 }
 
 void ServerCluster::ReceiveBatch(std::vector<ModelUpdate>* updates) {
@@ -312,13 +300,21 @@ Status ServerCluster::Tick(double dt) {
           }
         }
       });
+  telemetry::TraceLane* driver_lane =
+      tr != nullptr ? tr->lane(telemetry::TraceRecorder::kDriverLane)
+                    : nullptr;
   {
-    telemetry::ScopedSpan handoff_span(
-        tr,
-        tr != nullptr ? tr->lane(telemetry::TraceRecorder::kDriverLane)
-                      : nullptr,
-        "tracker.handoffs", tick_, -1, time_);
+    telemetry::ScopedSpan handoff_span(tr, driver_lane, "tracker.handoffs",
+                                       tick_, -1, time_);
     ProcessHandoffs();
+  }
+  if (snapshot_.has_value()) {
+    // After the handoffs every node has one owner, so the snapshot holds
+    // each node once. The fill runs on the pool the fan-out just released.
+    telemetry::ScopedSpan rebuild_span(tr, driver_lane, "tracker.apply",
+                                       tick_, -1, time_);
+    snapshot_->Rebuild(*this, stats_.grid(), &pool_);
+    rebuild_span.set_value(static_cast<double>(snapshot_->size()));
   }
   if (time_ + 1e-9 >= next_adaptation_) {
     LIRA_RETURN_IF_ERROR(Adapt());
@@ -503,7 +499,6 @@ void ServerCluster::MaybeRebalance() {
   const int64_t migrated = MigrateOwnership();
   ++rebalances_;
   nodes_migrated_ += migrated;
-  RebuildSubQueries();
   if (config_.server.telemetry != nullptr) {
     rebalance_epochs_counter_->Increment(1);
     rebalance_columns_counter_->Increment(moved);
@@ -635,6 +630,49 @@ std::optional<Point> ServerCluster::BelievedPositionAt(NodeId id,
   return shards_[owner].tracker.tracker().PredictAt(id, t);
 }
 
+void ServerCluster::FillBelievedInto(NodeId begin, int64_t n, double t,
+                                     double* out_x, double* out_y,
+                                     uint8_t* known) const {
+  LIRA_DCHECK(begin >= 0 && begin + n <= config_.server.num_nodes);
+  std::vector<ModelColumns> columns;
+  columns.reserve(shards_.size());
+  for (const Shard& shard : shards_) {
+    columns.push_back(shard.tracker.tracker().columns());
+  }
+  // The copy StatsStage::RelocateRange makes: each lane's model from the
+  // tracker its owner entry names, zeroed operands for unowned lanes (the
+  // kernel reads every lane). PredictPositions is PredictAt's expression,
+  // so every known lane is BelievedPositionAt's bits.
+  constexpr int64_t kBlock = 512;
+  double ox[kBlock] = {};
+  double oy[kBlock] = {};
+  double vx[kBlock] = {};
+  double vy[kBlock] = {};
+  double t0[kBlock] = {};
+  for (int64_t block = 0; block < n; block += kBlock) {
+    const int64_t len = std::min(kBlock, n - block);
+    uint8_t* has = known + block;
+    for (int64_t i = 0; i < len; ++i) {
+      const int64_t id = begin + block + i;
+      const int32_t owner = owner_of_[id];
+      if (owner < 0) {
+        ox[i] = oy[i] = vx[i] = vy[i] = t0[i] = 0.0;
+        has[i] = 0;
+        continue;
+      }
+      const ModelColumns& c = columns[owner];
+      ox[i] = c.origin_x[id];
+      oy[i] = c.origin_y[id];
+      vx[i] = c.vel_x[id];
+      vy[i] = c.vel_y[id];
+      t0[i] = c.t0[id];
+      has[i] = c.has[id];
+    }
+    kernels::PredictPositions(len, ox, oy, vx, vy, t0, has, t, nullptr,
+                              nullptr, out_x + block, out_y + block);
+  }
+}
+
 size_t ServerCluster::queue_size() const {
   size_t total = 0;
   for (const Shard& shard : shards_) {
@@ -667,103 +705,16 @@ int64_t ServerCluster::updates_applied() const {
   return total;
 }
 
-bool ServerCluster::ClipIsExact(int32_t shard, const Rect& bounds) const {
-  // The clipped sub-query is exact iff every believed position the shard's
-  // tree can report lies inside the margin-expanded strip: min edges may
-  // touch (Rect::Contains is closed below), max edges must stay strictly
-  // inside (a position exactly on the expanded strip's half-open max edge
-  // would escape the clipped rect). The root TPBR conservatively bounds
-  // every indexed position, so this check is sufficient; when a node has
-  // drifted further than the margin, the caller falls back to the full
-  // range -- correctness never depends on the margin being large enough.
-  const Rect expanded = ExpandedStrip(shard);
-  return bounds.min_x >= expanded.min_x && bounds.min_y >= expanded.min_y &&
-         bounds.max_x < expanded.max_x && bounds.max_y < expanded.max_y;
-}
-
-Status ServerCluster::AppendShardRange(
-    int32_t shard, const Rect& eval, double t,
-    std::vector<std::vector<NodeId>>* lists) const {
-  auto ids = shards_[shard].tracker.RangeAt(eval, t);
-  if (!ids.ok()) {
-    return ids.status();
-  }
-  std::vector<NodeId> owned;
-  owned.reserve(ids->size());
-  for (const NodeId id : *ids) {
-    // A shard's index may briefly retain a handed-off node; ownership
-    // filtering keeps every id at exactly one shard, making the per-shard
-    // lists disjoint and the union merge duplicate-free.
-    if (owner_of_[id] == shard) {
-      owned.push_back(id);
-    }
-  }
-  std::sort(owned.begin(), owned.end());
-  lists->push_back(std::move(owned));
-  return OkStatus();
-}
-
 StatusOr<std::vector<NodeId>> ServerCluster::AnswerRange(const Rect& range,
                                                          double t) const {
-  if (!config_.server.maintain_index) {
-    return FailedPreconditionError("server index maintenance is disabled");
-  }
-  if (t + 1e-9 < time_) {
-    return InvalidArgumentError(
-        "snapshot time is in the past; use the history store for "
-        "historical queries");
-  }
-  std::vector<std::vector<NodeId>> lists;
-  lists.reserve(static_cast<size_t>(num_shards()));
-  for (int32_t k = 0; k < num_shards(); ++k) {
-    const auto bounds = shards_[k].tracker.BoundsAt(t);
-    if (!bounds.has_value() || !range.IntersectsClosed(*bounds)) {
-      continue;  // no indexed node of this shard can fall in the range
-    }
-    Rect eval = range;
-    if (ClipIsExact(k, *bounds)) {
-      const Rect expanded = ExpandedStrip(k);
-      if (!range.IntersectsClosed(expanded)) {
-        continue;  // all of k's nodes are inside the strip, away from range
-      }
-      eval = range.Intersection(expanded);
-    }
-    LIRA_RETURN_IF_ERROR(AppendShardRange(k, eval, t, &lists));
-  }
-  return MergeSortedUnion(lists);
+  return AnswerSnapshotRange(*this, snapshot_ ? &*snapshot_ : nullptr,
+                             stats_.grid(), range, t);
 }
 
 StatusOr<std::vector<NodeId>> ServerCluster::AnswerQuery(
     QueryId query) const {
-  if (!config_.server.maintain_index) {
-    return FailedPreconditionError("server index maintenance is disabled");
-  }
-  if (query < 0 || query >= queries_->size()) {
-    return InvalidArgumentError("unknown query id: " +
-                                std::to_string(query));
-  }
-  const Rect& range = queries_->Get(query).range;
-  const double t = time_;
-  std::vector<std::vector<NodeId>> lists;
-  lists.reserve(static_cast<size_t>(num_shards()));
-  for (int32_t k = 0; k < num_shards(); ++k) {
-    const auto bounds = shards_[k].tracker.BoundsAt(t);
-    if (!bounds.has_value() || !range.IntersectsClosed(*bounds)) {
-      continue;
-    }
-    Rect eval = range;
-    if (ClipIsExact(k, *bounds)) {
-      // Shard-local evaluation through the installed sub-query: when the
-      // query is not installed here, no in-strip node can match.
-      const ShardSubQuery* sub = sub_queries_.Find(k, query);
-      if (sub == nullptr) {
-        continue;
-      }
-      eval = sub->clipped;
-    }
-    LIRA_RETURN_IF_ERROR(AppendShardRange(k, eval, t, &lists));
-  }
-  return MergeSortedUnion(lists);
+  return AnswerSnapshotQuery(*this, snapshot_ ? &*snapshot_ : nullptr,
+                             stats_.grid(), *queries_, query);
 }
 
 std::optional<Point> ServerCluster::HistoricalPositionAt(NodeId id,

@@ -15,12 +15,16 @@
 // shard's tracker model (handoff, processed serially in shard order every
 // tick). Histories are retained at every shard a node visited; historical
 // reconstruction picks the shard holding the freshest record at the probed
-// time.
+// time. After each tick's handoffs, with maintain_index on, the coordinator
+// rebuilds one global believed-position SnapshotGrid from each node's
+// owning tracker; every range query scans it, so shard boundaries never
+// split a query (DESIGN.md §12).
 //
 // Determinism contract: all cross-shard work (routing, handoff,
 // throttle-window summation) is ordered by shard index, every shard's
 // random stream is a pure function of (config seed, shard index), and the
-// parallel sections touch only per-shard state plus atomic instruments.
+// parallel sections touch only per-shard state plus atomic instruments (or,
+// in the pooled snapshot fill, disjoint id blocks).
 // Hence results are bitwise identical for any worker thread count, and an
 // S=1 cluster is bitwise identical to a plain CqServer with the same
 // config (asserted in tests/server/server_cluster_test and
@@ -41,7 +45,6 @@
 #include "lira/core/shedding_plan.h"
 #include "lira/core/statistics_grid.h"
 #include "lira/cq/query_registry.h"
-#include "lira/cq/sharded_queries.h"
 #include "lira/mobility/position.h"
 #include "lira/motion/linear_model.h"
 #include "lira/motion/update_reduction.h"
@@ -51,6 +54,7 @@
 #include "lira/server/optimizer_stage.h"
 #include "lira/server/server_pipeline.h"
 #include "lira/server/shard_map.h"
+#include "lira/server/snapshot_grid.h"
 #include "lira/server/stats_stage.h"
 #include "lira/server/tracker_stage.h"
 #include "lira/telemetry/telemetry.h"
@@ -107,6 +111,12 @@ class ServerCluster : public ServerPipeline {
   const SheddingPlan& plan() const override { return optimizer_.plan(); }
   std::optional<Point> BelievedPositionAt(NodeId id,
                                           double t) const override;
+  /// Columnar BelievedPositionAt: copies each lane's model from the tracker
+  /// its owner entry names, then predicts the block with the
+  /// PredictPositions kernel. Bitwise equal to the per-id loop. Reads only,
+  /// so disjoint id ranges may fill concurrently.
+  void FillBelievedInto(NodeId begin, int64_t n, double t, double* out_x,
+                        double* out_y, uint8_t* known) const override;
   size_t queue_size() const override;
   int64_t queue_arrivals() const override;
   int64_t queue_dropped() const override;
@@ -124,21 +134,16 @@ class ServerCluster : public ServerPipeline {
                                             double t) const override;
   int64_t history_bytes() const override;
 
-  /// Ad-hoc snapshot range query at t >= now, evaluated shard-locally:
-  /// each overlapped shard searches its own TPR-tree with the range clipped
-  /// to its margin-expanded strip (falling back to the full range when its
-  /// tree's bounding box has drifted outside the strip -- exactness guard,
-  /// DESIGN.md §12), and the per-shard id-sorted membership lists are
-  /// unioned by sorted merge. Requires maintain_index. Results are filtered
-  /// by current ownership so every id appears exactly once, and are bitwise
-  /// identical to the unsharded CqServer's answer on the same belief state.
+  /// Ad-hoc snapshot range query at t >= now over the cluster's one
+  /// snapshot grid, where each node appears once, at its owning shard's
+  /// belief. Requires maintain_index. The contract is CqServer's:
+  /// AnswerSnapshotRange (snapshot_grid.h). On the same belief state the
+  /// answer equals the unsharded CqServer's.
   StatusOr<std::vector<NodeId>> AnswerRange(const Rect& range,
                                             double t) const;
 
-  /// Evaluates a *registered* query (by id) at the current time through its
-  /// installed shard-local sub-queries (the clipped rects precomputed at
-  /// registration / rebalance). Same result contract as AnswerRange on the
-  /// query's range.
+  /// Evaluates a *registered* query (by id) at the current time:
+  /// AnswerSnapshotQuery (snapshot_grid.h).
   StatusOr<std::vector<NodeId>> AnswerQuery(QueryId query) const;
 
   /// Historical snapshot range query at a past time t (Status-checked
@@ -163,8 +168,6 @@ class ServerCluster : public ServerPipeline {
   int64_t map_epoch() const { return shard_map_.epoch(); }
   int64_t rebalances() const { return rebalances_; }
   int64_t nodes_migrated() const { return nodes_migrated_; }
-  /// The installed shard-local sub-queries, for tests and diagnostics.
-  const ShardedQueryTable& sub_queries() const { return sub_queries_; }
   /// The cluster's statistics grid (valid after an adaptation).
   const StatisticsGrid& stats() const { return stats_.grid(); }
   /// One shard's queue, for tests and diagnostics.
@@ -202,24 +205,10 @@ class ServerCluster : public ServerPipeline {
                 OptimizerStage optimizer, int32_t pool_threads);
 
   double QueryMargin() const;
-  /// Shard k's strip expanded by the query margin on every side.
-  Rect ExpandedStrip(int32_t shard) const;
-  /// Reinstalls every registered query as per-shard clipped sub-queries
-  /// against the current strip boundaries (called on registry change and
-  /// after every rebalance epoch).
-  void RebuildSubQueries();
-  /// Appends `shard`'s sorted membership list for the search rect `eval`
-  /// (the full query range or its strip clip) at time t.
-  Status AppendShardRange(int32_t shard, const Rect& eval, double t,
-                          std::vector<std::vector<NodeId>>* lists) const;
-  /// True when every node indexed at `shard` provably lies inside its
-  /// margin-expanded strip at time t, i.e. the clipped sub-query is exact.
-  /// `bounds` is the shard tree's root box at t.
-  bool ClipIsExact(int32_t shard, const Rect& bounds) const;
   /// The deterministic rebalance step (start of every R-th adaptation):
   /// re-splits the map from the grid's column occupancy, migrates
   /// ownership through the Forget/Adopt handoff path in ascending node
-  /// order, reinstalls sub-queries, and records flight/telemetry.
+  /// order, and records flight/telemetry.
   void MaybeRebalance();
   /// Moves every owned node whose origin column changed shards; returns the
   /// migration count. Movers are found by a pool-parallel scan over id
@@ -257,9 +246,9 @@ class ServerCluster : public ServerPipeline {
   int64_t nodes_migrated_ = 0;
   /// MigrateOwnership scratch: one mover list per scan chunk, reused.
   std::vector<std::vector<Mover>> mover_lists_;
-  /// Registered queries clipped per shard, aligned with the current map
-  /// epoch and registry.
-  ShardedQueryTable sub_queries_;
+  /// The range index over every owned node; nullopt when maintain_index is
+  /// off.
+  std::optional<SnapshotGrid> snapshot_;
   /// Cluster-level instruments (sums over shards), resolved once.
   telemetry::Counter* arrivals_counter_ = nullptr;
   telemetry::Counter* dropped_counter_ = nullptr;

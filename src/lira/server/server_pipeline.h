@@ -63,8 +63,9 @@ class ServerPipeline {
   /// the believed position columns and the known mask (lane i is node
   /// begin + i; out slots of unknown lanes are unspecified). This default
   /// loops over BelievedPositionAt; pipelines with columnar trackers
-  /// override it with the PredictPositions kernel (CqServer). Either path
-  /// yields bitwise-identical columns.
+  /// override it with the PredictPositions kernel (CqServer,
+  /// ServerCluster). Either path yields bitwise-identical columns. The
+  /// server's snapshot grid is rebuilt through this call every tick.
   virtual void FillBelievedInto(NodeId begin, int64_t n, double t,
                                 double* out_x, double* out_y,
                                 uint8_t* known) const {

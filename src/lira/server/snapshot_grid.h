@@ -1,0 +1,113 @@
+// The server's range index: one believed-position snapshot grid per server
+// (DESIGN.md §12).
+//
+// At the end of every tick a server with maintain_index on refills the
+// snapshot from every node's believed position at the tick's time and bins
+// the positions into the cells of its own alpha x alpha statistics grid, in
+// CSR layout (compressed sparse row): one array of node ids sorted by cell,
+// ascending within a cell, the positions copied into the same order, and
+// one start offset per cell. A range query locates its two corners with
+// StatisticsGrid::CellIndexOf and scans the covered cells -- one contiguous
+// run per covered row -- with the exact Rect::Contains test.
+//
+// The scan is exact because each axis's cell index never decreases as the
+// coordinate grows (clamp, subtract, divide, truncate, clamp again), so
+// every point with min <= x < max lies in a column between the columns of
+// the range's two corners, and likewise for rows. Believed positions that
+// drifted outside the world sit in the border cells, where range corners
+// outside the world clamp too.
+//
+// The snapshot holds one time. AnswerSnapshotRange, the answer path both
+// servers share, serves any later time with an O(n) fill of the believed
+// positions at that time, filtered by the same Contains test.
+
+#ifndef LIRA_SERVER_SNAPSHOT_GRID_H_
+#define LIRA_SERVER_SNAPSHOT_GRID_H_
+
+#include <cstdint>
+#include <vector>
+
+#include "lira/common/geometry.h"
+#include "lira/common/parallel.h"
+#include "lira/common/status.h"
+#include "lira/core/statistics_grid.h"
+#include "lira/cq/query_registry.h"
+#include "lira/mobility/position.h"
+#include "lira/server/server_pipeline.h"
+
+namespace lira {
+
+/// Believed positions of ids [0, num_nodes) at one time, binned by cell.
+/// Every method that bins or locates takes the grid whose cells it uses;
+/// pass the same grid to Build/Rebuild and Range. Range is const and reads
+/// only, so concurrent readers are safe between rebuilds.
+class SnapshotGrid {
+ public:
+  /// An empty snapshot at time 0 over `num_nodes` ids and the cells of an
+  /// alpha x alpha grid. Allocates every array once, here.
+  SnapshotGrid(int32_t num_nodes, int32_t alpha);
+
+  /// Refills the snapshot with `source`'s believed positions at
+  /// source.time(), read through FillBelievedInto in id blocks on `pool`
+  /// (nullptr = inline; lanes are independent, so any thread count gives
+  /// the same snapshot), then Build.
+  void Rebuild(const ServerPipeline& source, const StatisticsGrid& grid,
+               ThreadPool* pool);
+
+  /// Bins caller columns by `grid`'s cells with a serial counting sort:
+  /// lane i is node i, and lanes whose `known` byte is 0 are left out.
+  /// Every column spans num_nodes() lanes; `grid` must have the alpha the
+  /// snapshot was created with.
+  void Build(double t, const double* x, const double* y, const uint8_t* known,
+             const StatisticsGrid& grid);
+
+  /// Ids whose snapshot position lies in `range` (Rect::Contains),
+  /// ascending. Empty, inverted and NaN-edged ranges contain nothing.
+  std::vector<NodeId> Range(const StatisticsGrid& grid,
+                            const Rect& range) const;
+
+  /// The time of the believed positions held.
+  double time() const { return time_; }
+  int32_t num_nodes() const { return static_cast<int32_t>(cell_.size()); }
+  /// Nodes with a position in the snapshot.
+  int32_t size() const { return cell_start_.back(); }
+
+ private:
+  double time_ = 0.0;
+  /// Rebuild's believed columns.
+  std::vector<double> fill_x_;
+  std::vector<double> fill_y_;
+  std::vector<uint8_t> fill_known_;
+  /// Build scratch: each lane's flat cell, -1 for a lane without a model.
+  std::vector<int32_t> cell_;
+  /// CSR: cell c holds entries [cell_start_[c], cell_start_[c + 1]) of
+  /// ids_ / x_ / y_.
+  std::vector<int32_t> cell_start_;
+  std::vector<NodeId> ids_;
+  std::vector<double> x_;
+  std::vector<double> y_;
+};
+
+/// The range-answer contract of CqServer and ServerCluster, whose
+/// AnswerRange and AnswerQuery forward here. `snapshot` is the server's
+/// snapshot, or nullptr when maintain_index is off; `grid` is its
+/// statistics grid. Checks run in this order:
+///  1. FailedPrecondition when `snapshot` is nullptr;
+///  2. InvalidArgument for an unknown query id, or a time before
+///     server.time() (past times belong to the history store).
+/// The answer is every id whose believed position at t lies in the range
+/// (Rect::Contains), ascending: scanned from the snapshot at its own time,
+/// and filtered from an O(n) FillBelievedInto pass at any other time.
+StatusOr<std::vector<NodeId>> AnswerSnapshotRange(
+    const ServerPipeline& server, const SnapshotGrid* snapshot,
+    const StatisticsGrid& grid, const Rect& range, double t);
+
+/// AnswerSnapshotRange over registered query `query`'s range at
+/// server.time().
+StatusOr<std::vector<NodeId>> AnswerSnapshotQuery(
+    const ServerPipeline& server, const SnapshotGrid* snapshot,
+    const StatisticsGrid& grid, const QueryRegistry& queries, QueryId query);
+
+}  // namespace lira
+
+#endif  // LIRA_SERVER_SNAPSHOT_GRID_H_

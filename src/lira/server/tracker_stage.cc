@@ -1,37 +1,23 @@
 #include "lira/server/tracker_stage.h"
 
-#include <utility>
-
 namespace lira {
 
-TrackerStage::TrackerStage(int32_t num_nodes, bool maintain_index,
-                           bool record_history, TprTree index)
+TrackerStage::TrackerStage(int32_t num_nodes, bool record_history)
     : tracker_(num_nodes),
-      index_(std::move(index)),
-      maintain_index_(maintain_index),
       history_(record_history
                    ? std::optional<HistoryStore>(HistoryStore(num_nodes))
                    : std::nullopt) {}
 
 StatusOr<TrackerStage> TrackerStage::Create(int32_t num_nodes,
-                                            bool maintain_index,
                                             bool record_history) {
   if (num_nodes <= 0) {
     return InvalidArgumentError("num_nodes must be positive");
   }
-  auto index = TprTree::Create();
-  if (!index.ok()) {
-    return index.status();
-  }
-  return TrackerStage(num_nodes, maintain_index, record_history,
-                      *std::move(index));
+  return TrackerStage(num_nodes, record_history);
 }
 
 void TrackerStage::Apply(const ModelUpdate& update) {
   tracker_.Apply(update);
-  if (maintain_index_) {
-    index_.Update(update.node_id, update.model);
-  }
   if (history_.has_value()) {
     history_->Record(update);
   }
@@ -39,30 +25,12 @@ void TrackerStage::Apply(const ModelUpdate& update) {
 
 void TrackerStage::Adopt(const ModelUpdate& update) {
   tracker_.Restore(update);
-  if (maintain_index_) {
-    index_.Update(update.node_id, update.model);
-  }
   if (history_.has_value()) {
     // HistoryStore::Record inserts at the sorted position and replaces a
     // duplicate t0, so re-recording the migrated model is idempotent and
     // keeps LastReportBefore answers identical to the previous owner's.
     history_->Record(update);
   }
-}
-
-void TrackerStage::Forget(NodeId id) {
-  tracker_.Forget(id);
-  if (maintain_index_) {
-    index_.Remove(id);
-  }
-}
-
-StatusOr<std::vector<NodeId>> TrackerStage::RangeAt(const Rect& range,
-                                                    double t) const {
-  if (!maintain_index_) {
-    return FailedPreconditionError("server index maintenance is disabled");
-  }
-  return index_.QueryAt(range, t);
 }
 
 }  // namespace lira

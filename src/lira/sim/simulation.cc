@@ -84,7 +84,7 @@ StatusOr<SimulationResult> RunSimulation(const World& world,
   server_config.stats_sample_fraction = config.stats_sample_fraction;
   server_config.incremental_stats = config.incremental;
   // The harness evaluates queries through its own snapshot indexes; skip
-  // the server's incremental TPR maintenance.
+  // the server's per-tick snapshot-grid rebuild.
   server_config.maintain_index = false;
   server_config.telemetry = config.telemetry;
   server_config.trace = config.trace;

@@ -1,4 +1,4 @@
-#include "lira/index/tpr_tree.h"
+#include "bench/tpr_tree.h"
 
 #include <algorithm>
 #include <unordered_map>

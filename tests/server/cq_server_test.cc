@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "lira/common/rng.h"
 #include "lira/telemetry/telemetry.h"
 
 namespace lira {
@@ -237,6 +238,74 @@ TEST_F(CqServerTest, AnswerRangeValidation) {
   EXPECT_FALSE(server->AnswerRange(Rect{0, 0, 100, 100}, 1.0).ok());
   EXPECT_TRUE(server->AnswerRange(Rect{0, 0, 100, 100}, 5.0).ok());
   EXPECT_TRUE(server->AnswerRange(Rect{0, 0, 100, 100}, 9.0).ok());
+}
+
+TEST_F(CqServerTest, AnswerRangeMatchesBruteForce) {
+  auto config = BaseConfig();
+  config.num_nodes = 40;
+  auto server =
+      CqServer::Create(config, &uniform_policy_, &*reduction_, &queries_);
+  ASSERT_TRUE(server.ok());
+  std::vector<ModelUpdate> batch;
+  for (NodeId id = 0; id < 40; ++id) {
+    batch.push_back(UpdateFor(id, {25.0 * id, 1000.0 - 25.0 * id},
+                              {2.0, -1.0}, 0.0));
+  }
+  server->Receive(std::move(batch));
+  ASSERT_TRUE(server->Tick(1.0).ok());
+  const Rect range{200.0, 200.0, 800.0, 800.0};
+  const double t = 3.0;
+  std::vector<NodeId> want;
+  for (NodeId id = 0; id < 40; ++id) {
+    const auto p = server->tracker().PredictAt(id, t);
+    if (p.has_value() && range.Contains(*p)) {
+      want.push_back(id);
+    }
+  }
+  EXPECT_FALSE(want.empty());
+  // t is ahead of the snapshot: answered by the O(n) future-time pass...
+  auto ahead = server->AnswerRange(range, t);
+  ASSERT_TRUE(ahead.ok());
+  EXPECT_EQ(*ahead, want);
+  // ...and, once the clock reaches t, by the snapshot grid.
+  ASSERT_TRUE(server->Tick(t - server->time()).ok());
+  ASSERT_EQ(server->time(), t);
+  auto now = server->AnswerRange(range, t);
+  ASSERT_TRUE(now.ok());
+  EXPECT_EQ(*now, want);
+}
+
+TEST_F(CqServerTest, FarFutureAnswersStayExact) {
+  auto config = BaseConfig();
+  config.num_nodes = 200;
+  config.queue_capacity = 200;
+  auto server =
+      CqServer::Create(config, &uniform_policy_, &*reduction_, &queries_);
+  ASSERT_TRUE(server.ok());
+  Rng rng(77);
+  std::vector<ModelUpdate> batch;
+  for (NodeId id = 0; id < 200; ++id) {
+    batch.push_back(
+        UpdateFor(id, {rng.Uniform(0.0, 1000.0), rng.Uniform(0.0, 1000.0)},
+                  {rng.Uniform(-5.0, 5.0), rng.Uniform(-5.0, 5.0)}, 0.0));
+  }
+  server->Receive(std::move(batch));
+  ASSERT_TRUE(server->Tick(1.0).ok());
+  ASSERT_EQ(server->updates_applied(), 200);
+  const Rect range{200.0, 200.0, 800.0, 800.0};
+  for (double ahead : {0.0, 10.0, 100.0, 1000.0}) {
+    const double t = server->time() + ahead;
+    std::vector<NodeId> want;
+    for (NodeId id = 0; id < 200; ++id) {
+      const auto p = server->BelievedPositionAt(id, t);
+      if (p.has_value() && range.Contains(*p)) {
+        want.push_back(id);
+      }
+    }
+    auto got = server->AnswerRange(range, t);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(*got, want) << "t=" << t;
+  }
 }
 
 TEST_F(CqServerTest, HistoricalRangeAnswers) {

@@ -159,14 +159,13 @@ TEST_F(RebalanceTest, BoundaryQueriesBitwiseMatchUnshardedAcrossEpochs) {
     }
 
     // Every installed (possibly boundary-straddling) query: identical
-    // membership through the clipped sub-query path.
+    // membership from the cluster's one snapshot grid.
     for (QueryId q = 0; q < active->size(); ++q) {
       auto expect = server->AnswerQuery(q);
       auto got = (*cluster)->AnswerQuery(q);
       ASSERT_TRUE(expect.ok()) << expect.status().ToString();
       ASSERT_TRUE(got.ok()) << got.status().ToString();
-      // The unsharded server answers in tree-traversal order; the cluster's
-      // contract is ascending id. Same membership, canonicalized.
+      // Both servers answer ascending ids, so the sort changes nothing.
       std::sort(expect->begin(), expect->end());
       ASSERT_EQ(*got, *expect) << "query " << q << " tick " << t;
     }
@@ -462,6 +461,69 @@ TEST_F(RebalanceTest, SampledStatisticsMatchUnshardedServer) {
   }
   EXPECT_GE((*cluster)->map_epoch(), 1);
   EXPECT_GT((*cluster)->nodes_migrated(), 0);
+}
+
+TEST_F(RebalanceTest, FillBelievedIntoMatchesPerIdLoopAcrossEpochs) {
+  // The columnar fill the snapshot rebuild reads gives the per-id
+  // BelievedPositionAt loop's bits across handoffs, ownership migrations
+  // and rebalance epochs, at any worker thread count, for id ranges that
+  // start and end mid-block.
+  const int32_t nodes = 1200;
+  const int32_t ticks = 120;
+  const auto batches = MakeStream(nodes, ticks, 31);
+  for (const int32_t threads : {1, 2, 8}) {
+    ServerClusterConfig config;
+    config.server = LosslessConfig(nodes);
+    config.shards = 4;
+    config.threads = threads;
+    config.rebalance_stride = 1;
+    auto cluster =
+        ServerCluster::Create(config, &policy_, &*reduction_, &registry_a_);
+    ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+    std::vector<double> x(nodes);
+    std::vector<double> y(nodes);
+    std::vector<uint8_t> known(nodes);
+    std::vector<ModelUpdate> scratch;
+    int64_t known_lanes = 0;
+    for (int32_t t = 0; t < ticks; ++t) {
+      scratch = batches[t];
+      (*cluster)->ReceiveBatch(&scratch);
+      ASSERT_TRUE((*cluster)->Tick(kTick).ok());
+      if ((t + 1) % 10 == 0) {
+        ASSERT_TRUE((*cluster)->Adapt().ok());
+      }
+      if ((t + 1) % 5 != 0) {
+        continue;
+      }
+      for (const double ahead : {0.0, 0.05}) {
+        const double when = (*cluster)->time() + ahead;
+        for (const auto& [begin, count] :
+             {std::pair<NodeId, int32_t>{0, nodes}, {37, 1100}}) {
+          (*cluster)->FillBelievedInto(begin, count, when, x.data(),
+                                       y.data(), known.data());
+          for (int32_t i = 0; i < count; ++i) {
+            const NodeId id = begin + i;
+            const auto p = (*cluster)->BelievedPositionAt(id, when);
+            ASSERT_EQ(known[i] != 0, p.has_value())
+                << "threads " << threads << " tick " << t << " id " << id;
+            if (!p.has_value()) {
+              continue;
+            }
+            ++known_lanes;
+            ASSERT_EQ(std::bit_cast<uint64_t>(x[i]),
+                      std::bit_cast<uint64_t>(p->x))
+                << "threads " << threads << " tick " << t << " id " << id;
+            ASSERT_EQ(std::bit_cast<uint64_t>(y[i]),
+                      std::bit_cast<uint64_t>(p->y))
+                << "threads " << threads << " tick " << t << " id " << id;
+          }
+        }
+      }
+    }
+    EXPECT_GT(known_lanes, 0);
+    EXPECT_GE((*cluster)->map_epoch(), 1) << "threads " << threads;
+    EXPECT_GT((*cluster)->nodes_migrated(), 0) << "threads " << threads;
+  }
 }
 
 TEST_F(RebalanceTest, StrideZeroKeepsTheInitialMapForever) {

@@ -240,6 +240,75 @@ TEST_F(ServerClusterTest, HandoffMovesOwnershipAcrossShards) {
   auto everywhere = cluster->AnswerRange(kWorld, cluster->time());
   ASSERT_TRUE(everywhere.ok());
   EXPECT_EQ(*everywhere, std::vector<NodeId>{0});
+  // The retracted model answers nowhere: its old spot is empty.
+  const Rect left_spot{100.0, 700.0, 300.0, 900.0};
+  const Rect right_spot{1100.0, 700.0, 1300.0, 900.0};
+  auto old_home = cluster->AnswerRange(left_spot, cluster->time());
+  ASSERT_TRUE(old_home.ok());
+  EXPECT_TRUE(old_home->empty());
+  auto new_home = cluster->AnswerRange(right_spot, cluster->time());
+  ASSERT_TRUE(new_home.ok());
+  EXPECT_EQ(*new_home, std::vector<NodeId>{0});
+
+  // A later report back on the left half brings the node home again.
+  cluster->Receive({UpdateFor(0, {200.0, 800.0}, {0.0, 0.0}, 3.0)});
+  ASSERT_TRUE(cluster->Tick(1.0).ok());
+  auto back = cluster->AnswerRange(left_spot, cluster->time());
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(*back, std::vector<NodeId>{0});
+  auto gone = cluster->AnswerRange(right_spot, cluster->time());
+  ASSERT_TRUE(gone.ok());
+  EXPECT_TRUE(gone->empty());
+}
+
+TEST_F(ServerClusterTest, AnswerContractMatchesCqServer) {
+  // One contract for both servers: ascending ids, and the same status
+  // code for the same call -- the index precondition first, then the
+  // query id or the time.
+  CqServerConfig server_config = BaseServerConfig();
+  server_config.auto_throttle = false;
+  server_config.queue_capacity = 1000;
+  server_config.service_rate = 1e6;
+  Rng rng(19);
+  const std::vector<ModelUpdate> batch =
+      RandomBatch(rng, server_config.num_nodes, 0.0);
+  for (const bool index : {true, false}) {
+    server_config.maintain_index = index;
+    auto server = CqServer::Create(server_config, &uniform_policy_,
+                                   &*reduction_, &queries_);
+    ASSERT_TRUE(server.ok());
+    ServerClusterConfig config;
+    config.server = server_config;
+    config.shards = 4;
+    auto cluster = MustCreate(config);
+    server->Receive(batch);
+    cluster->Receive(batch);
+    ASSERT_TRUE(server->Tick(1.0).ok());
+    ASSERT_TRUE(cluster->Tick(1.0).ok());
+    ASSERT_EQ(cluster->updates_applied(), server->updates_applied());
+
+    for (const QueryId q : {-1, 0, 1, queries_.size()}) {
+      auto single = server->AnswerQuery(q);
+      auto sharded = cluster->AnswerQuery(q);
+      ASSERT_EQ(single.status().code(), sharded.status().code())
+          << "index " << index << " query " << q;
+      if (single.ok()) {
+        EXPECT_TRUE(std::is_sorted(single->begin(), single->end()));
+        EXPECT_EQ(*single, *sharded) << "query " << q;
+      }
+    }
+    for (const double t : {0.5, 1.0, 2.0}) {
+      auto single = server->AnswerRange(kWorld, t);
+      auto sharded = cluster->AnswerRange(kWorld, t);
+      ASSERT_EQ(single.status().code(), sharded.status().code())
+          << "index " << index << " t " << t;
+      if (single.ok()) {
+        EXPECT_GT(single->size(), 16u);
+        EXPECT_TRUE(std::is_sorted(single->begin(), single->end()));
+        EXPECT_EQ(*single, *sharded) << "t " << t;
+      }
+    }
+  }
 }
 
 TEST_F(ServerClusterTest, AnswerRangeMergesShardsAndFiltersOwnership) {

@@ -1,8 +1,5 @@
 #include "lira/server/tracker_stage.h"
 
-#include <algorithm>
-#include <vector>
-
 #include <gtest/gtest.h>
 
 namespace lira {
@@ -16,14 +13,17 @@ ModelUpdate UpdateFor(NodeId id, Point p, Vec2 v, double t) {
 }
 
 TEST(TrackerStageTest, CreateValidation) {
-  EXPECT_TRUE(TrackerStage::Create(10, true, false).ok());
-  EXPECT_TRUE(TrackerStage::Create(10, false, true).ok());
-  EXPECT_FALSE(TrackerStage::Create(0, true, false).ok());
-  EXPECT_FALSE(TrackerStage::Create(-3, false, false).ok());
+  EXPECT_TRUE(TrackerStage::Create(10, false).ok());
+  EXPECT_TRUE(TrackerStage::Create(10, true).ok());
+  EXPECT_FALSE(TrackerStage::Create(0, false).ok());
+  EXPECT_FALSE(TrackerStage::Create(-3, false).ok());
+  auto no_history = TrackerStage::Create(4, false);
+  ASSERT_TRUE(no_history.ok());
+  EXPECT_EQ(no_history->history(), nullptr);
 }
 
-TEST(TrackerStageTest, ApplyKeepsTrackerIndexAndHistoryConsistent) {
-  auto stage = TrackerStage::Create(10, true, true);
+TEST(TrackerStageTest, ApplyKeepsTrackerAndHistoryConsistent) {
+  auto stage = TrackerStage::Create(10, true);
   ASSERT_TRUE(stage.ok());
   stage->Apply(UpdateFor(2, {100.0, 100.0}, {10.0, 0.0}, 0.0));
   stage->Apply(UpdateFor(5, {500.0, 500.0}, {0.0, 0.0}, 0.0));
@@ -33,34 +33,20 @@ TEST(TrackerStageTest, ApplyKeepsTrackerIndexAndHistoryConsistent) {
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(*p, (Point{120.0, 100.0}));
 
-  auto in_range = stage->RangeAt(Rect{0, 0, 200, 200}, 1.0);
-  ASSERT_TRUE(in_range.ok());
-  EXPECT_EQ(*in_range, std::vector<NodeId>{2});
-
   ASSERT_NE(stage->history(), nullptr);
   const auto past = stage->history()->PositionAt(2, 1.0);
   ASSERT_TRUE(past.has_value());
   EXPECT_EQ(*past, (Point{110.0, 100.0}));
 }
 
-TEST(TrackerStageTest, RangeAtRequiresIndex) {
-  auto stage = TrackerStage::Create(4, false, false);
-  ASSERT_TRUE(stage.ok());
-  EXPECT_FALSE(stage->RangeAt(Rect{0, 0, 100, 100}, 0.0).ok());
-  EXPECT_EQ(stage->history(), nullptr);
-}
-
 TEST(TrackerStageTest, ForgetRetractsModelButKeepsHistory) {
-  auto stage = TrackerStage::Create(8, true, true);
+  auto stage = TrackerStage::Create(8, true);
   ASSERT_TRUE(stage.ok());
   stage->Apply(UpdateFor(3, {100.0, 100.0}, {0.0, 0.0}, 0.0));
   stage->Forget(3);
 
-  // The current model is gone from the tracker and the TPR-tree...
+  // The current model is gone from the tracker...
   EXPECT_FALSE(stage->tracker().PredictAt(3, 1.0).has_value());
-  auto in_range = stage->RangeAt(Rect{0, 0, 200, 200}, 1.0);
-  ASSERT_TRUE(in_range.ok());
-  EXPECT_TRUE(in_range->empty());
   // ...but the history keeps serving the record it already stored.
   ASSERT_NE(stage->history(), nullptr);
   EXPECT_TRUE(stage->history()->PositionAt(3, 0.5).has_value());
@@ -70,32 +56,6 @@ TEST(TrackerStageTest, ForgetRetractsModelButKeepsHistory) {
   // A later update brings the node back.
   stage->Apply(UpdateFor(3, {300.0, 300.0}, {0.0, 0.0}, 2.0));
   EXPECT_TRUE(stage->tracker().PredictAt(3, 2.0).has_value());
-  auto back = stage->RangeAt(Rect{250, 250, 350, 350}, 2.0);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(*back, std::vector<NodeId>{3});
-}
-
-TEST(TrackerStageTest, RangeAtMatchesBruteForce) {
-  auto stage = TrackerStage::Create(40, true, false);
-  ASSERT_TRUE(stage.ok());
-  for (NodeId id = 0; id < 40; ++id) {
-    stage->Apply(UpdateFor(id, {25.0 * id, 1000.0 - 25.0 * id},
-                           {2.0, -1.0}, 0.0));
-  }
-  const Rect range{200.0, 200.0, 800.0, 800.0};
-  const double t = 3.0;
-  auto got = stage->RangeAt(range, t);
-  ASSERT_TRUE(got.ok());
-  std::sort(got->begin(), got->end());
-  std::vector<NodeId> want;
-  for (NodeId id = 0; id < 40; ++id) {
-    const auto p = stage->tracker().PredictAt(id, t);
-    if (p.has_value() && range.Contains(*p)) {
-      want.push_back(id);
-    }
-  }
-  EXPECT_EQ(*got, want);
-  EXPECT_FALSE(want.empty());
 }
 
 }  // namespace
