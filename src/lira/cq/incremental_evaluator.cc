@@ -75,6 +75,11 @@ QueryId IncrementalEvaluator::AddQuery(const Rect& range) {
     return id;
   }
   query_index_.Insert(id, range);
+  // Before the first sample no node is present, so every count is zero and
+  // the member set is empty: Create's bulk registration visits no node.
+  if (!sample_seen_) {
+    return id;
+  }
   // Seed the member state from the stored positions (ascending ids, so the
   // believed vector comes out sorted) and count the symmetric difference
   // directly.
@@ -104,14 +109,11 @@ QueryId IncrementalEvaluator::AddQuery(const Rect& range) {
   sym_diff_[id] = sym;
   // A new boundary can cut into existing clearance balls; force fresh
   // walks. (The cached cells stay valid: they certify the cell assignment,
-  // which no query can change.) Before the first sample every clearance is
-  // still zero, so Create's bulk registration skips the two column fills.
-  if (sample_seen_) {
-    std::fill(cols_[kTruth].clearance.begin(), cols_[kTruth].clearance.end(),
-              0.0);
-    std::fill(cols_[kBelieved].clearance.begin(),
-              cols_[kBelieved].clearance.end(), 0.0);
-  }
+  // which no query can change.)
+  std::fill(cols_[kTruth].clearance.begin(), cols_[kTruth].clearance.end(),
+            0.0);
+  std::fill(cols_[kBelieved].clearance.begin(),
+            cols_[kBelieved].clearance.end(), 0.0);
   return id;
 }
 

@@ -265,8 +265,9 @@ class IncrementalEvaluator {
 
   int64_t deltas_applied_ = 0;
   int64_t queries_touched_ = 0;
-  /// False until the first ApplySample: lets Create's bulk AddQuery loop
-  /// skip the per-query clearance-column reset (everything is still zero).
+  /// False until the first ApplySample: no node is present yet, so
+  /// AddQuery (Create's bulk registration) skips the member seeding walk
+  /// and the clearance-column reset.
   bool sample_seen_ = false;
 };
 

@@ -174,31 +174,6 @@ void PositionTracker::Apply(const ModelUpdate& update) {
   vel_y_[id] = update.model.velocity.y;
   t0_[id] = update.model.t0;
   has_model_[id] = 1;
-  updates_applied_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void PositionTracker::Restore(const ModelUpdate& update) {
-  const NodeId id = update.node_id;
-  LIRA_DCHECK(id >= 0 && id < num_nodes());
-  origin_x_[id] = update.model.origin.x;
-  origin_y_[id] = update.model.origin.y;
-  vel_x_[id] = update.model.velocity.x;
-  vel_y_[id] = update.model.velocity.y;
-  t0_[id] = update.model.t0;
-  has_model_[id] = 1;
-}
-
-void PositionTracker::Forget(NodeId id) {
-  LIRA_DCHECK(id >= 0 && id < num_nodes());
-  has_model_[id] = 0;
-}
-
-std::optional<LinearMotionModel> PositionTracker::ModelOf(NodeId id) const {
-  if (!HasModel(id)) {
-    return std::nullopt;
-  }
-  return LinearMotionModel{Point{origin_x_[id], origin_y_[id]},
-                           Vec2{vel_x_[id], vel_y_[id]}, t0_[id]};
 }
 
 std::optional<Point> PositionTracker::PredictAt(NodeId id, double t) const {

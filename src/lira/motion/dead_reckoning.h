@@ -96,8 +96,8 @@ class DeadReckoningEncoder {
   std::atomic<int64_t> updates_emitted_{0};
 };
 
-/// Read-only view of a PositionTracker's motion-model columns, or of a
-/// caller's lane-aligned copy of them (lane i of every column is one node).
+/// Read-only view of a PositionTracker's motion-model columns (lane i of
+/// every column is one node).
 struct ModelColumns {
   const double* origin_x = nullptr;
   const double* origin_y = nullptr;
@@ -108,39 +108,24 @@ struct ModelColumns {
 };
 
 /// Server-side tracker: the server's belief about node positions, built from
-/// the ModelUpdates that survived the network and the input queue.
+/// the ModelUpdates that survived the network and the input queue. One
+/// store per server, indexed by node id (a cluster's shards own lanes of
+/// it, DESIGN.md §9).
 ///
-/// Thread-safety: like the encoder, Apply is safe for concurrent disjoint
-/// node ids; the applied-update counter is a relaxed atomic.
+/// Thread-safety: Apply writes only the node's own lane, so concurrent
+/// calls for disjoint node ids are safe. Readers must not run concurrently
+/// with writers. The store counts nothing; servers count the updates they
+/// serve.
 class PositionTracker {
  public:
   explicit PositionTracker(int32_t num_nodes);
 
-  PositionTracker(PositionTracker&& other) noexcept
-      : origin_x_(std::move(other.origin_x_)),
-        origin_y_(std::move(other.origin_y_)),
-        vel_x_(std::move(other.vel_x_)),
-        vel_y_(std::move(other.vel_y_)),
-        t0_(std::move(other.t0_)),
-        has_model_(std::move(other.has_model_)),
-        updates_applied_(other.updates_applied_.load()) {}
+  /// Move-only, so a store spanning every node is never copied by
+  /// accident.
+  PositionTracker(PositionTracker&&) noexcept = default;
 
+  /// Replaces the node's model with the update's.
   void Apply(const ModelUpdate& update);
-
-  /// As Apply but without counting toward updates_applied(): reinstates a
-  /// model this cluster already applied once, when a node's ownership
-  /// migrates between shard trackers.
-  void Restore(const ModelUpdate& update);
-
-  /// Drops the node's current model -- e.g. its ownership migrated to
-  /// another shard's tracker. PredictAt/BelievedSpeed behave as if the node
-  /// never reported until the next Apply; updates_applied() is unchanged
-  /// (it counts Apply calls, not live models).
-  void Forget(NodeId id);
-
-  /// The node's current believed model; nullopt if never reported or
-  /// forgotten. Used to hand the model to the adopting shard on migration.
-  std::optional<LinearMotionModel> ModelOf(NodeId id) const;
 
   /// Believed position of a node at time t; nullopt if never reported.
   std::optional<Point> PredictAt(NodeId id, double t) const;
@@ -172,7 +157,6 @@ class PositionTracker {
             vel_y_.data(),    t0_.data(),       has_model_.data()};
   }
   int32_t num_nodes() const { return static_cast<int32_t>(t0_.size()); }
-  int64_t updates_applied() const { return updates_applied_.load(); }
 
   /// Heap footprint of the model columns (health snapshots / telemetry).
   size_t MemoryBytes() const {
@@ -191,7 +175,6 @@ class PositionTracker {
   std::vector<double> vel_y_;
   std::vector<double> t0_;
   std::vector<uint8_t> has_model_;
-  std::atomic<int64_t> updates_applied_{0};
 };
 
 }  // namespace lira

@@ -59,7 +59,6 @@ void WriteHealthJson(const ClusterHealth& health, std::ostream& out) {
     text += ",\"queue_depth\":" + std::to_string(shard.queue_depth);
     text += ",\"queue_arrivals\":" + std::to_string(shard.queue_arrivals);
     text += ",\"queue_dropped\":" + std::to_string(shard.queue_dropped);
-    text += ",\"tracker_bytes\":" + std::to_string(shard.tracker_bytes);
     text += ",\"col_begin\":" + std::to_string(shard.col_begin);
     text += ",\"col_end\":" + std::to_string(shard.col_end);
     text.push_back('}');
@@ -126,12 +125,6 @@ void WriteHealthPrometheus(const ClusterHealth& health,
     AppendPromSample(&text, "lira_cluster_shard_queue_dropped",
                      "shard=\"" + std::to_string(shard.shard) + "\"",
                      static_cast<double>(shard.queue_dropped));
-  }
-  text.append("# TYPE lira_cluster_shard_tracker_bytes gauge\n");
-  for (const ShardHealth& shard : health.shards) {
-    AppendPromSample(&text, "lira_cluster_shard_tracker_bytes",
-                     "shard=\"" + std::to_string(shard.shard) + "\"",
-                     static_cast<double>(shard.tracker_bytes));
   }
   text.append("# TYPE lira_cluster_shard_col_begin gauge\n");
   for (const ShardHealth& shard : health.shards) {

@@ -24,8 +24,6 @@ struct ShardHealth {
   /// Cumulative arrivals / drops at this shard's queue.
   int64_t queue_arrivals = 0;
   int64_t queue_dropped = 0;
-  /// Heap bytes held by the shard tracker's motion-model columns.
-  int64_t tracker_bytes = 0;
   /// Grid columns [col_begin, col_end) the shard owns under the current
   /// map epoch (DESIGN.md §12).
   int32_t col_begin = 0;
@@ -47,8 +45,9 @@ struct ClusterHealth {
   int64_t max_shard_nodes = 0;
   double mean_shard_nodes = 0.0;
   double imbalance_ratio = 0.0;
-  /// Memory shape (ISSUE 8): tracker column bytes summed over shards, and
-  /// that total per configured node.
+  /// Memory shape: heap bytes of the cluster's one model store (its
+  /// motion-model columns), and those bytes per configured node (41 at any
+  /// shard count).
   int64_t tracker_bytes = 0;
   double bytes_per_node = 0.0;
   /// Shard-map rebalancing state (DESIGN.md §12): the current map epoch,

@@ -14,8 +14,8 @@
 // stages together exactly as the original monolithic server did; its
 // public API, metric names, and bitwise behavior are unchanged. The stages
 // are separately constructible and tested (tests/server/*_stage_test), and
-// ServerCluster composes S ingest/tracker pairs under one coordinator-owned
-// stats stage and optimizer (server_cluster.h).
+// ServerCluster composes S ingest stages over one tracker stage, one stats
+// stage and one optimizer (server_cluster.h).
 
 #ifndef LIRA_SERVER_CQ_SERVER_H_
 #define LIRA_SERVER_CQ_SERVER_H_
@@ -177,8 +177,10 @@ class CqServer : public ServerPipeline {
     return optimizer_.total_plan_build_seconds();
   }
   int64_t plan_builds() const override { return optimizer_.plan_builds(); }
+  /// Every served update is applied, so the queue's served count is the
+  /// applied count.
   int64_t updates_applied() const override {
-    return tracker_stage_.updates_applied();
+    return ingest_.queue().total_served();
   }
 
   std::optional<Point> BelievedPositionAt(NodeId id,

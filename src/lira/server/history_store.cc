@@ -17,7 +17,6 @@ void HistoryStore::Record(const ModelUpdate& update) {
                        update.model.velocity};
   if (records.empty() || records.back().t0 < record.t0) {
     records.push_back(record);
-    total_records_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   // Out-of-order or duplicate timestamp: keep the list sorted by t0.
@@ -28,7 +27,6 @@ void HistoryStore::Record(const ModelUpdate& update) {
     *it = record;
   } else {
     records.insert(it, record);
-    total_records_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -48,22 +46,6 @@ std::optional<Point> HistoryStore::PositionAt(NodeId id, double t) const {
   return it->origin + it->velocity * (t - it->t0);
 }
 
-std::optional<double> HistoryStore::LastReportBefore(NodeId id,
-                                                     double t) const {
-  if (id < 0 || id >= num_nodes()) {
-    return std::nullopt;
-  }
-  const auto& records = history_[id];
-  auto it = std::upper_bound(
-      records.begin(), records.end(), t,
-      [](double time, const Record_& r) { return time < r.t0; });
-  if (it == records.begin()) {
-    return std::nullopt;
-  }
-  --it;
-  return it->t0;
-}
-
 std::vector<NodeId> HistoryStore::RangeAt(const Rect& range, double t) const {
   std::vector<NodeId> out;
   for (NodeId id = 0; id < num_nodes(); ++id) {
@@ -78,6 +60,14 @@ std::vector<NodeId> HistoryStore::RangeAt(const Rect& range, double t) const {
 int64_t HistoryStore::RecordsFor(NodeId id) const {
   LIRA_DCHECK(id >= 0 && id < num_nodes());
   return static_cast<int64_t>(history_[id].size());
+}
+
+int64_t HistoryStore::total_records() const {
+  int64_t total = 0;
+  for (const std::vector<Record_>& records : history_) {
+    total += static_cast<int64_t>(records.size());
+  }
+  return total;
 }
 
 int64_t HistoryStore::ApproxBytes() const {

@@ -15,7 +15,6 @@
 #ifndef LIRA_SERVER_HISTORY_STORE_H_
 #define LIRA_SERVER_HISTORY_STORE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -28,16 +27,16 @@ namespace lira {
 
 /// Append-mostly per-node model history with point-in-time reconstruction.
 ///
-/// Thread-safety: Record is safe for concurrent *disjoint* node ids (the
-/// per-node lists are independent; the total-record counter is a relaxed
-/// atomic). Queries must not run concurrently with records.
+/// Thread-safety: Record touches only the node's own list, so it is safe
+/// for concurrent *disjoint* node ids. Queries must not run concurrently
+/// with records.
 class HistoryStore {
  public:
   explicit HistoryStore(int32_t num_nodes);
 
-  HistoryStore(HistoryStore&& other) noexcept
-      : history_(std::move(other.history_)),
-        total_records_(other.total_records_.load()) {}
+  /// Move-only, so a store spanning every node's history is never copied
+  /// by accident.
+  HistoryStore(HistoryStore&&) noexcept = default;
 
   /// Records an applied update. Out-of-order records (older t0 than the
   /// node's latest) are inserted at their sorted position; a record with a
@@ -48,19 +47,14 @@ class HistoryStore {
   /// in force at t. nullopt when the node had not reported by t.
   std::optional<Point> PositionAt(NodeId id, double t) const;
 
-  /// Reference time t0 of the model in force at t (the node's latest record
-  /// with t0 <= t); nullopt when the node had not reported by t. Lets a
-  /// coordinator pick, among several partial stores, the one holding the
-  /// freshest model for a node (ServerCluster historical queries).
-  std::optional<double> LastReportBefore(NodeId id, double t) const;
-
   /// Ids of nodes whose reconstructed position at time t lies in `range`
   /// (historical snapshot query; linear in the number of nodes, with a
   /// binary search per node).
   std::vector<NodeId> RangeAt(const Rect& range, double t) const;
 
   int32_t num_nodes() const { return static_cast<int32_t>(history_.size()); }
-  int64_t total_records() const { return total_records_.load(); }
+  /// Records stored over all nodes (a pass over the per-node lists).
+  int64_t total_records() const;
   /// Records stored for one node.
   int64_t RecordsFor(NodeId id) const;
   /// Approximate memory footprint in bytes.
@@ -74,7 +68,6 @@ class HistoryStore {
   };
 
   std::vector<std::vector<Record_>> history_;
-  std::atomic<int64_t> total_records_{0};
 };
 
 }  // namespace lira

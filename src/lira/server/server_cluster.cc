@@ -4,9 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "lira/common/check.h"
-#include "lira/common/kernels.h"
-
 namespace lira {
 namespace {
 
@@ -25,8 +22,8 @@ std::string ShardPrefix(int32_t shard) {
   return "lira.shard" + std::to_string(shard);
 }
 
-/// Smallest id chunk the migration scan hands one worker; smaller id
-/// ranges scan inline on the coordinator.
+/// Smallest id chunk the migration pass hands one worker; smaller id
+/// ranges run inline on the coordinator.
 constexpr int64_t kMigrationScanGrain = 8192;
 
 }  // namespace
@@ -35,14 +32,16 @@ ServerCluster::ServerCluster(const ServerClusterConfig& config,
                              const LoadSheddingPolicy* policy,
                              const UpdateReductionFunction* reduction,
                              const QueryRegistry* queries, ShardMap shard_map,
-                             std::vector<Shard> shards, StatsStage stats,
-                             OptimizerStage optimizer, int32_t pool_threads)
+                             std::vector<Shard> shards, TrackerStage tracker,
+                             StatsStage stats, OptimizerStage optimizer,
+                             int32_t pool_threads)
     : config_(config),
       policy_(policy),
       reduction_(reduction),
       queries_(queries),
       shard_map_(std::move(shard_map)),
       shards_(std::move(shards)),
+      tracker_(std::move(tracker)),
       stats_(std::move(stats)),
       optimizer_(std::move(optimizer)),
       pool_(pool_threads),
@@ -148,20 +147,17 @@ StatusOr<std::unique_ptr<ServerCluster>> ServerCluster::Create(
     if (!ingest.ok()) {
       return ingest.status();
     }
-
-    auto tracker =
-        TrackerStage::Create(server.num_nodes, server.record_history);
-    if (!tracker.ok()) {
-      return tracker.status();
-    }
-
-    shards.push_back(
-        Shard{*std::move(ingest), *std::move(tracker), 0, {}, {}, {}, 0});
+    shards.push_back(Shard{*std::move(ingest), 0, {}, {}, {}, 0});
   }
 
-  // The cluster's only grid, rebuilt from the owning shards' trackers. Its
-  // sampling stream and query-count cache are the single server's (one RNG
-  // draw per node id, so sampled statistics do not depend on S).
+  auto tracker = TrackerStage::Create(server.num_nodes, server.record_history);
+  if (!tracker.ok()) {
+    return tracker.status();
+  }
+
+  // The cluster's only grid, rebuilt from the one store. Its sampling
+  // stream and query-count cache are the single server's (one RNG draw per
+  // node id, so sampled statistics do not depend on S).
   StatsStageConfig stats_config;
   stats_config.num_nodes = server.num_nodes;
   stats_config.world = server.world;
@@ -198,8 +194,8 @@ StatusOr<std::unique_ptr<ServerCluster>> ServerCluster::Create(
       num_shards);
   return std::unique_ptr<ServerCluster>(new ServerCluster(
       config, policy, reduction, queries, *std::move(shard_map),
-      std::move(shards), *std::move(stats), *std::move(optimizer),
-      pool_threads));
+      std::move(shards), *std::move(tracker), *std::move(stats),
+      *std::move(optimizer), pool_threads));
 }
 
 Status ServerCluster::InstallQueries(const QueryRegistry* queries) {
@@ -274,8 +270,10 @@ Status ServerCluster::Tick(double dt) {
   ++tick_;
   telemetry::TraceRecorder* tr = config_.server.trace;
   // Service + apply per shard in parallel: each shard touches only its own
-  // queue/tracker/history plus relaxed-atomic counters -- and its own
-  // trace lane (k + 1), so span recording needs no synchronization.
+  // queue and staging list, the store lanes (and history lists) of the
+  // nodes it owns, relaxed-atomic instruments, and its own trace lane
+  // (k + 1), so nothing needs synchronization. owner_of_ is read-only
+  // here: lanes are disjoint per owner, so no two shards write one lane.
   pool_.ParallelFor(
       0, num_shards(), 1, [&](int32_t /*chunk*/, int64_t begin, int64_t end) {
         for (int64_t k = begin; k < end; ++k) {
@@ -285,7 +283,7 @@ Status ServerCluster::Tick(double dt) {
               tr != nullptr
                   ? tr->lane(telemetry::TraceRecorder::LaneForShard(shard_id))
                   : nullptr;
-          shard.applied.clear();
+          shard.staged.clear();
           telemetry::ScopedSpan service_span(tr, lane, "ingest.service",
                                              tick_, shard_id, time_);
           shard.ingest.Service(dt, &shard.served);
@@ -295,8 +293,11 @@ Status ServerCluster::Tick(double dt) {
                                            shard_id, time_);
           apply_span.set_value(static_cast<double>(shard.served.size()));
           for (const ModelUpdate& update : shard.served) {
-            shard.tracker.Apply(update);
-            shard.applied.push_back(update.node_id);
+            if (owner_of_[update.node_id] == shard_id) {
+              tracker_.Apply(update);
+            } else {
+              shard.staged.push_back(update);
+            }
           }
         }
       });
@@ -306,11 +307,11 @@ Status ServerCluster::Tick(double dt) {
   {
     telemetry::ScopedSpan handoff_span(tr, driver_lane, "tracker.handoffs",
                                        tick_, -1, time_);
-    ProcessHandoffs();
+    CommitStaged();
   }
   if (snapshot_.has_value()) {
-    // After the handoffs every node has one owner, so the snapshot holds
-    // each node once. The fill runs on the pool the fan-out just released.
+    // The store holds one model per node, so the snapshot holds each node
+    // once. The fill runs on the pool the fan-out just released.
     telemetry::ScopedSpan rebuild_span(tr, driver_lane, "tracker.apply",
                                        tick_, -1, time_);
     snapshot_->Rebuild(*this, stats_.grid(), &pool_);
@@ -358,21 +359,25 @@ void ServerCluster::RecordFlightSamples() {
   recorder->Record(coord);
 }
 
-void ServerCluster::ProcessHandoffs() {
-  // Serial, in shard order, so the outcome is independent of worker timing.
-  // A node applied by two shards in the same tick (it crossed a boundary
-  // between reports) ends up owned by the highest-indexed applier; its
-  // latest model at the loser is retracted, matching what a single server
-  // would keep only approximately -- the plan optimizer never sees a node
-  // twice, which is the invariant that matters.
+void ServerCluster::CommitStaged() {
+  // Serial, in shard order, so the outcome is independent of worker
+  // timing. Shards drain their queues independently, so a node's report
+  // can sit in one shard's backlog while a newer one reaches another
+  // shard; comparing t0 keeps such a stale report from undoing the newer
+  // model. A never-seen node (owner -1) has no model to compare against.
+  const ModelColumns lanes = tracker_.tracker().columns();
   for (int32_t k = 0; k < num_shards(); ++k) {
-    for (const NodeId id : shards_[k].applied) {
+    for (const ModelUpdate& update : shards_[k].staged) {
+      const NodeId id = update.node_id;
       const int32_t previous = owner_of_[id];
+      if (previous >= 0 && !(update.model.t0 >= lanes.t0[id])) {
+        continue;
+      }
+      tracker_.Apply(update);
       if (previous == k) {
         continue;
       }
       if (previous >= 0) {
-        shards_[previous].tracker.Forget(id);
         --shards_[previous].owned;
       }
       owner_of_[id] = k;
@@ -428,15 +433,10 @@ Status ServerCluster::Adapt() {
                                        time_);
     telemetry::ScopedSpan stats_span(tr, driver_lane, "stats.rebuild", tick_,
                                      -1, time_);
-    // One grid for the cluster: each node contributes the model its owning
-    // shard's tracker holds. The rebuild runs after the shard fan-out, so
-    // it may split the id range across the same pool.
-    std::vector<const PositionTracker*> trackers;
-    trackers.reserve(shards_.size());
-    for (const Shard& shard : shards_) {
-      trackers.push_back(&shard.tracker.tracker());
-    }
-    stats_.RebuildNodes(trackers, owner_of_, time_);
+    // One grid for the cluster, read from the one store in place. The
+    // rebuild runs after the shard fan-out, so it may split the id range
+    // across the same pool.
+    stats_.RebuildNodes(tracker_.tracker(), time_);
     if (t != nullptr) {
       for (int32_t k = 0; k < num_shards(); ++k) {
         shard_nodes_gauges_[k]->Set(static_cast<double>(shards_[k].owned));
@@ -521,58 +521,46 @@ void ServerCluster::MaybeRebalance() {
 }
 
 int64_t ServerCluster::MigrateOwnership() {
-  // Find the movers on the pool: each chunk of ids reads its owners'
-  // origin columns and routes them through the new map into the chunk's own
-  // list. The scan only reads (owner map, tracker columns, shard map), so
-  // chunks need no synchronization.
-  std::vector<ModelColumns> columns;
-  columns.reserve(shards_.size());
-  for (const Shard& shard : shards_) {
-    columns.push_back(shard.tracker.tracker().columns());
-  }
-  mover_lists_.resize(static_cast<size_t>(pool_.num_threads()));
-  for (std::vector<Mover>& list : mover_lists_) {
-    list.clear();
-  }
+  // One pass on the pool: each chunk of ids routes its owned nodes' origins
+  // through the new map and rewrites the owner entries of those that route
+  // elsewhere. Chunks write disjoint owner entries and tally their own
+  // ownership changes, summed after the join, so the result is the serial
+  // walk's at any thread count. No model moves, so the grid is untouched:
+  // its per-node rebuild state is keyed by id, and the unchanged model
+  // leaves its cell alone at this adaptation's rebuild.
+  const ModelColumns lanes = tracker_.tracker().columns();
+  const int32_t s = num_shards();
+  // Per chunk: the owned-count change of each shard, then the movers.
+  std::vector<int64_t> tallies(
+      static_cast<size_t>(pool_.num_threads()) * (s + 1), 0);
   pool_.ParallelFor(
       0, config_.server.num_nodes, kMigrationScanGrain,
       [&](int32_t chunk, int64_t begin, int64_t end) {
-        std::vector<Mover>& movers = mover_lists_[chunk];
+        // Counted locally: neighbouring chunks' slices share cache lines.
+        std::vector<int64_t> tally(s + 1, 0);
         for (int64_t id = begin; id < end; ++id) {
           const int32_t previous = owner_of_[id];
           if (previous < 0) {
             continue;
           }
-          const ModelColumns& c = columns[previous];
-          if (c.has[id] == 0) {
-            continue;
-          }
-          const int32_t next =
-              shard_map_.ShardFor(Point{c.origin_x[id], c.origin_y[id]});
+          const int32_t next = shard_map_.ShardFor(
+              Point{lanes.origin_x[id], lanes.origin_y[id]});
           if (next != previous) {
-            movers.push_back({static_cast<NodeId>(id), next});
+            owner_of_[id] = next;
+            --tally[previous];
+            ++tally[next];
+            ++tally[s];
           }
         }
+        std::copy(tally.begin(), tally.end(),
+                  tallies.begin() + chunk * (s + 1));
       });
-  // Commit serially: chunks are contiguous and ascending, so chunk order is
-  // ascending node id. Each move goes through the same Forget handoff path
-  // the per-tick ownership transfers use; the adopting tracker restores the
-  // model without counting it as an applied update. Statistics are not
-  // touched: the grid's per-node state is keyed by id, so the unchanged
-  // model leaves its cell alone at this adaptation's rebuild.
   int64_t migrated = 0;
-  for (const std::vector<Mover>& movers : mover_lists_) {
-    for (const Mover& mover : movers) {
-      const int32_t previous = owner_of_[mover.id];
-      const auto model = shards_[previous].tracker.ModelOf(mover.id);
-      LIRA_DCHECK(model.has_value());
-      shards_[previous].tracker.Forget(mover.id);
-      shards_[mover.next].tracker.Adopt(ModelUpdate{mover.id, *model});
-      --shards_[previous].owned;
-      ++shards_[mover.next].owned;
-      owner_of_[mover.id] = mover.next;
+  for (size_t base = 0; base < tallies.size(); base += s + 1) {
+    for (int32_t k = 0; k < s; ++k) {
+      shards_[k].owned += tallies[base + k];
     }
-    migrated += static_cast<int64_t>(movers.size());
+    migrated += tallies[base + s];
   }
   return migrated;
 }
@@ -595,16 +583,15 @@ ClusterHealth ServerCluster::HealthSnapshot() const {
         static_cast<int64_t>(shards_[k].ingest.queue().size());
     shard.queue_arrivals = shards_[k].ingest.queue().total_arrivals();
     shard.queue_dropped = shards_[k].ingest.queue().total_dropped();
-    shard.tracker_bytes =
-        static_cast<int64_t>(shards_[k].tracker.tracker().MemoryBytes());
     shard.col_begin = shard_map_.ColumnBegin(k);
     shard.col_end = shard_map_.ColumnEnd(k);
     health.shards.push_back(shard);
     health.total_nodes += shard.nodes_owned;
     health.max_shard_nodes =
         std::max(health.max_shard_nodes, shard.nodes_owned);
-    health.tracker_bytes += shard.tracker_bytes;
   }
+  health.tracker_bytes =
+      static_cast<int64_t>(tracker_.tracker().MemoryBytes());
   health.bytes_per_node =
       static_cast<double>(health.tracker_bytes) /
       std::max<int32_t>(1, config_.server.num_nodes);
@@ -620,57 +607,14 @@ ClusterHealth ServerCluster::HealthSnapshot() const {
 
 std::optional<Point> ServerCluster::BelievedPositionAt(NodeId id,
                                                        double t) const {
-  if (id < 0 || id >= config_.server.num_nodes) {
-    return std::nullopt;
-  }
-  const int32_t owner = owner_of_[id];
-  if (owner < 0) {
-    return std::nullopt;
-  }
-  return shards_[owner].tracker.tracker().PredictAt(id, t);
+  return tracker_.tracker().PredictAt(id, t);
 }
 
 void ServerCluster::FillBelievedInto(NodeId begin, int64_t n, double t,
                                      double* out_x, double* out_y,
                                      uint8_t* known) const {
-  LIRA_DCHECK(begin >= 0 && begin + n <= config_.server.num_nodes);
-  std::vector<ModelColumns> columns;
-  columns.reserve(shards_.size());
-  for (const Shard& shard : shards_) {
-    columns.push_back(shard.tracker.tracker().columns());
-  }
-  // The copy StatsStage::RelocateRange makes: each lane's model from the
-  // tracker its owner entry names, zeroed operands for unowned lanes (the
-  // kernel reads every lane). PredictPositions is PredictAt's expression,
-  // so every known lane is BelievedPositionAt's bits.
-  constexpr int64_t kBlock = 512;
-  double ox[kBlock] = {};
-  double oy[kBlock] = {};
-  double vx[kBlock] = {};
-  double vy[kBlock] = {};
-  double t0[kBlock] = {};
-  for (int64_t block = 0; block < n; block += kBlock) {
-    const int64_t len = std::min(kBlock, n - block);
-    uint8_t* has = known + block;
-    for (int64_t i = 0; i < len; ++i) {
-      const int64_t id = begin + block + i;
-      const int32_t owner = owner_of_[id];
-      if (owner < 0) {
-        ox[i] = oy[i] = vx[i] = vy[i] = t0[i] = 0.0;
-        has[i] = 0;
-        continue;
-      }
-      const ModelColumns& c = columns[owner];
-      ox[i] = c.origin_x[id];
-      oy[i] = c.origin_y[id];
-      vx[i] = c.vel_x[id];
-      vy[i] = c.vel_y[id];
-      t0[i] = c.t0[id];
-      has[i] = c.has[id];
-    }
-    kernels::PredictPositions(len, ox, oy, vx, vy, t0, has, t, nullptr,
-                              nullptr, out_x + block, out_y + block);
-  }
+  tracker_.tracker().PredictSpan(begin, n, t, /*fallback_x=*/nullptr,
+                                 /*fallback_y=*/nullptr, out_x, out_y, known);
 }
 
 size_t ServerCluster::queue_size() const {
@@ -698,9 +642,11 @@ int64_t ServerCluster::queue_dropped() const {
 }
 
 int64_t ServerCluster::updates_applied() const {
+  // Every served update counts once, whether its owner wrote it, its commit
+  // wrote it, or a newer model outranked it.
   int64_t total = 0;
   for (const Shard& shard : shards_) {
-    total += shard.tracker.updates_applied();
+    total += shard.ingest.queue().total_served();
   }
   return total;
 }
@@ -719,41 +665,14 @@ StatusOr<std::vector<NodeId>> ServerCluster::AnswerQuery(
 
 std::optional<Point> ServerCluster::HistoricalPositionAt(NodeId id,
                                                          double t) const {
-  if (!config_.server.record_history || id < 0 ||
-      id >= config_.server.num_nodes) {
-    return std::nullopt;
-  }
-  // The shard holding the freshest record at t has the model in force; a
-  // node's reports land at whichever shard its region mapped to at the
-  // time, so every visited shard holds a disjoint slice of its history.
-  int32_t best_shard = -1;
-  double best_t0 = 0.0;
-  for (int32_t k = 0; k < num_shards(); ++k) {
-    const auto t0 = shards_[k].tracker.history()->LastReportBefore(id, t);
-    if (t0.has_value() && (best_shard < 0 || *t0 > best_t0)) {
-      best_shard = k;
-      best_t0 = *t0;
-    }
-  }
-  if (best_shard < 0) {
-    return std::nullopt;
-  }
-  return shards_[best_shard].tracker.history()->PositionAt(id, t);
+  const HistoryStore* store = tracker_.history();
+  return store != nullptr ? store->PositionAt(id, t) : std::nullopt;
 }
 
 std::vector<NodeId> ServerCluster::HistoricalRangeAt(const Rect& range,
                                                      double t) const {
-  std::vector<NodeId> out;
-  if (!config_.server.record_history) {
-    return out;
-  }
-  for (NodeId id = 0; id < config_.server.num_nodes; ++id) {
-    const auto position = HistoricalPositionAt(id, t);
-    if (position.has_value() && range.Contains(*position)) {
-      out.push_back(id);
-    }
-  }
-  return out;
+  const HistoryStore* store = tracker_.history();
+  return store != nullptr ? store->RangeAt(range, t) : std::vector<NodeId>{};
 }
 
 StatusOr<std::vector<NodeId>> ServerCluster::AnswerHistoricalRange(
@@ -768,12 +687,8 @@ StatusOr<std::vector<NodeId>> ServerCluster::AnswerHistoricalRange(
 }
 
 int64_t ServerCluster::history_bytes() const {
-  int64_t total = 0;
-  for (const Shard& shard : shards_) {
-    const HistoryStore* store = shard.tracker.history();
-    total += store != nullptr ? store->ApproxBytes() : 0;
-  }
-  return total;
+  const HistoryStore* store = tracker_.history();
+  return store != nullptr ? store->ApproxBytes() : 0;
 }
 
 }  // namespace lira

@@ -1,33 +1,35 @@
 // Region-sharded CQ server cluster (DESIGN.md §9).
 //
-// S shard pipelines -- each an IngestStage + TrackerStage pair with its own
-// bounded queue (capacity ceil(B/S)), service rate mu/S, and seed stream --
-// fed by a spatial ShardMap that routes each update by its model origin to
-// the shard owning that statistics-grid column strip. A coordinator owns
-// the single StatsStage and OptimizerStage: at each adaptation it rebuilds
-// the one global grid from the model each node's owning shard holds, and
-// builds ONE global SheddingPlan under the global budget z * n * f(delta)
-// and the fairness constraint, so shard boundaries never fragment the
-// optimizer's view.
+// S shard ingest stages -- each with its own bounded queue (capacity
+// ceil(B/S)), service rate mu/S, and seed stream -- fed by a spatial
+// ShardMap that routes each update by its model origin to the shard owning
+// that statistics-grid column strip. The cluster holds one TrackerStage
+// (one model store and one history, indexed by node id), one StatsStage
+// and one OptimizerStage: at each adaptation it rebuilds the one global
+// grid from the store in place, and builds ONE global SheddingPlan under
+// the global budget z * n * f(delta) and the fairness constraint, so shard
+// boundaries never fragment the optimizer's view.
 //
-// Node ownership follows the updates: when a shard applies an update for a
-// node previously owned elsewhere, the coordinator retracts the old
-// shard's tracker model (handoff, processed serially in shard order every
-// tick). Histories are retained at every shard a node visited; historical
-// reconstruction picks the shard holding the freshest record at the probed
-// time. After each tick's handoffs, with maintain_index on, the coordinator
-// rebuilds one global believed-position SnapshotGrid from each node's
-// owning tracker; every range query scans it, so shard boundaries never
-// split a query (DESIGN.md §12).
+// Shards own lanes of the store, not copies of it. owner_of_ names the
+// shard that may write each node's lane. In the parallel fan-out a shard
+// writes the lanes of the nodes it owned at tick start and stages its
+// other updates; after the join the staged updates are committed serially
+// in shard order, and one replaces a lane's model only if it is not older
+// (ties go to the later commit). A committed update moves the node's
+// ownership; a handoff or a migration is an owner-map write and copies no
+// model. After each tick's commit, with maintain_index on, the cluster
+// rebuilds one global believed-position SnapshotGrid from the store; every
+// range query scans it, so shard boundaries never split a query
+// (DESIGN.md §12).
 //
-// Determinism contract: all cross-shard work (routing, handoff,
+// Determinism contract: all cross-shard work (routing, the staged commit,
 // throttle-window summation) is ordered by shard index, every shard's
 // random stream is a pure function of (config seed, shard index), and the
-// parallel sections touch only per-shard state plus atomic instruments (or,
-// in the pooled snapshot fill, disjoint id blocks).
-// Hence results are bitwise identical for any worker thread count, and an
-// S=1 cluster is bitwise identical to a plain CqServer with the same
-// config (asserted in tests/server/server_cluster_test and
+// parallel sections touch only per-shard state, the lanes a shard owns and
+// atomic instruments (or, in the pooled snapshot fill and migration pass,
+// disjoint id blocks). Hence results are bitwise identical for any worker
+// thread count, and an S=1 cluster is bitwise identical to a plain CqServer
+// with the same config (asserted in tests/server/server_cluster_test and
 // sim/simulation_test).
 
 #ifndef LIRA_SERVER_SERVER_CLUSTER_H_
@@ -89,8 +91,9 @@ struct ServerClusterConfig {
   int32_t rebalance_max_moves = 2;
 };
 
-/// The cluster facade; drives S shard pipelines behind the same interface
-/// a single CqServer implements. Not movable (owns a ThreadPool).
+/// The cluster facade; drives S shard ingest stages over one model store
+/// behind the same interface a single CqServer implements. Not movable
+/// (owns a ThreadPool).
 class ServerCluster : public ServerPipeline {
  public:
   static StatusOr<std::unique_ptr<ServerCluster>> Create(
@@ -111,10 +114,9 @@ class ServerCluster : public ServerPipeline {
   const SheddingPlan& plan() const override { return optimizer_.plan(); }
   std::optional<Point> BelievedPositionAt(NodeId id,
                                           double t) const override;
-  /// Columnar BelievedPositionAt: copies each lane's model from the tracker
-  /// its owner entry names, then predicts the block with the
-  /// PredictPositions kernel. Bitwise equal to the per-id loop. Reads only,
-  /// so disjoint id ranges may fill concurrently.
+  /// Columnar BelievedPositionAt: predicts the store's lanes in place with
+  /// the PredictPositions kernel, as CqServer does. Bitwise equal to the
+  /// per-id loop. Reads only, so disjoint id ranges may fill concurrently.
   void FillBelievedInto(NodeId begin, int64_t n, double t, double* out_x,
                         double* out_y, uint8_t* known) const override;
   size_t queue_size() const override;
@@ -135,10 +137,9 @@ class ServerCluster : public ServerPipeline {
   int64_t history_bytes() const override;
 
   /// Ad-hoc snapshot range query at t >= now over the cluster's one
-  /// snapshot grid, where each node appears once, at its owning shard's
-  /// belief. Requires maintain_index. The contract is CqServer's:
-  /// AnswerSnapshotRange (snapshot_grid.h). On the same belief state the
-  /// answer equals the unsharded CqServer's.
+  /// snapshot grid, where each node appears once. Requires maintain_index.
+  /// The contract is CqServer's: AnswerSnapshotRange (snapshot_grid.h). On
+  /// the same belief state the answer equals the unsharded CqServer's.
   StatusOr<std::vector<NodeId>> AnswerRange(const Rect& range,
                                             double t) const;
 
@@ -178,48 +179,45 @@ class ServerCluster : public ServerPipeline {
  private:
   struct Shard {
     IngestStage ingest;
-    TrackerStage tracker;
     /// Nodes this shard owns (owner_of_ entries equal to its index).
     int64_t owned = 0;
-    /// Node ids applied this tick (handoff scratch, reused).
-    std::vector<NodeId> applied;
     /// Batch routing scratch, reused across ticks.
     std::vector<ModelUpdate> route;
     /// The updates served this tick, reused across ticks.
     std::vector<ModelUpdate> served;
+    /// Served updates for nodes the shard did not own at tick start, in
+    /// serve order; committed after the fan-out joins. Reused.
+    std::vector<ModelUpdate> staged;
     /// Receive fan-out scratch: drops admitted this batch.
     int64_t last_dropped = 0;
-  };
-
-  /// A node whose model origin routes to another shard after a rebalance.
-  struct Mover {
-    NodeId id;
-    int32_t next;
   };
 
   ServerCluster(const ServerClusterConfig& config,
                 const LoadSheddingPolicy* policy,
                 const UpdateReductionFunction* reduction,
                 const QueryRegistry* queries, ShardMap shard_map,
-                std::vector<Shard> shards, StatsStage stats,
-                OptimizerStage optimizer, int32_t pool_threads);
+                std::vector<Shard> shards, TrackerStage tracker,
+                StatsStage stats, OptimizerStage optimizer,
+                int32_t pool_threads);
 
   double QueryMargin() const;
   /// The deterministic rebalance step (start of every R-th adaptation):
   /// re-splits the map from the grid's column occupancy, migrates
-  /// ownership through the Forget/Adopt handoff path in ascending node
-  /// order, and records flight/telemetry.
+  /// ownership, and records flight/telemetry.
   void MaybeRebalance();
-  /// Moves every owned node whose origin column changed shards; returns the
-  /// migration count. Movers are found by a pool-parallel scan over id
-  /// chunks and committed serially in ascending id.
+  /// Hands every owned node whose origin now routes to another shard to
+  /// that shard; returns the migration count. One pool-parallel pass over
+  /// the store's origin columns rewrites owner entries; no model moves.
   int64_t MigrateOwnership();
   /// max/mean per-shard load under the *current* strip boundaries, from
   /// per-column loads (1.0 = balanced, 0 when total load is 0).
   double SpanImbalance(const std::vector<int64_t>& column_load) const;
-  /// Serial post-tick pass: ownership transfers for this tick's applied
-  /// updates, in shard order.
-  void ProcessHandoffs();
+  /// Serial post-fan-out pass: commits every shard's staged updates, in
+  /// shard order and each shard's serve order. An update is written when
+  /// the node has no model or its t0 is at least the model's; a written
+  /// update moves the node's ownership to its shard. Older ones are
+  /// discarded.
+  void CommitStaged();
   /// Appends end-of-tick FlightSamples, serially in shard order (so ring
   /// contents are deterministic), then one coordinator sample (shard -1).
   void RecordFlightSamples();
@@ -230,6 +228,9 @@ class ServerCluster : public ServerPipeline {
   const QueryRegistry* queries_;
   ShardMap shard_map_;
   std::vector<Shard> shards_;
+  /// The cluster's one model store and history; shards write the lanes
+  /// owner_of_ gives them.
+  TrackerStage tracker_;
   /// Coordinator-owned: the cluster's only grid (+ query-count cache).
   StatsStage stats_;
   OptimizerStage optimizer_;
@@ -237,15 +238,15 @@ class ServerCluster : public ServerPipeline {
   double time_ = 0.0;
   int64_t tick_ = 0;
   double next_adaptation_;
-  /// Current owning shard per node; -1 until the first applied update.
+  /// The shard that may write each node's lane; -1 until the node's first
+  /// update is committed, and thereafter exactly when the store holds a
+  /// model for it.
   std::vector<int32_t> owner_of_;
   /// Adaptations completed (the rebalance stride counts these).
   int64_t adaptations_ = 0;
   /// Cumulative rebalance accounting.
   int64_t rebalances_ = 0;
   int64_t nodes_migrated_ = 0;
-  /// MigrateOwnership scratch: one mover list per scan chunk, reused.
-  std::vector<std::vector<Mover>> mover_lists_;
   /// The range index over every owned node; nullopt when maintain_index is
   /// off.
   std::optional<SnapshotGrid> snapshot_;

@@ -48,8 +48,7 @@ StatusOr<StatsStage> StatsStage::Create(const StatsStageConfig& config) {
   return StatsStage(config, *std::move(grid));
 }
 
-int64_t StatsStage::RelocateRange(std::span<const ModelColumns> columns,
-                                  const int32_t* owner_of, double now,
+int64_t StatsStage::RelocateRange(const ModelColumns& columns, double now,
                                   FrameArena* arena, int64_t begin,
                                   int64_t end, WorkerTally* shared) {
   arena->Reset();
@@ -59,21 +58,6 @@ int64_t StatsStage::RelocateRange(std::span<const ModelColumns> columns,
   auto py = arena->AllocSpan<double>(span);
   auto cells = arena->AllocSpan<int32_t>(span);
   auto skip = arena->AllocSpan<uint8_t>(span);
-  const bool in_place = columns.size() == 1;
-  double* ox = nullptr;
-  double* oy = nullptr;
-  double* vx = nullptr;
-  double* vy = nullptr;
-  double* t0 = nullptr;
-  uint8_t* has = nullptr;
-  if (!in_place) {
-    ox = arena->AllocSpan<double>(span);
-    oy = arena->AllocSpan<double>(span);
-    vx = arena->AllocSpan<double>(span);
-    vy = arena->AllocSpan<double>(span);
-    t0 = arena->AllocSpan<double>(span);
-    has = arena->AllocSpan<uint8_t>(span);
-  }
   int64_t dirtied = 0;
   // Node and quantized-speed totals this range moved; only shared mode
   // reports them (the serial adds keep the grid totals themselves).
@@ -81,32 +65,9 @@ int64_t StatsStage::RelocateRange(std::span<const ModelColumns> columns,
   int64_t speed_q = 0;
   for (int64_t block = begin; block < end; block += kColumnarBlock) {
     const int64_t n = std::min<int64_t>(kColumnarBlock, end - block);
-    ModelColumns m;
-    if (in_place) {
-      const ModelColumns& c = columns[0];
-      m = {c.origin_x + block, c.origin_y + block, c.vel_x + block,
-           c.vel_y + block,    c.t0 + block,       c.has + block};
-    } else {
-      // Gather each lane's model from the tracker its owner entry names;
-      // unowned lanes get zeroed operands (the kernels read every lane).
-      for (int64_t i = 0; i < n; ++i) {
-        const int64_t id = block + i;
-        const int32_t owner = owner_of[id];
-        if (owner < 0) {
-          ox[i] = oy[i] = vx[i] = vy[i] = t0[i] = 0.0;
-          has[i] = 0;
-          continue;
-        }
-        const ModelColumns& c = columns[owner];
-        ox[i] = c.origin_x[id];
-        oy[i] = c.origin_y[id];
-        vx[i] = c.vel_x[id];
-        vy[i] = c.vel_y[id];
-        t0[i] = c.t0[id];
-        has[i] = c.has[id];
-      }
-      m = {ox, oy, vx, vy, t0, has};
-    }
+    const ModelColumns m = {columns.origin_x + block, columns.origin_y + block,
+                            columns.vel_x + block,    columns.vel_y + block,
+                            columns.t0 + block,       columns.has + block};
     kernels::PredictPositions(n, m.origin_x, m.origin_y, m.vel_x, m.vel_y,
                               m.t0, m.has, now, nullptr, nullptr, px, py);
     // The LocateCells kernel clamps internally and Rect::Clamp is
@@ -196,15 +157,9 @@ int64_t StatsStage::RelocateRange(std::span<const ModelColumns> columns,
   return dirtied;
 }
 
-void StatsStage::RebuildNodesColumnar(
-    std::span<const PositionTracker* const> trackers,
-    std::span<const int32_t> owner_of, double now) {
-  std::vector<ModelColumns> columns;
-  columns.reserve(trackers.size());
-  for (const PositionTracker* tracker : trackers) {
-    columns.push_back(tracker->columns());
-  }
-  const int32_t* owner = trackers.size() == 1 ? nullptr : owner_of.data();
+void StatsStage::RebuildNodesColumnar(const PositionTracker& tracker,
+                                      double now) {
+  const ModelColumns columns = tracker.columns();
   const auto n = static_cast<int64_t>(stats_cell_of_.size());
   const bool pooled = pool_ != nullptr && pool_->num_threads() > 1 &&
                       n >= 2 * kColumnarBlock;
@@ -213,8 +168,8 @@ void StatsStage::RebuildNodesColumnar(
     if (rebuild_arenas_.empty()) {
       rebuild_arenas_.resize(1);
     }
-    dirtied = RelocateRange(columns, owner, now, &rebuild_arenas_[0], 0, n,
-                            nullptr);
+    dirtied =
+        RelocateRange(columns, now, &rebuild_arenas_[0], 0, n, nullptr);
   } else {
     const auto workers = static_cast<size_t>(pool_->num_threads());
     if (rebuild_arenas_.size() < workers) {
@@ -228,9 +183,8 @@ void StatsStage::RebuildNodesColumnar(
     // gives the serial totals.
     pool_->ParallelFor(0, n, kColumnarBlock,
                        [&](int32_t chunk, int64_t begin, int64_t end) {
-                         RelocateRange(columns, owner, now,
-                                       &rebuild_arenas_[chunk], begin, end,
-                                       &rebuild_tallies_[chunk]);
+                         RelocateRange(columns, now, &rebuild_arenas_[chunk],
+                                       begin, end, &rebuild_tallies_[chunk]);
                        });
     for (const WorkerTally& tally : rebuild_tallies_) {
       dirtied += tally.dirtied;
@@ -243,20 +197,10 @@ void StatsStage::RebuildNodesColumnar(
 }
 
 void StatsStage::RebuildNodes(const PositionTracker& tracker, double now) {
-  const PositionTracker* const one = &tracker;
-  RebuildNodes(std::span<const PositionTracker* const>(&one, 1), {}, now);
-}
-
-void StatsStage::RebuildNodes(std::span<const PositionTracker* const> trackers,
-                              std::span<const int32_t> owner_of, double now) {
   const auto num_nodes = static_cast<NodeId>(stats_cell_of_.size());
-  for (const PositionTracker* tracker : trackers) {
-    LIRA_CHECK(tracker->num_nodes() == num_nodes);
-  }
-  LIRA_CHECK(trackers.size() == 1 ||
-             owner_of.size() == stats_cell_of_.size());
+  LIRA_CHECK(tracker.num_nodes() == num_nodes);
   if (IncrementalEnabled()) {
-    RebuildNodesColumnar(trackers, owner_of, now);
+    RebuildNodesColumnar(tracker, now);
     return;
   }
   grid_.ClearNodes();
@@ -268,11 +212,6 @@ void StatsStage::RebuildNodes(std::span<const PositionTracker* const> trackers,
     if (fraction < 1.0 && !stats_rng_.Bernoulli(fraction)) {
       continue;
     }
-    const int32_t owner = trackers.size() == 1 ? 0 : owner_of[id];
-    if (owner < 0) {
-      continue;
-    }
-    const PositionTracker& tracker = *trackers[owner];
     const auto position = tracker.PredictAt(id, now);
     if (!position.has_value()) {
       continue;

@@ -3,10 +3,9 @@
 // Owns a server's only StatisticsGrid and everything needed to refresh it
 // from the believed node states at each adaptation: the delta-maintenance
 // state (last contribution per node), the sampling RNG, and the query-count
-// refresh cache. The believed states live in one tracker (CqServer) or in
-// S shard trackers plus an owner map naming the tracker that holds each
-// node's model (ServerCluster). The rebuild paths keep the original
-// monolithic CqServer's bitwise guarantees:
+// refresh cache. The believed states live in the server's one tracker
+// (CqServer and ServerCluster alike), read in place. The rebuild paths keep
+// the original monolithic CqServer's bitwise guarantees:
 //
 //  * incremental (fraction == 1.0): relocate only contributions whose cell
 //    or quantized speed changed -- bitwise identical to ClearNodes() + full
@@ -17,23 +16,21 @@
 //    not, so the stream is a function of (seed, rebuild ordinal) only --
 //    never of the shard count.
 //
-// The incremental path streams id blocks through the PredictPositions
-// kernel. A single tracker's columns are read in place; with an owner map,
-// each lane's model is first copied from its owner's tracker into the
-// block's arena spans. Cells are located from the bulk-predicted positions
-// (Rect::Clamp is idempotent, so clamping once in CellIndexOf matches a
-// Clamp-then-locate bit-for-bit), and each node's believed velocity is
-// cached so the non-vectorizable std::hypot in BelievedSpeed runs only for
-// nodes whose velocity bits actually changed. The per-node state is keyed
-// by node id, not by tracker: a model that moves between trackers
-// unchanged (cross-shard migration) relocates nothing. With a worker pool
-// of more than one thread the id range splits into contiguous chunks and
-// each worker relocates its own nodes straight into the one grid with
-// relaxed atomic adds (StatisticsGrid::AddNodeDeltaAtomic), summing its
-// node and speed totals privately; the caller adds the per-worker totals
-// to the grid after the join. Integer adds from matched remove/add pairs
-// commute, so the grid is bitwise identical for every thread count. The
-// serial path (no pool, or one thread) keeps plain adds.
+// The incremental path streams id blocks of the tracker's columns through
+// the PredictPositions kernel. Cells are located from the bulk-predicted
+// positions (Rect::Clamp is idempotent, so clamping once in CellIndexOf
+// matches a Clamp-then-locate bit-for-bit), and each node's believed
+// velocity is cached so the non-vectorizable std::hypot in BelievedSpeed
+// runs only for nodes whose velocity bits actually changed. The per-node
+// state is keyed by node id: a cluster migration rewrites only the owner
+// map, so it relocates nothing. With a worker pool of more than one thread
+// the id range splits into contiguous chunks and each worker relocates its
+// own nodes straight into the one grid with relaxed atomic adds
+// (StatisticsGrid::AddNodeDeltaAtomic), summing its node and speed totals
+// privately; the caller adds the per-worker totals to the grid after the
+// join. Integer adds from matched remove/add pairs commute, so the grid is
+// bitwise identical for every thread count. The serial path (no pool, or
+// one thread) keeps plain adds.
 //
 // Query counts are delta-maintained: the registry is append-only, so when
 // only its size grew (same margin), the stage counts just the appended
@@ -45,7 +42,6 @@
 #define LIRA_SERVER_STATS_STAGE_H_
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -89,15 +85,9 @@ class StatsStage {
  public:
   static StatusOr<StatsStage> Create(const StatsStageConfig& config);
 
-  /// Refreshes node statistics (n, s) from the believed state at time
-  /// `now`, by delta relocation or sampled repopulation per config. Node
-  /// id's model is the one trackers[owner_of[id]] holds (owner_of[id] < 0:
-  /// none); models other trackers still hold for it are ignored. A single
-  /// tracker holds every model, so its owner map is not consulted and may
-  /// be empty. Every tracker and the owner map span num_nodes ids.
-  void RebuildNodes(std::span<const PositionTracker* const> trackers,
-                    std::span<const int32_t> owner_of, double now);
-  /// The single-tracker case.
+  /// Refreshes node statistics (n, s) from the tracker's believed state at
+  /// time `now`, by delta relocation or sampled repopulation per config.
+  /// The tracker spans num_nodes ids.
   void RebuildNodes(const PositionTracker& tracker, double now);
 
   /// Refreshes query statistics (m) with `margin` meters added around each
@@ -132,18 +122,15 @@ class StatsStage {
 
   StatsStage(const StatsStageConfig& config, StatisticsGrid grid);
 
-  /// Incremental rebuild over [begin, end) (see file comment). With one
-  /// entry in `columns` it is read in place; otherwise lane id reads
-  /// columns[owner_of[id]]. `shared` == nullptr mutates the grid with plain
-  /// adds (serial mode); otherwise cell adds are atomic, so other workers
-  /// may relocate into the grid at the same time, and the totals they move
-  /// go into *shared instead of the grid. Returns cells dirtied.
-  int64_t RelocateRange(std::span<const ModelColumns> columns,
-                        const int32_t* owner_of, double now,
+  /// Incremental rebuild over ids [begin, end) of `columns` (see file
+  /// comment). `shared` == nullptr mutates the grid with plain adds (serial
+  /// mode); otherwise cell adds are atomic, so other workers may relocate
+  /// into the grid at the same time, and the totals they move go into
+  /// *shared instead of the grid. Returns cells dirtied.
+  int64_t RelocateRange(const ModelColumns& columns, double now,
                         FrameArena* arena, int64_t begin, int64_t end,
                         WorkerTally* shared);
-  void RebuildNodesColumnar(std::span<const PositionTracker* const> trackers,
-                            std::span<const int32_t> owner_of, double now);
+  void RebuildNodesColumnar(const PositionTracker& tracker, double now);
 
   Rect world_;
   double stats_sample_fraction_;
@@ -163,7 +150,7 @@ class StatsStage {
   std::vector<double> stats_vel_x_;
   std::vector<double> stats_vel_y_;
   /// Incremental-rebuild scratch: one arena (and, under a pool, one tally)
-  /// per worker; arenas hold the per-block model and prediction spans.
+  /// per worker; arenas hold the per-block prediction and cell spans.
   std::vector<FrameArena> rebuild_arenas_;
   std::vector<WorkerTally> rebuild_tallies_;
   /// Query-count refresh skip state.

@@ -23,14 +23,4 @@ void TrackerStage::Apply(const ModelUpdate& update) {
   }
 }
 
-void TrackerStage::Adopt(const ModelUpdate& update) {
-  tracker_.Restore(update);
-  if (history_.has_value()) {
-    // HistoryStore::Record inserts at the sorted position and replaces a
-    // duplicate t0, so re-recording the migrated model is idempotent and
-    // keeps LastReportBefore answers identical to the previous owner's.
-    history_->Record(update);
-  }
-}
-
 }  // namespace lira

@@ -2,10 +2,10 @@
 //
 // Owns the PositionTracker (current motion model per node) and the optional
 // HistoryStore retaining every applied model. One Apply call keeps both
-// consistent; Forget retracts a node's *current* model when its ownership
-// migrates to another shard (the history is retained -- past answers stay
-// valid at the shard that served them). Range answers come from the
-// server's snapshot grid, which reads the trackers (snapshot_grid.h).
+// consistent. Each server holds one stage: a cluster's shards own lanes of
+// it through the cluster's owner map and never copy a model (DESIGN.md §9).
+// Range answers come from the server's snapshot grid, which reads the
+// tracker (snapshot_grid.h).
 
 #ifndef LIRA_SERVER_TRACKER_STAGE_H_
 #define LIRA_SERVER_TRACKER_STAGE_H_
@@ -21,39 +21,24 @@
 
 namespace lira {
 
-/// Tracker + history, applied to in lock step. Not thread-safe; distinct
-/// stages (cluster shards) are fully independent.
+/// Tracker + history, applied to in lock step. Apply touches only the
+/// update's node, so concurrent calls for disjoint node ids are safe (a
+/// cluster's shards apply their own lanes in parallel); readers must not
+/// run concurrently with Apply.
 class TrackerStage {
  public:
   static StatusOr<TrackerStage> Create(int32_t num_nodes, bool record_history);
 
   /// Applies one surviving update to the tracker and, when enabled, the
-  /// history store.
+  /// history store. Counts nothing: each server counts the updates its
+  /// queues served.
   void Apply(const ModelUpdate& update);
-
-  /// Takes over a node migrating from another shard: reinstates its model
-  /// in the tracker (without counting as a newly applied update) and the
-  /// history store, so the adopting shard answers historical and current
-  /// queries exactly as the previous owner would have. Counterpart of
-  /// Forget on the losing shard.
-  void Adopt(const ModelUpdate& update);
-
-  /// Drops the node's current model from the tracker (the history keeps its
-  /// records). Used on cross-shard handoff.
-  void Forget(NodeId id) { tracker_.Forget(id); }
-
-  /// The node's current believed model; nullopt when it never reported here
-  /// or was forgotten. The migration source for Adopt.
-  std::optional<LinearMotionModel> ModelOf(NodeId id) const {
-    return tracker_.ModelOf(id);
-  }
 
   const PositionTracker& tracker() const { return tracker_; }
   /// nullptr when record_history is off.
   const HistoryStore* history() const {
     return history_.has_value() ? &*history_ : nullptr;
   }
-  int64_t updates_applied() const { return tracker_.updates_applied(); }
 
  private:
   TrackerStage(int32_t num_nodes, bool record_history);

@@ -257,7 +257,6 @@ TEST(PositionTrackerTest, ApplyAndPredict) {
   EXPECT_EQ(*p, (Point{6.0, 8.0}));
   EXPECT_DOUBLE_EQ(tracker.BelievedSpeed(0), 5.0);
   EXPECT_DOUBLE_EQ(tracker.BelievedSpeed(1), 0.0);
-  EXPECT_EQ(tracker.updates_applied(), 1);
 }
 
 TEST(PositionTrackerTest, PredictAllSkipsUnreported) {

@@ -70,6 +70,24 @@ TEST_F(ClusterHealthTest, EmptyClusterSnapshotIsBenign) {
   EXPECT_DOUBLE_EQ(health.imbalance_ratio, 0.0);
 }
 
+TEST_F(ClusterHealthTest, OneModelStoreAtEveryShardCount) {
+  // The cluster keeps one model store, so its bytes per node (five double
+  // columns and a flag byte) do not grow with the shard count.
+  const ClusterHealth one = MakeCluster(1)->HealthSnapshot();
+  const ClusterHealth four = MakeCluster(4)->HealthSnapshot();
+  EXPECT_EQ(four.tracker_bytes, one.tracker_bytes);
+  EXPECT_DOUBLE_EQ(four.bytes_per_node, one.bytes_per_node);
+  EXPECT_DOUBLE_EQ(four.bytes_per_node,
+                   static_cast<double>(5 * sizeof(double) + sizeof(uint8_t)));
+  std::stringstream prom;
+  WriteHealthPrometheus(four, /*metrics=*/nullptr, prom);
+  EXPECT_NE(prom.str().find("lira_cluster_tracker_bytes 3280"),
+            std::string::npos)
+      << prom.str();
+  EXPECT_EQ(prom.str().find("lira_cluster_shard_tracker_bytes"),
+            std::string::npos);
+}
+
 TEST_F(ClusterHealthTest, SkewedWorkloadShowsImbalance) {
   auto cluster = MakeCluster(4);
   // Every node reports from shard 0's strip: maximal skew.

@@ -79,6 +79,35 @@ class ServerClusterTest : public ::testing::Test {
     return batch;
   }
 
+  /// Two shards (x < 800 routes to shard 0) over four nodes, serving every
+  /// update in the tick it arrives: the handoff-rule tests.
+  std::unique_ptr<ServerCluster> HandoffCluster(int32_t threads) {
+    auto config = ClusterConfig(2, threads);
+    config.server.num_nodes = 4;
+    config.server.auto_throttle = false;
+    config.server.fixed_z = 0.5;
+    config.server.service_rate = 100.0;
+    return MustCreate(config);
+  }
+
+  /// Node `id` is believed at `where` (the tests' nodes stand still), the
+  /// shards own `owned` nodes, and an adaptation counts every owned node
+  /// once.
+  static void ExpectBelief(ServerCluster& cluster, NodeId id, Point where,
+                           const std::vector<int64_t>& owned) {
+    const auto believed = cluster.BelievedPositionAt(id, cluster.time());
+    ASSERT_TRUE(believed.has_value()) << "node " << id;
+    EXPECT_EQ(*believed, where) << "node " << id;
+    const ClusterHealth health = cluster.HealthSnapshot();
+    int64_t total = 0;
+    for (int32_t k = 0; k < cluster.num_shards(); ++k) {
+      EXPECT_EQ(health.shards[k].nodes_owned, owned[k]) << "shard " << k;
+      total += owned[k];
+    }
+    ASSERT_TRUE(cluster.Adapt().ok());
+    EXPECT_DOUBLE_EQ(cluster.stats().TotalNodes(), static_cast<double>(total));
+  }
+
   static void ExpectGridsBitwiseEqual(const StatisticsGrid& a,
                                       const StatisticsGrid& b) {
     ASSERT_EQ(a.alpha(), b.alpha());
@@ -259,6 +288,72 @@ TEST_F(ServerClusterTest, HandoffMovesOwnershipAcrossShards) {
   auto gone = cluster->AnswerRange(right_spot, cluster->time());
   ASSERT_TRUE(gone.ok());
   EXPECT_TRUE(gone->empty());
+}
+
+TEST_F(ServerClusterTest, OwnersNewerReportBeatsAnOlderOneInTheSameTick) {
+  for (const int32_t threads : {1, 2, 8}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    auto cluster = HandoffCluster(threads);
+    cluster->Receive({UpdateFor(0, {1200.0, 800.0}, {0.0, 0.0}, 0.0)});
+    ASSERT_TRUE(cluster->Tick(1.0).ok());
+    // One batch carries an older report for shard 0 and a newer one for
+    // the owner, shard 1. The owner writes its own; shard 0's is staged and
+    // loses to the newer model at the commit.
+    cluster->Receive({UpdateFor(0, {200.0, 800.0}, {0.0, 0.0}, 1.0),
+                      UpdateFor(0, {1300.0, 800.0}, {0.0, 0.0}, 2.0)});
+    ASSERT_TRUE(cluster->Tick(1.0).ok());
+    ExpectBelief(*cluster, 0, {1300.0, 800.0}, {0, 1});
+  }
+}
+
+TEST_F(ServerClusterTest, LateOlderReportNeitherReplacesNorMovesTheNode) {
+  for (const int32_t threads : {1, 2, 8}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    auto cluster = HandoffCluster(threads);
+    cluster->Receive({UpdateFor(0, {1200.0, 800.0}, {0.0, 0.0}, 2.0)});
+    ASSERT_TRUE(cluster->Tick(1.0).ok());
+    // A report older than the owner's model reaches shard 0 a tick later.
+    cluster->Receive({UpdateFor(0, {200.0, 800.0}, {0.0, 0.0}, 1.0)});
+    ASSERT_TRUE(cluster->Tick(1.0).ok());
+    ExpectBelief(*cluster, 0, {1200.0, 800.0}, {0, 1});
+    // Both served updates still count as applied.
+    EXPECT_EQ(cluster->updates_applied(), 2);
+  }
+}
+
+TEST_F(ServerClusterTest, NeverSeenNodeKeepsTheNewerOfItsFirstTwoReports) {
+  for (const int32_t threads : {1, 2, 8}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    auto cluster = HandoffCluster(threads);
+    // Both nodes report first at both shards in one tick: node 0's newer
+    // report goes to shard 0, node 1's to shard 1.
+    cluster->Receive({UpdateFor(0, {200.0, 800.0}, {0.0, 0.0}, 2.0),
+                      UpdateFor(0, {1200.0, 800.0}, {0.0, 0.0}, 1.0),
+                      UpdateFor(1, {300.0, 800.0}, {0.0, 0.0}, 1.0),
+                      UpdateFor(1, {1300.0, 800.0}, {0.0, 0.0}, 2.0)});
+    ASSERT_TRUE(cluster->Tick(1.0).ok());
+    ExpectBelief(*cluster, 0, {200.0, 800.0}, {1, 1});
+    ExpectBelief(*cluster, 1, {1300.0, 800.0}, {1, 1});
+  }
+}
+
+TEST_F(ServerClusterTest, EqualT0GoesToTheLaterCommit) {
+  for (const int32_t threads : {1, 2, 8}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    auto cluster = HandoffCluster(threads);
+    cluster->Receive({UpdateFor(0, {200.0, 800.0}, {0.0, 0.0}, 0.0)});
+    ASSERT_TRUE(cluster->Tick(1.0).ok());
+    // Equal t0 at both shards. Node 0's owner, shard 0, writes its report
+    // in the fan-out, and shard 1's commit follows it. Never-seen node 1
+    // takes shard 0's commit first, then shard 1's.
+    cluster->Receive({UpdateFor(0, {300.0, 800.0}, {0.0, 0.0}, 1.0),
+                      UpdateFor(0, {1300.0, 800.0}, {0.0, 0.0}, 1.0),
+                      UpdateFor(1, {400.0, 800.0}, {0.0, 0.0}, 1.0),
+                      UpdateFor(1, {1400.0, 800.0}, {0.0, 0.0}, 1.0)});
+    ASSERT_TRUE(cluster->Tick(1.0).ok());
+    ExpectBelief(*cluster, 0, {1300.0, 800.0}, {0, 2});
+    ExpectBelief(*cluster, 1, {1400.0, 800.0}, {0, 2});
+  }
 }
 
 TEST_F(ServerClusterTest, AnswerContractMatchesCqServer) {

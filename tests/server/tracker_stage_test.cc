@@ -27,7 +27,6 @@ TEST(TrackerStageTest, ApplyKeepsTrackerAndHistoryConsistent) {
   ASSERT_TRUE(stage.ok());
   stage->Apply(UpdateFor(2, {100.0, 100.0}, {10.0, 0.0}, 0.0));
   stage->Apply(UpdateFor(5, {500.0, 500.0}, {0.0, 0.0}, 0.0));
-  EXPECT_EQ(stage->updates_applied(), 2);
 
   const auto p = stage->tracker().PredictAt(2, 2.0);
   ASSERT_TRUE(p.has_value());
@@ -39,23 +38,22 @@ TEST(TrackerStageTest, ApplyKeepsTrackerAndHistoryConsistent) {
   EXPECT_EQ(*past, (Point{110.0, 100.0}));
 }
 
-TEST(TrackerStageTest, ForgetRetractsModelButKeepsHistory) {
+TEST(TrackerStageTest, ApplyReplacesModelAndHistoryKeepsEveryRecord) {
   auto stage = TrackerStage::Create(8, true);
   ASSERT_TRUE(stage.ok());
   stage->Apply(UpdateFor(3, {100.0, 100.0}, {0.0, 0.0}, 0.0));
-  stage->Forget(3);
+  stage->Apply(UpdateFor(3, {300.0, 300.0}, {0.0, 0.0}, 2.0));
 
-  // The current model is gone from the tracker...
-  EXPECT_FALSE(stage->tracker().PredictAt(3, 1.0).has_value());
+  // The tracker holds the latest model only...
+  const auto now = stage->tracker().PredictAt(3, 2.0);
+  ASSERT_TRUE(now.has_value());
+  EXPECT_EQ(*now, (Point{300.0, 300.0}));
   // ...but the history keeps serving the record it already stored.
   ASSERT_NE(stage->history(), nullptr);
-  EXPECT_TRUE(stage->history()->PositionAt(3, 0.5).has_value());
-  // updates_applied is a lifetime count, not a live-model count.
-  EXPECT_EQ(stage->updates_applied(), 1);
-
-  // A later update brings the node back.
-  stage->Apply(UpdateFor(3, {300.0, 300.0}, {0.0, 0.0}, 2.0));
-  EXPECT_TRUE(stage->tracker().PredictAt(3, 2.0).has_value());
+  const auto past = stage->history()->PositionAt(3, 1.0);
+  ASSERT_TRUE(past.has_value());
+  EXPECT_EQ(*past, (Point{100.0, 100.0}));
+  EXPECT_EQ(stage->history()->RecordsFor(3), 2);
 }
 
 }  // namespace
