@@ -199,9 +199,9 @@ inline int32_t ThreadsFromArgs(int argc, char** argv) {
   return 0;
 }
 
-/// Parses `--shards N` from a bench binary's command line (0 = the
-/// monolithic CqServer, the default; N >= 1 runs the region-sharded
-/// ServerCluster); every other flag is left for the caller.
+/// Parses `--shards N` from a bench binary's command line (0, the default,
+/// runs one shard on the simulation's pool; N >= 1 runs N region shards);
+/// every other flag is left for the caller.
 inline int32_t ShardsFromArgs(int argc, char** argv) {
   for (int i = 1; i + 1 < argc; ++i) {
     if (!std::strcmp(argv[i], "--shards")) {

@@ -14,8 +14,9 @@
 //
 // --threads sets the simulation engine's worker count (0 = hardware
 // concurrency, 1 = fully serial); results are identical for any value.
-// --shards S >= 1 runs the region-sharded ServerCluster instead of the
-// monolithic server (0, the default); S = 1 is bitwise identical to 0.
+// --shards S >= 1 runs S region shards with their own worker pool; 0, the
+// default, runs one shard on the simulation's pool. S = 1 is bitwise
+// identical to 0.
 // --rebalance R re-splits the cluster's shard strips from observed load
 // every R adaptation windows (requires --shards >= 1; 0 = static map).
 // --no-incremental forces the original recompute-everything accuracy and
@@ -33,10 +34,10 @@
 // or https://ui.perfetto.dev; a path ending in .jsonl writes one span per
 // line instead. --flight keeps a 256-tick flight-recorder ring and dumps it
 // as JSON at the end of the run (and on any LIRA_CHECK failure). --health
-// (sharded runs only) appends a cluster health snapshot every
-// --health-stride frames as JSONL, plus a final Prometheus text file at
-// PATH.prom.
+// appends a cluster health snapshot every --health-stride frames as JSONL,
+// plus a final Prometheus text file at PATH.prom.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -218,10 +219,9 @@ int main(int argc, char** argv) {
 
   std::unique_ptr<telemetry::TraceRecorder> trace;
   if (!trace_path.empty()) {
-    // One lane per shard plus the driver lane; monolithic runs only use
-    // lane 0.
-    trace = std::make_unique<telemetry::TraceRecorder>(
-        (shards > 0 ? shards : 0) + 1);
+    // The driver lane plus one lane per shard; --shards 0 runs one shard.
+    trace = std::make_unique<telemetry::TraceRecorder>(std::max(shards, 1) +
+                                                       1);
     sim.trace = trace.get();
   }
   std::unique_ptr<telemetry::FlightRecorder> flight;
@@ -231,15 +231,8 @@ int main(int argc, char** argv) {
     sim.flight_recorder = flight.get();
     telemetry::FlightRecorder::InstallCrashDump(flight_path);
   }
-  if (!health_path.empty()) {
-    if (shards < 1) {
-      std::fprintf(stderr,
-                   "--health requires a sharded run (--shards S >= 1)\n");
-      return 2;
-    }
-    sim.health_path = health_path;
-    sim.health_stride = health_stride;
-  }
+  sim.health_path = health_path;
+  sim.health_stride = health_stride;
 
   auto result = RunSimulation(*world, **policy, sim);
   if (!result.ok()) {

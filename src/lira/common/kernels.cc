@@ -1,27 +1,5 @@
-#include "lira/common/kernels.h"
+// The production kernel build: default codegen, auto-vectorized (see
+// kernels.h).
 
-#include <atomic>
-#include <cstdlib>
-
-namespace lira::kernels {
-namespace {
-
-std::atomic<bool>& ScalarFlag() {
-  static std::atomic<bool> scalar = [] {
-    const char* env = std::getenv("LIRA_SCALAR_KERNELS");
-    return env != nullptr && *env != '\0' && *env != '0';
-  }();
-  return scalar;
-}
-
-}  // namespace
-
-bool scalar_reference_enabled() {
-  return ScalarFlag().load(std::memory_order_relaxed);
-}
-
-void set_scalar_reference(bool scalar) {
-  ScalarFlag().store(scalar, std::memory_order_relaxed);
-}
-
-}  // namespace lira::kernels
+#define LIRA_KERNEL_NS vec
+#include "lira/common/kernels_impl.inc"

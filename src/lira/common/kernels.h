@@ -1,21 +1,19 @@
-// Branch-light contiguous hot-loop kernels (ISSUE 8).
+// Branch-light contiguous hot-loop kernels.
 //
 // Every kernel is a restrict-qualified loop over structure-of-arrays lanes,
 // written so GCC's auto-vectorizer can emit SIMD for it at -O3 -- no
-// intrinsics anywhere. Each kernel is compiled twice from the same body
-// (kernels_impl.inc):
-//
-//   kernels::vec  -- default codegen, auto-vectorized (kernels_vec.cc)
-//   kernels::ref  -- -fno-tree-vectorize -fno-tree-slp-vectorize, the
-//                    scalar reference path (kernels_ref.cc)
+// intrinsics anywhere. The bodies live in kernels_impl.inc; production
+// builds them once, with default codegen, into kernels::vec (kernels.cc),
+// an inline namespace, so callers write kernels::Name. The test suite
+// builds the same bodies a second time with -fno-tree-vectorize
+// -fno-tree-slp-vectorize into kernels::ref (tests/common/kernels_ref.cc),
+// the scalar oracle kernels_test compares every kernel against.
 //
 // Bitwise contract (DESIGN.md §11): the build pins -ffp-contract=off, so
 // every operation these kernels use (add/sub/mul/abs/min/max/compare,
 // float->double conversion) is exactly rounded per IEEE-754 and produces
 // identical bits per lane whether executed scalar or SIMD. The two builds
-// are therefore bit-identical by construction; kernels_test verifies it,
-// and set_scalar_reference(true) (or LIRA_SCALAR_KERNELS=1) swaps the
-// whole process onto the reference path for end-to-end checks.
+// are therefore bit-identical by construction; kernels_test verifies it.
 //
 // Operations that are NOT exactly rounded (std::hypot) or order-dependent
 // (FP accumulation) never appear here: callers either keep them scalar or
@@ -48,7 +46,8 @@ enum : uint8_t {
   kDevAmbiguous = 2,  ///< within the rounding band: resolve with scalar hypot
 };
 
-// Every kernel exists in both namespaces with identical signatures.
+// The kernel declarations, shared by the production build and the test
+// oracle (which declares them again in kernels::ref).
 #define LIRA_KERNELS_DECLARE                                                   \
   /* out = min(max(in, lo), hi) per axis, Rect::Clamp's exact expression. */   \
   void ClampPoints(int64_t n, const double* in_x, const double* in_y,          \
@@ -130,115 +129,9 @@ enum : uint8_t {
                         const double* vel_y, const double* cached_vx,          \
                         const double* cached_vy, uint8_t* skip);
 
-namespace vec {
+inline namespace vec {
 LIRA_KERNELS_DECLARE
 }  // namespace vec
-
-namespace ref {
-LIRA_KERNELS_DECLARE
-}  // namespace ref
-
-#undef LIRA_KERNELS_DECLARE
-
-/// True when the process is pinned to the scalar reference kernels
-/// (set_scalar_reference, or the LIRA_SCALAR_KERNELS env var at startup).
-bool scalar_reference_enabled();
-void set_scalar_reference(bool scalar);
-
-inline void ClampPoints(int64_t n, const double* in_x, const double* in_y,
-                        const ClampSpec& spec, double* out_x, double* out_y) {
-  scalar_reference_enabled()
-      ? ref::ClampPoints(n, in_x, in_y, spec, out_x, out_y)
-      : vec::ClampPoints(n, in_x, in_y, spec, out_x, out_y);
-}
-
-inline void L1SkipMask(int64_t n, const double* new_x, const double* new_y,
-                       const double* ref_x, const double* ref_y,
-                       const double* clearance, const uint8_t* old_present,
-                       const uint8_t* new_present, uint8_t* skip) {
-  scalar_reference_enabled()
-      ? ref::L1SkipMask(n, new_x, new_y, ref_x, ref_y, clearance, old_present,
-                        new_present, skip)
-      : vec::L1SkipMask(n, new_x, new_y, ref_x, ref_y, clearance, old_present,
-                        new_present, skip);
-}
-
-inline void RectWalkDistances(int64_t n, const double* min_x,
-                              const double* min_y, const double* max_x,
-                              const double* max_y, double old_x, double old_y,
-                              double new_x, double new_y, double* old_side,
-                              double* new_flip) {
-  scalar_reference_enabled()
-      ? ref::RectWalkDistances(n, min_x, min_y, max_x, max_y, old_x, old_y,
-                               new_x, new_y, old_side, new_flip)
-      : vec::RectWalkDistances(n, min_x, min_y, max_x, max_y, old_x, old_y,
-                               new_x, new_y, old_side, new_flip);
-}
-
-inline void DeviationFilter(int64_t n, const double* origin_x,
-                            const double* origin_y, const double* vel_x,
-                            const double* vel_y, const double* t0,
-                            const uint8_t* has, double t, const double* obs_x,
-                            const double* obs_y, const double* delta,
-                            uint8_t* decision) {
-  scalar_reference_enabled()
-      ? ref::DeviationFilter(n, origin_x, origin_y, vel_x, vel_y, t0, has, t,
-                             obs_x, obs_y, delta, decision)
-      : vec::DeviationFilter(n, origin_x, origin_y, vel_x, vel_y, t0, has, t,
-                             obs_x, obs_y, delta, decision);
-}
-
-inline void DeviationFilterUniform(int64_t n, const double* origin_x,
-                                   const double* origin_y, const double* vel_x,
-                                   const double* vel_y, const double* t0,
-                                   const uint8_t* has, double t,
-                                   const double* obs_x, const double* obs_y,
-                                   double delta, uint8_t* decision) {
-  scalar_reference_enabled()
-      ? ref::DeviationFilterUniform(n, origin_x, origin_y, vel_x, vel_y, t0,
-                                    has, t, obs_x, obs_y, delta, decision)
-      : vec::DeviationFilterUniform(n, origin_x, origin_y, vel_x, vel_y, t0,
-                                    has, t, obs_x, obs_y, delta, decision);
-}
-
-inline void PredictPositions(int64_t n, const double* origin_x,
-                             const double* origin_y, const double* vel_x,
-                             const double* vel_y, const double* t0,
-                             const uint8_t* has, double t,
-                             const double* fallback_x, const double* fallback_y,
-                             double* out_x, double* out_y) {
-  scalar_reference_enabled()
-      ? ref::PredictPositions(n, origin_x, origin_y, vel_x, vel_y, t0, has, t,
-                              fallback_x, fallback_y, out_x, out_y)
-      : vec::PredictPositions(n, origin_x, origin_y, vel_x, vel_y, t0, has, t,
-                              fallback_x, fallback_y, out_x, out_y);
-}
-
-inline void UnpackFrame(int64_t n, const float* states, double* x, double* y,
-                        double* vx, double* vy) {
-  scalar_reference_enabled() ? ref::UnpackFrame(n, states, x, y, vx, vy)
-                             : vec::UnpackFrame(n, states, x, y, vx, vy);
-}
-
-inline void LocateCells(int64_t n, const double* px, const double* py,
-                        const uint8_t* known, const ClampSpec& spec,
-                        double cell_w, double cell_h, int32_t alpha,
-                        int32_t* cell) {
-  scalar_reference_enabled()
-      ? ref::LocateCells(n, px, py, known, spec, cell_w, cell_h, alpha, cell)
-      : vec::LocateCells(n, px, py, known, spec, cell_w, cell_h, alpha, cell);
-}
-
-inline void RelocateSkipMask(int64_t n, const int32_t* cell,
-                             const int32_t* old_cell, const double* vel_x,
-                             const double* vel_y, const double* cached_vx,
-                             const double* cached_vy, uint8_t* skip) {
-  scalar_reference_enabled()
-      ? ref::RelocateSkipMask(n, cell, old_cell, vel_x, vel_y, cached_vx,
-                              cached_vy, skip)
-      : vec::RelocateSkipMask(n, cell, old_cell, vel_x, vel_y, cached_vx,
-                              cached_vy, skip);
-}
 
 }  // namespace lira::kernels
 

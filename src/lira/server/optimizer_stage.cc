@@ -12,19 +12,9 @@ OptimizerStage::OptimizerStage(const OptimizerStageConfig& config,
       auto_throttle_(config.auto_throttle),
       fixed_z_(config.fixed_z),
       telemetry_(config.telemetry),
-      pool_(config.pool),
       throt_loop_(std::move(throt_loop)),
       plan_(std::move(plan)),
-      z_(config.auto_throttle ? 1.0 : config.fixed_z),
-      lambda_name_(config.metric_prefix + ".throtloop.lambda"),
-      utilization_name_(config.metric_prefix + ".throtloop.utilization"),
-      z_name_(config.metric_prefix + ".throtloop.z"),
-      window_dropped_name_(config.metric_prefix + ".queue.window_dropped"),
-      plan_build_name_(config.metric_prefix + ".adapt.plan_build_seconds"),
-      plan_regions_name_(config.metric_prefix + ".plan.regions"),
-      plan_min_delta_name_(config.metric_prefix + ".plan.min_delta"),
-      plan_max_delta_name_(config.metric_prefix + ".plan.max_delta"),
-      plan_rebuilt_name_(config.metric_prefix + ".plan.rebuilt") {}
+      z_(config.auto_throttle ? 1.0 : config.fixed_z) {}
 
 StatusOr<OptimizerStage> OptimizerStage::Create(
     const OptimizerStageConfig& config, const Rect& world,
@@ -60,14 +50,15 @@ double OptimizerStage::UpdateThrottle(int64_t window_arrivals,
   last_lambda_ = lambda;
   last_utilization_ = lambda / service_rate_;
   if (telemetry_ != nullptr) {
-    telemetry_->SampleGauge(lambda_name_, now, lambda);
-    telemetry_->SampleGauge(utilization_name_, now, lambda / service_rate_);
-    telemetry_->SampleGauge(z_name_, now, z_);
-    telemetry_->SampleGauge(window_dropped_name_, now,
+    telemetry_->SampleGauge("lira.throtloop.lambda", now, lambda);
+    telemetry_->SampleGauge("lira.throtloop.utilization", now,
+                            lambda / service_rate_);
+    telemetry_->SampleGauge("lira.throtloop.z", now, z_);
+    telemetry_->SampleGauge("lira.queue.window_dropped", now,
                             static_cast<double>(window_dropped));
     if (z_ != previous_z) {
-      telemetry_->Emit(telemetry::EventKind::kZChanged, z_name_, now, z_,
-                       lambda);
+      telemetry_->Emit(telemetry::EventKind::kZChanged, "lira.throtloop.z",
+                       now, z_, lambda);
     }
   }
   return z_;
@@ -76,7 +67,7 @@ double OptimizerStage::UpdateThrottle(int64_t window_arrivals,
 double OptimizerStage::FixedThrottle(double now) {
   z_ = fixed_z_;
   if (telemetry_ != nullptr) {
-    telemetry_->SampleGauge(z_name_, now, z_);
+    telemetry_->SampleGauge("lira.throtloop.z", now, z_);
   }
   return z_;
 }
@@ -103,12 +94,13 @@ Status OptimizerStage::BuildPlan(const LoadSheddingPolicy& policy,
   plan_build_seconds_ += build_seconds;
   ++plan_builds_;
   if (telemetry_ != nullptr) {
-    telemetry_->RecordSpan(plan_build_name_, now, build_seconds);
-    telemetry_->SampleGauge(plan_regions_name_, now,
+    telemetry_->RecordSpan("lira.adapt.plan_build_seconds", now,
+                           build_seconds);
+    telemetry_->SampleGauge("lira.plan.regions", now,
                             static_cast<double>(plan_.NumRegions()));
-    telemetry_->SampleGauge(plan_min_delta_name_, now, plan_.MinDelta());
-    telemetry_->SampleGauge(plan_max_delta_name_, now, plan_.MaxDelta());
-    telemetry_->Emit(telemetry::EventKind::kPlanRebuilt, plan_rebuilt_name_,
+    telemetry_->SampleGauge("lira.plan.min_delta", now, plan_.MinDelta());
+    telemetry_->SampleGauge("lira.plan.max_delta", now, plan_.MaxDelta());
+    telemetry_->Emit(telemetry::EventKind::kPlanRebuilt, "lira.plan.rebuilt",
                      now, static_cast<double>(plan_.NumRegions()),
                      build_seconds);
   }

@@ -1,17 +1,16 @@
 // Pipeline stage 4: THROTLOOP -> policy -> SheddingPlan.
 //
 // Owns the throttle-fraction controller, the current z, the active plan,
-// and the plan-build accounting + telemetry. A CqServer runs one of these
-// per server; a ServerCluster runs exactly one at the coordinator -- the
-// throttle window and the statistics grid it optimizes over are *global*
-// (summed arrivals, one grid), so the plan honors the global budget
-// z * n * f(delta) and the fairness constraint across shard boundaries.
+// and the plan-build accounting + telemetry. A server runs exactly one at
+// its coordinator -- the throttle window and the statistics grid it
+// optimizes over are *global* (summed arrivals, one grid), so the plan
+// honors the global budget z * n * f(delta) and the fairness constraint
+// across shard boundaries.
 
 #ifndef LIRA_SERVER_OPTIMIZER_STAGE_H_
 #define LIRA_SERVER_OPTIMIZER_STAGE_H_
 
 #include <cstdint>
-#include <string>
 
 #include "lira/common/parallel.h"
 #include "lira/common/status.h"
@@ -33,14 +32,9 @@ struct OptimizerStageConfig {
   /// When true, z comes from UpdateThrottle; otherwise fixed_z is used.
   bool auto_throttle = false;
   double fixed_z = 0.5;
-  /// Instrument namespace: "<metric_prefix>.{throtloop,plan,queue}.*".
-  std::string metric_prefix = "lira";
-  /// Optional telemetry (not owned; must outlive the stage).
+  /// Optional telemetry (not owned; must outlive the stage). The stage
+  /// records `lira.{throtloop,plan,queue}.*` and the plan-build span.
   telemetry::TelemetrySink* telemetry = nullptr;
-  /// Optional worker pool (not owned) handed to the policy via
-  /// PolicyContext::pool (quad-tree build + GRIDREDUCE waves). Owners that
-  /// construct their pool after the stage use set_pool instead.
-  ThreadPool* pool = nullptr;
 };
 
 /// Throttle + plan build. Not thread-safe.
@@ -69,8 +63,9 @@ class OptimizerStage {
   const SheddingPlan& plan() const { return plan_; }
   bool auto_throttle() const { return auto_throttle_; }
 
-  /// Late pool injection (the ServerCluster builds its pool after its
-  /// stages). Plans are bitwise identical with or without a pool.
+  /// The worker pool (not owned; nullptr = serial) handed to the policy
+  /// via PolicyContext::pool: quad-tree build + GRIDREDUCE waves. Plans are
+  /// bitwise identical with or without a pool.
   void set_pool(ThreadPool* pool) { pool_ = pool; }
 
   /// Last measured arrival rate (upd/s) and utilization lambda/mu from
@@ -93,7 +88,7 @@ class OptimizerStage {
   bool auto_throttle_;
   double fixed_z_;
   telemetry::TelemetrySink* telemetry_;
-  ThreadPool* pool_;
+  ThreadPool* pool_ = nullptr;
   ThrotLoop throt_loop_;
   SheddingPlan plan_;
   double z_;
@@ -101,18 +96,6 @@ class OptimizerStage {
   double last_utilization_ = 0.0;
   double plan_build_seconds_ = 0.0;
   int64_t plan_builds_ = 0;
-  /// Owned storage for instrument names (Emit/SampleGauge take views that
-  /// must stay valid only per call, but composing per call would allocate
-  /// in the adaptation loop).
-  std::string lambda_name_;
-  std::string utilization_name_;
-  std::string z_name_;
-  std::string window_dropped_name_;
-  std::string plan_build_name_;
-  std::string plan_regions_name_;
-  std::string plan_min_delta_name_;
-  std::string plan_max_delta_name_;
-  std::string plan_rebuilt_name_;
 };
 
 }  // namespace lira

@@ -1,6 +1,7 @@
 #include "lira/server/server_cluster.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <utility>
 
@@ -8,8 +9,7 @@ namespace lira {
 namespace {
 
 /// Shard k's random stream: golden-ratio mixing keeps streams disjoint
-/// while shard 0 keeps the un-mixed seed, so an S=1 cluster consumes
-/// exactly the random sequence a plain CqServer would.
+/// while shard 0 keeps the un-mixed seed.
 uint64_t ShardSeed(uint64_t seed, int32_t shard) {
   return seed ^ (static_cast<uint64_t>(shard) * 0x9e3779b97f4a7c15ULL);
 }
@@ -26,6 +26,16 @@ std::string ShardPrefix(int32_t shard) {
 /// ranges run inline on the coordinator.
 constexpr int64_t kMigrationScanGrain = 8192;
 
+/// True when the update names a node in [0, num_nodes) and every field of
+/// its model is finite: the only updates routing and the store accept.
+bool IsWellFormed(const ModelUpdate& update, int32_t num_nodes) {
+  const LinearMotionModel& m = update.model;
+  return update.node_id >= 0 && update.node_id < num_nodes &&
+         std::isfinite(m.origin.x) && std::isfinite(m.origin.y) &&
+         std::isfinite(m.velocity.x) && std::isfinite(m.velocity.y) &&
+         std::isfinite(m.t0);
+}
+
 }  // namespace
 
 ServerCluster::ServerCluster(const ServerClusterConfig& config,
@@ -33,8 +43,7 @@ ServerCluster::ServerCluster(const ServerClusterConfig& config,
                              const UpdateReductionFunction* reduction,
                              const QueryRegistry* queries, ShardMap shard_map,
                              std::vector<Shard> shards, TrackerStage tracker,
-                             StatsStage stats, OptimizerStage optimizer,
-                             int32_t pool_threads)
+                             StatsStage stats, OptimizerStage optimizer)
     : config_(config),
       policy_(policy),
       reduction_(reduction),
@@ -44,18 +53,27 @@ ServerCluster::ServerCluster(const ServerClusterConfig& config,
       tracker_(std::move(tracker)),
       stats_(std::move(stats)),
       optimizer_(std::move(optimizer)),
-      pool_(pool_threads),
+      pool_(config.server.pool),
       next_adaptation_(config.server.adaptation_period),
       owner_of_(config.server.num_nodes, -1) {
+  if (pool_ == nullptr) {
+    owned_pool_ = std::make_unique<ThreadPool>(std::min(
+        config.threads > 0 ? config.threads : ThreadPool::DefaultThreads(),
+        config.shards));
+    pool_ = owned_pool_.get();
+  }
   // The coordinator-side adaptation phases (stats rebuild, quad build,
   // GRIDREDUCE waves) reuse the shard fan-out pool once the fan-out has
   // returned (ParallelFor does not nest).
-  stats_.set_pool(&pool_);
-  optimizer_.set_pool(&pool_);
+  stats_.set_pool(pool_);
+  optimizer_.set_pool(pool_);
   if (config_.server.telemetry != nullptr) {
     telemetry::MetricRegistry& metrics = config_.server.telemetry->metrics();
     arrivals_counter_ = metrics.GetCounter("lira.queue.arrivals");
     dropped_counter_ = metrics.GetCounter("lira.queue.dropped");
+    rejected_counter_ = metrics.GetCounter("lira.queue.rejected");
+    depth_gauge_ = metrics.GetGauge("lira.queue.depth");
+    high_watermark_gauge_ = metrics.GetGauge("lira.queue.high_watermark");
     rebalance_epochs_counter_ =
         metrics.GetCounter("lira.cluster.rebalance.epochs");
     rebalance_columns_counter_ =
@@ -79,6 +97,16 @@ double ServerCluster::QueryMargin() const {
 }
 
 StatusOr<std::unique_ptr<ServerCluster>> ServerCluster::Create(
+    const ServerClusterConfig& config, const LoadSheddingPolicy* policy,
+    const UpdateReductionFunction* reduction, const QueryRegistry* queries) {
+  auto built = Build(config, policy, reduction, queries);
+  if (!built.ok()) {
+    return built.status();
+  }
+  return std::make_unique<ServerCluster>(*std::move(built));
+}
+
+StatusOr<ServerCluster> ServerCluster::Build(
     const ServerClusterConfig& config, const LoadSheddingPolicy* policy,
     const UpdateReductionFunction* reduction, const QueryRegistry* queries) {
   const CqServerConfig& server = config.server;
@@ -138,10 +166,6 @@ StatusOr<std::unique_ptr<ServerCluster>> ServerCluster::Create(
     ingest_config.service_rate = shard_rate;
     ingest_config.seed = seed;
     ingest_config.metric_prefix = prefix;
-    // Shard Receive/rebuild sections run concurrently; EventSink
-    // implementations are single-threaded, so shards touch only atomic
-    // counters/gauges and the coordinator emits the (serial) events.
-    ingest_config.emit_events = false;
     ingest_config.telemetry = server.telemetry;
     auto ingest = IngestStage::Create(ingest_config);
     if (!ingest.ok()) {
@@ -156,8 +180,8 @@ StatusOr<std::unique_ptr<ServerCluster>> ServerCluster::Create(
   }
 
   // The cluster's only grid, rebuilt from the one store. Its sampling
-  // stream and query-count cache are the single server's (one RNG draw per
-  // node id, so sampled statistics do not depend on S).
+  // stream draws once per node id, so sampled statistics do not depend on
+  // S.
   StatsStageConfig stats_config;
   stats_config.num_nodes = server.num_nodes;
   stats_config.world = server.world;
@@ -165,7 +189,6 @@ StatusOr<std::unique_ptr<ServerCluster>> ServerCluster::Create(
   stats_config.stats_sample_fraction = server.stats_sample_fraction;
   stats_config.incremental_stats = server.incremental_stats;
   stats_config.seed = server.seed ^ 0x57a75ULL;
-  stats_config.metric_prefix = "lira.coord";
   stats_config.telemetry = server.telemetry;
   auto stats = StatsStage::Create(stats_config);
   if (!stats.ok()) {
@@ -189,13 +212,10 @@ StatusOr<std::unique_ptr<ServerCluster>> ServerCluster::Create(
     return optimizer.status();
   }
 
-  const int32_t pool_threads = std::min(
-      config.threads > 0 ? config.threads : ThreadPool::DefaultThreads(),
-      num_shards);
-  return std::unique_ptr<ServerCluster>(new ServerCluster(
-      config, policy, reduction, queries, *std::move(shard_map),
-      std::move(shards), *std::move(tracker), *std::move(stats),
-      *std::move(optimizer), pool_threads));
+  return ServerCluster(config, policy, reduction, queries,
+                       *std::move(shard_map), std::move(shards),
+                       *std::move(tracker), *std::move(stats),
+                       *std::move(optimizer));
 }
 
 Status ServerCluster::InstallQueries(const QueryRegistry* queries) {
@@ -208,30 +228,40 @@ Status ServerCluster::InstallQueries(const QueryRegistry* queries) {
 }
 
 void ServerCluster::ReceiveBatch(std::vector<ModelUpdate>* updates) {
-  const auto arrived = static_cast<int64_t>(updates->size());
   telemetry::TraceRecorder* tr = config_.server.trace;
   telemetry::TraceLane* driver_lane =
       tr != nullptr ? tr->lane(telemetry::TraceRecorder::kDriverLane)
                     : nullptr;
-  // Route serially in batch order (stable: each shard sees its updates in
-  // the order the batch carried them, exactly the sub-sequence a single
-  // server would have admitted them in), then admit per shard in parallel.
+  // Reject malformed updates, then route the rest serially in batch order
+  // (stable: each shard sees its updates in the order the batch carried
+  // them), then admit per shard in parallel. A bad id would index the
+  // owner map and the store out of bounds, and a NaN origin would reach the
+  // shard map's integer column arithmetic.
+  int64_t rejected = 0;
+  int64_t arrived = 0;
   {
     telemetry::ScopedSpan route_span(tr, driver_lane, "ingest.route", tick_,
                                      -1, time_);
-    route_span.set_value(static_cast<double>(arrived));
+    route_span.set_value(static_cast<double>(updates->size()));
     for (Shard& shard : shards_) {
       shard.route.clear();
     }
+    const int32_t num_nodes = config_.server.num_nodes;
     for (ModelUpdate& update : *updates) {
+      if (!IsWellFormed(update, num_nodes)) {
+        ++rejected;
+        continue;
+      }
       shards_[shard_map_.ShardFor(update.model.origin)].route.push_back(
           std::move(update));
     }
+    rejected_ += rejected;
+    arrived = static_cast<int64_t>(updates->size()) - rejected;
     updates->clear();
   }
   // Each worker writes only its own shard's trace lane (grain 1 ==
   // one shard per chunk), so lanes stay single-writer.
-  pool_.ParallelFor(
+  pool_->ParallelFor(
       0, num_shards(), 1, [&](int32_t /*chunk*/, int64_t begin, int64_t end) {
         for (int64_t k = begin; k < end; ++k) {
           Shard& shard = shards_[k];
@@ -243,21 +273,31 @@ void ServerCluster::ReceiveBatch(std::vector<ModelUpdate>* updates) {
                   : nullptr,
               "ingest.receive", tick_, shard_id, time_);
           span.set_value(static_cast<double>(shard.route.size()));
-          shard.last_dropped = shard.ingest.Receive(&shard.route, time_);
+          shard.last_dropped = shard.ingest.Receive(&shard.route);
         }
       });
   if (config_.server.telemetry != nullptr) {
+    // Server-wide instruments; shard stages count their own under
+    // lira.shard<k>, and only this serial section emits events (EventSink
+    // implementations are single-threaded).
     int64_t dropped = 0;
     for (const Shard& shard : shards_) {
       dropped += shard.last_dropped;
     }
+    const size_t depth = queue_size();
+    depth_high_watermark_ = std::max(depth_high_watermark_, depth);
     arrivals_counter_->Increment(arrived);
+    depth_gauge_->Set(static_cast<double>(depth));
+    high_watermark_gauge_->Set(static_cast<double>(depth_high_watermark_));
+    if (rejected > 0) {
+      rejected_counter_->Increment(rejected);
+    }
     if (dropped > 0) {
       dropped_counter_->Increment(dropped);
       config_.server.telemetry->Emit(telemetry::EventKind::kQueueOverflow,
                                      "lira.queue.dropped", time_,
                                      static_cast<double>(dropped),
-                                     static_cast<double>(queue_size()));
+                                     static_cast<double>(depth));
     }
   }
 }
@@ -274,7 +314,7 @@ Status ServerCluster::Tick(double dt) {
   // nodes it owns, relaxed-atomic instruments, and its own trace lane
   // (k + 1), so nothing needs synchronization. owner_of_ is read-only
   // here: lanes are disjoint per owner, so no two shards write one lane.
-  pool_.ParallelFor(
+  pool_->ParallelFor(
       0, num_shards(), 1, [&](int32_t /*chunk*/, int64_t begin, int64_t end) {
         for (int64_t k = begin; k < end; ++k) {
           Shard& shard = shards_[k];
@@ -314,7 +354,7 @@ Status ServerCluster::Tick(double dt) {
     // once. The fill runs on the pool the fan-out just released.
     telemetry::ScopedSpan rebuild_span(tr, driver_lane, "tracker.apply",
                                        tick_, -1, time_);
-    snapshot_->Rebuild(*this, stats_.grid(), &pool_);
+    snapshot_->Rebuild(tracker_.tracker(), time_, stats_.grid(), pool_);
     rebuild_span.set_value(static_cast<double>(snapshot_->size()));
   }
   if (time_ + 1e-9 >= next_adaptation_) {
@@ -329,7 +369,10 @@ Status ServerCluster::Tick(double dt) {
 
 void ServerCluster::RecordFlightSamples() {
   telemetry::FlightRecorder* recorder = config_.server.flight_recorder;
-  for (int32_t k = 0; k < num_shards(); ++k) {
+  // At S = 1 a shard sample would repeat the coordinator's and halve the
+  // ring's postmortem depth.
+  const int32_t shard_samples = num_shards() > 1 ? num_shards() : 0;
+  for (int32_t k = 0; k < shard_samples; ++k) {
     const Shard& shard = shards_[k];
     telemetry::FlightSample sample;
     sample.tick = tick_;
@@ -363,17 +406,15 @@ void ServerCluster::CommitStaged() {
   // Serial, in shard order, so the outcome is independent of worker
   // timing. Shards drain their queues independently, so a node's report
   // can sit in one shard's backlog while a newer one reaches another
-  // shard; comparing t0 keeps such a stale report from undoing the newer
-  // model. A never-seen node (owner -1) has no model to compare against.
-  const ModelColumns lanes = tracker_.tracker().columns();
+  // shard; TrackerStage::Apply keeps such a stale report from undoing the
+  // newer model, and then the node stays with its owner.
   for (int32_t k = 0; k < num_shards(); ++k) {
     for (const ModelUpdate& update : shards_[k].staged) {
-      const NodeId id = update.node_id;
-      const int32_t previous = owner_of_[id];
-      if (previous >= 0 && !(update.model.t0 >= lanes.t0[id])) {
+      if (!tracker_.Apply(update)) {
         continue;
       }
-      tracker_.Apply(update);
+      const NodeId id = update.node_id;
+      const int32_t previous = owner_of_[id];
       if (previous == k) {
         continue;
       }
@@ -532,8 +573,8 @@ int64_t ServerCluster::MigrateOwnership() {
   const int32_t s = num_shards();
   // Per chunk: the owned-count change of each shard, then the movers.
   std::vector<int64_t> tallies(
-      static_cast<size_t>(pool_.num_threads()) * (s + 1), 0);
-  pool_.ParallelFor(
+      static_cast<size_t>(pool_->num_threads()) * (s + 1), 0);
+  pool_->ParallelFor(
       0, config_.server.num_nodes, kMigrationScanGrain,
       [&](int32_t chunk, int64_t begin, int64_t end) {
         // Counted locally: neighbouring chunks' slices share cache lines.
@@ -605,18 +646,6 @@ ClusterHealth ServerCluster::HealthSnapshot() const {
   return health;
 }
 
-std::optional<Point> ServerCluster::BelievedPositionAt(NodeId id,
-                                                       double t) const {
-  return tracker_.tracker().PredictAt(id, t);
-}
-
-void ServerCluster::FillBelievedInto(NodeId begin, int64_t n, double t,
-                                     double* out_x, double* out_y,
-                                     uint8_t* known) const {
-  tracker_.tracker().PredictSpan(begin, n, t, /*fallback_x=*/nullptr,
-                                 /*fallback_y=*/nullptr, out_x, out_y, known);
-}
-
 size_t ServerCluster::queue_size() const {
   size_t total = 0;
   for (const Shard& shard : shards_) {
@@ -653,42 +682,51 @@ int64_t ServerCluster::updates_applied() const {
 
 StatusOr<std::vector<NodeId>> ServerCluster::AnswerRange(const Rect& range,
                                                          double t) const {
-  return AnswerSnapshotRange(*this, snapshot_ ? &*snapshot_ : nullptr,
-                             stats_.grid(), range, t);
+  if (!snapshot_.has_value()) {
+    return FailedPreconditionError("server index maintenance is disabled");
+  }
+  if (t + 1e-9 < time_) {
+    return InvalidArgumentError(
+        "snapshot time is in the past; use the history store for "
+        "historical queries");
+  }
+  if (t == snapshot_->time()) {
+    return snapshot_->Range(stats_.grid(), range);
+  }
+  const int32_t n = snapshot_->num_nodes();
+  std::vector<double> x(n);
+  std::vector<double> y(n);
+  std::vector<uint8_t> known(n);
+  FillBelievedInto(0, n, t, x.data(), y.data(), known.data());
+  std::vector<NodeId> out;
+  for (NodeId id = 0; id < n; ++id) {
+    if (known[id] != 0 && range.Contains({x[id], y[id]})) {
+      out.push_back(id);
+    }
+  }
+  return out;
 }
 
 StatusOr<std::vector<NodeId>> ServerCluster::AnswerQuery(
     QueryId query) const {
-  return AnswerSnapshotQuery(*this, snapshot_ ? &*snapshot_ : nullptr,
-                             stats_.grid(), *queries_, query);
-}
-
-std::optional<Point> ServerCluster::HistoricalPositionAt(NodeId id,
-                                                         double t) const {
-  const HistoryStore* store = tracker_.history();
-  return store != nullptr ? store->PositionAt(id, t) : std::nullopt;
-}
-
-std::vector<NodeId> ServerCluster::HistoricalRangeAt(const Rect& range,
-                                                     double t) const {
-  const HistoryStore* store = tracker_.history();
-  return store != nullptr ? store->RangeAt(range, t) : std::vector<NodeId>{};
+  if (!snapshot_.has_value()) {
+    return FailedPreconditionError("server index maintenance is disabled");
+  }
+  if (query < 0 || query >= queries_->size()) {
+    return InvalidArgumentError("unknown query id: " + std::to_string(query));
+  }
+  return AnswerRange(queries_->Get(query).range, time_);
 }
 
 StatusOr<std::vector<NodeId>> ServerCluster::AnswerHistoricalRange(
     const Rect& range, double t) const {
-  if (!config_.server.record_history) {
+  if (history() == nullptr) {
     return FailedPreconditionError("history recording is disabled");
   }
   if (t > time_ + 1e-9) {
     return InvalidArgumentError("historical time is in the future");
   }
-  return HistoricalRangeAt(range, t);
-}
-
-int64_t ServerCluster::history_bytes() const {
-  const HistoryStore* store = tracker_.history();
-  return store != nullptr ? store->ApproxBytes() : 0;
+  return history()->RangeAt(range, t);
 }
 
 }  // namespace lira

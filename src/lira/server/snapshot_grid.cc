@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <string>
 #include <utility>
 
 #include "lira/common/check.h"
@@ -67,13 +66,14 @@ SnapshotGrid::SnapshotGrid(int32_t num_nodes, int32_t alpha)
   LIRA_CHECK(num_nodes >= 0 && alpha > 0);
 }
 
-void SnapshotGrid::Rebuild(const ServerPipeline& source,
+void SnapshotGrid::Rebuild(const PositionTracker& tracker, double t,
                            const StatisticsGrid& grid, ThreadPool* pool) {
-  const double t = source.time();
+  LIRA_CHECK(tracker.num_nodes() == num_nodes());
   const auto fill = [&](int64_t begin, int64_t end) {
-    source.FillBelievedInto(static_cast<NodeId>(begin), end - begin, t,
-                            fill_x_.data() + begin, fill_y_.data() + begin,
-                            fill_known_.data() + begin);
+    tracker.PredictSpan(static_cast<NodeId>(begin), end - begin, t,
+                        /*fallback_x=*/nullptr, /*fallback_y=*/nullptr,
+                        fill_x_.data() + begin, fill_y_.data() + begin,
+                        fill_known_.data() + begin);
   };
   const auto n = static_cast<int64_t>(cell_.size());
   if (pool != nullptr) {
@@ -161,47 +161,6 @@ std::vector<NodeId> SnapshotGrid::Range(const StatisticsGrid& grid,
   out.resize(kept);
   SortIds(num_nodes(), &out);
   return out;
-}
-
-StatusOr<std::vector<NodeId>> AnswerSnapshotRange(
-    const ServerPipeline& server, const SnapshotGrid* snapshot,
-    const StatisticsGrid& grid, const Rect& range, double t) {
-  if (snapshot == nullptr) {
-    return FailedPreconditionError("server index maintenance is disabled");
-  }
-  if (t + 1e-9 < server.time()) {
-    return InvalidArgumentError(
-        "snapshot time is in the past; use the history store for "
-        "historical queries");
-  }
-  if (t == snapshot->time()) {
-    return snapshot->Range(grid, range);
-  }
-  const int32_t n = snapshot->num_nodes();
-  std::vector<double> x(n);
-  std::vector<double> y(n);
-  std::vector<uint8_t> known(n);
-  server.FillBelievedInto(0, n, t, x.data(), y.data(), known.data());
-  std::vector<NodeId> out;
-  for (NodeId id = 0; id < n; ++id) {
-    if (known[id] != 0 && range.Contains({x[id], y[id]})) {
-      out.push_back(id);
-    }
-  }
-  return out;
-}
-
-StatusOr<std::vector<NodeId>> AnswerSnapshotQuery(
-    const ServerPipeline& server, const SnapshotGrid* snapshot,
-    const StatisticsGrid& grid, const QueryRegistry& queries, QueryId query) {
-  if (snapshot == nullptr) {
-    return FailedPreconditionError("server index maintenance is disabled");
-  }
-  if (query < 0 || query >= queries.size()) {
-    return InvalidArgumentError("unknown query id: " + std::to_string(query));
-  }
-  return AnswerSnapshotRange(server, snapshot, grid, queries.Get(query).range,
-                             server.time());
 }
 
 }  // namespace lira

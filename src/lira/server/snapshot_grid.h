@@ -17,9 +17,9 @@
 // drifted outside the world sit in the border cells, where range corners
 // outside the world clamp too.
 //
-// The snapshot holds one time. AnswerSnapshotRange, the answer path both
-// servers share, serves any later time with an O(n) fill of the believed
-// positions at that time, filtered by the same Contains test.
+// The snapshot holds one time. ServerCluster::AnswerRange serves any later
+// time with an O(n) fill of the believed positions at that time, filtered
+// by the same Contains test.
 
 #ifndef LIRA_SERVER_SNAPSHOT_GRID_H_
 #define LIRA_SERVER_SNAPSHOT_GRID_H_
@@ -29,11 +29,9 @@
 
 #include "lira/common/geometry.h"
 #include "lira/common/parallel.h"
-#include "lira/common/status.h"
 #include "lira/core/statistics_grid.h"
-#include "lira/cq/query_registry.h"
 #include "lira/mobility/position.h"
-#include "lira/server/server_pipeline.h"
+#include "lira/motion/dead_reckoning.h"
 
 namespace lira {
 
@@ -47,12 +45,12 @@ class SnapshotGrid {
   /// alpha x alpha grid. Allocates every array once, here.
   SnapshotGrid(int32_t num_nodes, int32_t alpha);
 
-  /// Refills the snapshot with `source`'s believed positions at
-  /// source.time(), read through FillBelievedInto in id blocks on `pool`
-  /// (nullptr = inline; lanes are independent, so any thread count gives
-  /// the same snapshot), then Build.
-  void Rebuild(const ServerPipeline& source, const StatisticsGrid& grid,
-               ThreadPool* pool);
+  /// Refills the snapshot with `tracker`'s believed positions at time t,
+  /// predicted in id blocks on `pool` (nullptr = inline; lanes are
+  /// independent, so any thread count gives the same snapshot), then Build.
+  /// The tracker spans num_nodes() ids.
+  void Rebuild(const PositionTracker& tracker, double t,
+               const StatisticsGrid& grid, ThreadPool* pool);
 
   /// Bins caller columns by `grid`'s cells with a serial counting sort:
   /// lane i is node i, and lanes whose `known` byte is 0 are left out.
@@ -87,26 +85,6 @@ class SnapshotGrid {
   std::vector<double> x_;
   std::vector<double> y_;
 };
-
-/// The range-answer contract of CqServer and ServerCluster, whose
-/// AnswerRange and AnswerQuery forward here. `snapshot` is the server's
-/// snapshot, or nullptr when maintain_index is off; `grid` is its
-/// statistics grid. Checks run in this order:
-///  1. FailedPrecondition when `snapshot` is nullptr;
-///  2. InvalidArgument for an unknown query id, or a time before
-///     server.time() (past times belong to the history store).
-/// The answer is every id whose believed position at t lies in the range
-/// (Rect::Contains), ascending: scanned from the snapshot at its own time,
-/// and filtered from an O(n) FillBelievedInto pass at any other time.
-StatusOr<std::vector<NodeId>> AnswerSnapshotRange(
-    const ServerPipeline& server, const SnapshotGrid* snapshot,
-    const StatisticsGrid& grid, const Rect& range, double t);
-
-/// AnswerSnapshotRange over registered query `query`'s range at
-/// server.time().
-StatusOr<std::vector<NodeId>> AnswerSnapshotQuery(
-    const ServerPipeline& server, const SnapshotGrid* snapshot,
-    const StatisticsGrid& grid, const QueryRegistry& queries, QueryId query);
 
 }  // namespace lira
 

@@ -20,7 +20,6 @@ StatsStage::StatsStage(const StatsStageConfig& config, StatisticsGrid grid)
     : world_(config.world),
       stats_sample_fraction_(config.stats_sample_fraction),
       incremental_stats_(config.incremental_stats),
-      pool_(config.pool),
       grid_(std::move(grid)),
       stats_rng_(config.seed),
       stats_cell_of_(config.num_nodes, -1),
@@ -29,7 +28,7 @@ StatsStage::StatsStage(const StatsStageConfig& config, StatisticsGrid grid)
       stats_vel_y_(config.num_nodes, 0.0) {
   if (config.telemetry != nullptr) {
     cells_dirtied_counter_ = config.telemetry->metrics().GetCounter(
-        config.metric_prefix + ".stats.cells_dirtied");
+        "lira.coord.stats.cells_dirtied");
   }
 }
 

@@ -3,9 +3,8 @@
 // Owns a server's only StatisticsGrid and everything needed to refresh it
 // from the believed node states at each adaptation: the delta-maintenance
 // state (last contribution per node), the sampling RNG, and the query-count
-// refresh cache. The believed states live in the server's one tracker
-// (CqServer and ServerCluster alike), read in place. The rebuild paths keep
-// the original monolithic CqServer's bitwise guarantees:
+// refresh cache. The believed states live in the server's one tracker,
+// read in place. The rebuild paths are bitwise equal to each other:
 //
 //  * incremental (fraction == 1.0): relocate only contributions whose cell
 //    or quantized speed changed -- bitwise identical to ClearNodes() + full
@@ -42,7 +41,6 @@
 #define LIRA_SERVER_STATS_STAGE_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "lira/common/arena.h"
@@ -67,17 +65,12 @@ struct StatsStageConfig {
   double stats_sample_fraction = 1.0;
   /// Delta-maintain across rebuilds when the fraction is 1.0.
   bool incremental_stats = true;
-  /// Final sampling-RNG seed; the caller pre-mixes (both servers pass
-  /// `seed ^ 0x57a75`).
+  /// Final sampling-RNG seed; the server passes `seed ^ 0x57a75`.
   uint64_t seed = 1234;
-  /// Instrument namespace: "<metric_prefix>.stats.cells_dirtied".
-  std::string metric_prefix = "lira";
-  /// Optional telemetry (not owned; must outlive the stage).
+  /// Optional telemetry (not owned; must outlive the stage). The stage
+  /// counts `lira.coord.stats.cells_dirtied`: it runs at the cluster's
+  /// coordinator.
   telemetry::TelemetrySink* telemetry = nullptr;
-  /// Optional worker pool (not owned) for the incremental rebuild. The
-  /// rebuild calls ParallelFor, which does not nest: it must run outside
-  /// any other section of the same pool.
-  ThreadPool* pool = nullptr;
 };
 
 /// Grid + rebuild machinery. Not thread-safe.
@@ -100,7 +93,9 @@ class StatsStage {
   void InvalidateQueryCache() { query_stats_valid_ = false; }
 
   /// Points the incremental rebuild at a worker pool (not owned; nullptr =
-  /// serial), for owners whose pool outlives construction (ServerCluster).
+  /// serial, the default). The rebuild calls ParallelFor, which does not
+  /// nest: RebuildNodes must run outside any other section of the same
+  /// pool.
   void set_pool(ThreadPool* pool) { pool_ = pool; }
 
   const StatisticsGrid& grid() const { return grid_; }
@@ -135,7 +130,7 @@ class StatsStage {
   Rect world_;
   double stats_sample_fraction_;
   bool incremental_stats_;
-  ThreadPool* pool_;
+  ThreadPool* pool_ = nullptr;
   StatisticsGrid grid_;
   Rng stats_rng_;
   /// Delta-maintenance state: each node's last contribution to the grid

@@ -16,11 +16,19 @@ StatusOr<TrackerStage> TrackerStage::Create(int32_t num_nodes,
   return TrackerStage(num_nodes, record_history);
 }
 
-void TrackerStage::Apply(const ModelUpdate& update) {
-  tracker_.Apply(update);
+bool TrackerStage::Apply(const ModelUpdate& update) {
+  // The history keeps itself sorted by t0, so it takes every report; the
+  // tracker then stays equal to the history's latest record.
   if (history_.has_value()) {
     history_->Record(update);
   }
+  const NodeId id = update.node_id;
+  if (tracker_.HasModel(id) &&
+      !(update.model.t0 >= tracker_.columns().t0[id])) {
+    return false;
+  }
+  tracker_.Apply(update);
+  return true;
 }
 
 }  // namespace lira

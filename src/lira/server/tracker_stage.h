@@ -1,11 +1,12 @@
 // Pipeline stage 2: the server's belief state.
 //
 // Owns the PositionTracker (current motion model per node) and the optional
-// HistoryStore retaining every applied model. One Apply call keeps both
-// consistent. Each server holds one stage: a cluster's shards own lanes of
-// it through the cluster's owner map and never copy a model (DESIGN.md §9).
-// Range answers come from the server's snapshot grid, which reads the
-// tracker (snapshot_grid.h).
+// HistoryStore retaining every served model. One Apply call keeps both
+// consistent and holds the server's one rule for which report a node's
+// model keeps. Each server holds one stage: its shards own lanes of it
+// through the owner map and never copy a model (DESIGN.md §9). Range
+// answers come from the server's snapshot grid, which reads the tracker
+// (snapshot_grid.h).
 
 #ifndef LIRA_SERVER_TRACKER_STAGE_H_
 #define LIRA_SERVER_TRACKER_STAGE_H_
@@ -29,10 +30,12 @@ class TrackerStage {
  public:
   static StatusOr<TrackerStage> Create(int32_t num_nodes, bool record_history);
 
-  /// Applies one surviving update to the tracker and, when enabled, the
-  /// history store. Counts nothing: each server counts the updates its
-  /// queues served.
-  void Apply(const ModelUpdate& update);
+  /// Serves one report: records it in the history (when enabled), and
+  /// replaces the node's model unless the model in place has a later t0.
+  /// Ties go to the later write, and a NaN t0 replaces nothing. Returns
+  /// whether the model was replaced. Counts nothing: each server counts the
+  /// updates its queues served.
+  bool Apply(const ModelUpdate& update);
 
   const PositionTracker& tracker() const { return tracker_; }
   /// nullptr when record_history is off.

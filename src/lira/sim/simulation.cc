@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <fstream>
-#include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -16,10 +14,8 @@
 #include "lira/cq/incremental_evaluator.h"
 #include "lira/motion/dead_reckoning.h"
 #include "lira/server/cluster_health.h"
-#include "lira/server/cq_server.h"
 #include "lira/server/history_store.h"
 #include "lira/server/server_cluster.h"
-#include "lira/server/server_pipeline.h"
 
 namespace lira {
 
@@ -53,10 +49,11 @@ StatusOr<SimulationResult> RunSimulation(const World& world,
   if (config.health_stride < 1) {
     return InvalidArgumentError("health_stride must be >= 1");
   }
-  if (config.trace != nullptr &&
-      config.trace->num_lanes() < config.shards + 1) {
+  // Shard k traces into lane k + 1, and shards == 0 runs one shard.
+  const int32_t num_shards = std::max(config.shards, 1);
+  if (config.trace != nullptr && config.trace->num_lanes() < num_shards + 1) {
     return InvalidArgumentError(
-        "trace recorder needs at least shards + 1 lanes");
+        "trace recorder needs at least max(shards, 1) + 1 lanes");
   }
 
   CqServerConfig server_config;
@@ -91,50 +88,34 @@ StatusOr<SimulationResult> RunSimulation(const World& world,
   server_config.flight_recorder = config.flight_recorder;
   server_config.seed = config.seed;
 
-  // Parallel execution (DESIGN.md §7): the per-frame node loop, the
-  // accuracy-sampling pass, and the single server's adaptation path share a
-  // deterministic fork-join pool (constructed ahead of the server so the
-  // server can borrow it). threads == 1 (or a 0 default on a single-core
-  // host) bypasses the pool.
+  // Parallel execution (DESIGN.md §7): the per-frame node loop and the
+  // accuracy-sampling pass share a deterministic fork-join pool.
+  // threads == 1 (or a 0 default on a single-core host) bypasses the pool.
   ThreadPool pool(config.threads > 0 ? config.threads
                                      : ThreadPool::DefaultThreads());
 
-  // shards == 0 runs the single in-process server; S >= 1 runs the
-  // region-sharded cluster behind the same ServerPipeline interface
-  // (bitwise identical at S = 1, see sim/simulation_test). The cluster owns
-  // its own pool (its adaptation runs inside this pool's frame fan-out on
-  // some drivers, and ParallelFor does not nest), so only the single server
-  // borrows the simulator's.
-  std::optional<CqServer> single_server;
-  std::unique_ptr<ServerCluster> cluster;
-  ServerPipeline* server = nullptr;
+  // shards == 0 runs one shard on the simulator's pool (the frame loop
+  // calls the server only outside its own fan-out, so the sections never
+  // nest); S >= 1 shards own min(threads, S) workers. Results are bitwise
+  // identical either way (sim/simulation_test).
+  ServerClusterConfig cluster_config;
+  cluster_config.server = server_config;
+  cluster_config.shards = num_shards;
+  cluster_config.threads = config.threads;
+  cluster_config.rebalance_stride = config.rebalance_stride;
   if (config.shards == 0) {
-    server_config.pool = &pool;
-    auto created = CqServer::Create(server_config, &policy, &world.reduction,
-                                    &world.queries);
-    if (!created.ok()) {
-      return created.status();
-    }
-    single_server.emplace(*std::move(created));
-    server = &*single_server;
-  } else {
-    ServerClusterConfig cluster_config;
-    cluster_config.server = server_config;
-    cluster_config.shards = config.shards;
-    cluster_config.threads = config.threads;
-    cluster_config.rebalance_stride = config.rebalance_stride;
-    auto created = ServerCluster::Create(cluster_config, &policy,
-                                         &world.reduction, &world.queries);
-    if (!created.ok()) {
-      return created.status();
-    }
-    cluster = *std::move(created);
-    server = cluster.get();
+    cluster_config.server.pool = &pool;
   }
+  auto created = ServerCluster::Create(cluster_config, &policy,
+                                       &world.reduction, &world.queries);
+  if (!created.ok()) {
+    return created.status();
+  }
+  ServerCluster* server = created->get();
 
   // Periodic cluster health snapshots (JSONL; one ClusterHealth per line).
   std::ofstream health_out;
-  const bool write_health = cluster != nullptr && !config.health_path.empty();
+  const bool write_health = !config.health_path.empty();
   if (write_health) {
     health_out.open(config.health_path);
     if (!health_out) {
@@ -260,7 +241,7 @@ StatusOr<SimulationResult> RunSimulation(const World& world,
     LIRA_RETURN_IF_ERROR(server->Tick(trace.dt()));
 
     if (write_health && frame % config.health_stride == 0) {
-      WriteHealthJson(cluster->HealthSnapshot(), health_out);
+      WriteHealthJson(server->HealthSnapshot(), health_out);
       health_out << "\n";
     }
 
@@ -343,8 +324,8 @@ StatusOr<SimulationResult> RunSimulation(const World& world,
   result.final_plan_regions = server->plan().NumRegions();
   result.final_plan_min_delta = server->plan().MinDelta();
   result.final_plan_max_delta = server->plan().MaxDelta();
-  if (config.evaluate_history && server->records_history() &&
-      config.history_probes > 0) {
+  const HistoryStore* history = server->history();
+  if (history != nullptr && config.history_probes > 0) {
     // Random historical snapshot probes over the measured window.
     Rng rng(config.seed ^ 0x5eedULL);
     const Rect world_rect = world.world_rect();
@@ -361,7 +342,7 @@ StatusOr<SimulationResult> RunSimulation(const World& world,
           rng.Uniform(world_rect.min_y + side / 2,
                       world_rect.max_y - side / 2)};
       const Rect range = Rect::CenteredAt(center, side);
-      std::vector<NodeId> got = server->HistoricalRangeAt(range, t);
+      std::vector<NodeId> got = history->RangeAt(range, t);
       std::vector<NodeId> want = reference_history.RangeAt(range, t);
       std::sort(got.begin(), got.end());
       std::sort(want.begin(), want.end());
@@ -387,7 +368,7 @@ StatusOr<SimulationResult> RunSimulation(const World& world,
       for (int32_t k = 0; k < 20; ++k) {
         const auto id = static_cast<NodeId>(
             rng.UniformInt(static_cast<uint64_t>(world.num_nodes())));
-        const auto believed = server->HistoricalPositionAt(id, t);
+        const auto believed = history->PositionAt(id, t);
         const auto reference = reference_history.PositionAt(id, t);
         if (believed.has_value() && reference.has_value()) {
           position.Add(Distance(*believed, *reference));
@@ -396,7 +377,7 @@ StatusOr<SimulationResult> RunSimulation(const World& world,
     }
     result.historical_containment_error = containment.mean();
     result.historical_position_error = position.mean();
-    result.history_bytes = server->history_bytes();
+    result.history_bytes = history->ApproxBytes();
   }
   if (measured_frames > 0 && world.full_update_rate > 0.0) {
     const double measured_rate =
@@ -407,7 +388,7 @@ StatusOr<SimulationResult> RunSimulation(const World& world,
   if (write_health) {
     // Final snapshot, then the Prometheus rendering of it (plus the full
     // metric registry when telemetry ran) at "<health_path>.prom".
-    const ClusterHealth final_health = cluster->HealthSnapshot();
+    const ClusterHealth final_health = server->HealthSnapshot();
     WriteHealthJson(final_health, health_out);
     health_out << "\n";
     health_out.flush();

@@ -74,17 +74,18 @@ struct SimulationConfig {
   int32_t telemetry_stride = 10;
   /// Optional span tracer (not owned; must outlive the call). Forwarded to
   /// the server: every tick and adaptation records per-stage wall-time
-  /// spans (DESIGN.md §10); with shards >= 1 the recorder needs shards + 1
-  /// lanes. nullptr disables tracing at a pointer test per stage.
+  /// spans (DESIGN.md §10); the recorder needs max(shards, 1) + 1 lanes,
+  /// since shard k writes lane k + 1. nullptr disables tracing at a pointer
+  /// test per stage.
   telemetry::TraceRecorder* trace = nullptr;
   /// Optional flight recorder (not owned; must outlive the call). The
-  /// server appends one sample per tick (per shard, for a cluster), so the
-  /// ring always holds the last N ticks of control state.
+  /// server appends one sample per tick (and one per shard when S > 1), so
+  /// the ring always holds the last N ticks of control state.
   telemetry::FlightRecorder* flight_recorder = nullptr;
-  /// When non-empty and shards >= 1, a ClusterHealth snapshot is appended
-  /// to this file as one JSON line every `health_stride` frames, and the
-  /// final snapshot (plus the metric registry, when telemetry is set) is
-  /// written as Prometheus text to "<health_path>.prom".
+  /// When non-empty, a ClusterHealth snapshot is appended to this file as
+  /// one JSON line every `health_stride` frames, and the final snapshot
+  /// (plus the metric registry, when telemetry is set) is written as
+  /// Prometheus text to "<health_path>.prom".
   std::string health_path;
   int32_t health_stride = 60;
   /// Worker threads for the per-frame node loop and the accuracy-sampling
@@ -94,10 +95,10 @@ struct SimulationConfig {
   /// order -- so this knob trades wall-clock time only.
   int32_t threads = 0;
   /// Region shards on the server side (DESIGN.md §9). 0 (the default) runs
-  /// the single in-process CqServer; S >= 1 runs a ServerCluster with S
-  /// spatial shards whose worker pool is also bounded by `threads`. S = 1
-  /// is bitwise identical to the single server, and any S is bitwise
-  /// reproducible across thread counts (asserted in sim/simulation_test).
+  /// one shard on the simulator's worker pool; S >= 1 runs S spatial
+  /// shards that own a pool of min(threads, S) workers. 0 and 1 are bitwise
+  /// identical, and any S is bitwise reproducible across thread counts
+  /// (asserted in sim/simulation_test).
   int32_t shards = 0;
   /// Shard-map rebalancing stride R (DESIGN.md §12): every R adaptation
   /// windows the cluster re-splits its column strips from observed load.

@@ -15,6 +15,7 @@
 #include "lira/common/rng.h"
 #include "lira/core/statistics_grid.h"
 #include "lira/motion/linear_model.h"
+#include "kernels_ref.h"
 
 namespace lira {
 namespace {
@@ -331,13 +332,6 @@ TEST(KernelsTest, LocateCellsMatchesGridCellIndexOfBitwise) {
       EXPECT_EQ(rcell[i], vcell[i]) << i;
     }
   }
-}
-
-TEST(KernelsTest, RuntimeDispatchSwitchesPaths) {
-  const bool was = kernels::scalar_reference_enabled();
-  kernels::set_scalar_reference(true);
-  EXPECT_TRUE(kernels::scalar_reference_enabled());
-  kernels::set_scalar_reference(was);
 }
 
 }  // namespace

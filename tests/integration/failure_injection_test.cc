@@ -133,7 +133,7 @@ TEST_F(FailureInjectionTest, DuplicateAndOutOfOrderUpdatesAreAbsorbed) {
                    UpdateFor(0, {102, 100}, {1, 0}, 3.0),
                    UpdateFor(0, {50, 50}, {0, 0}, 1.0)});
   ASSERT_TRUE(server->Tick(1.0).ok());
-  // Tracker holds the last applied (queue is FIFO: the stale one).
+  // Tracker holds the newest model; the late stale report replaced nothing.
   ASSERT_TRUE(server->tracker().HasModel(0));
   // History kept all four, sorted.
   ASSERT_NE(server->history(), nullptr);

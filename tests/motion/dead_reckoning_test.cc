@@ -117,22 +117,6 @@ TEST(DeadReckoningEncoderTest, PerNodeThresholdsAreIndependent) {
   EXPECT_FALSE(u1.has_value());
 }
 
-/// Pins the process to one kernel build for a scope and restores the
-/// previous choice on exit, also when an assertion returns early.
-class ScopedKernelBuild {
- public:
-  explicit ScopedKernelBuild(bool scalar)
-      : was_scalar_(kernels::scalar_reference_enabled()) {
-    kernels::set_scalar_reference(scalar);
-  }
-  ~ScopedKernelBuild() { kernels::set_scalar_reference(was_scalar_); }
-  ScopedKernelBuild(const ScopedKernelBuild&) = delete;
-  ScopedKernelBuild& operator=(const ScopedKernelBuild&) = delete;
-
- private:
-  bool was_scalar_;
-};
-
 void ExpectBitwiseEqual(const LinearMotionModel& a,
                         const LinearMotionModel& b) {
   EXPECT_EQ(std::bit_cast<uint64_t>(a.origin.x),
@@ -168,79 +152,75 @@ TEST(DeadReckoningEncoderTest, ObserveSpanUniformMatchesScalarObserve) {
       {40.0, -30.0},
   };
   constexpr int64_t kNumOffsets = sizeof(kOffsets) / sizeof(kOffsets[0]);
-  for (const bool scalar : {false, true}) {
-    SCOPED_TRACE(scalar ? "scalar reference kernels" : "vector kernels");
-    const ScopedKernelBuild build(scalar);
-    DeadReckoningEncoder span_encoder(kNodes);
-    DeadReckoningEncoder scalar_encoder(kNodes);
-    // Every fourth id has no model when the spans start.
-    for (NodeId id = 0; id < kNodes; ++id) {
-      if (id % 4 != 0) {
-        const PositionSample s =
-            MakeSample(id, 0.0, {100.0 * id, 50.0}, {1.0 + id % 3, -2.0});
-        span_encoder.Observe(s, kDelta);
-        scalar_encoder.Observe(s, kDelta);
-      }
+  DeadReckoningEncoder span_encoder(kNodes);
+  DeadReckoningEncoder scalar_encoder(kNodes);
+  // Every fourth id has no model when the spans start.
+  for (NodeId id = 0; id < kNodes; ++id) {
+    if (id % 4 != 0) {
+      const PositionSample s =
+          MakeSample(id, 0.0, {100.0 * id, 50.0}, {1.0 + id % 3, -2.0});
+      span_encoder.Observe(s, kDelta);
+      scalar_encoder.Observe(s, kDelta);
     }
-    std::vector<double> x(kLanes);
-    std::vector<double> y(kLanes);
-    std::vector<double> vx(kLanes);
-    std::vector<double> vy(kLanes);
-    std::vector<uint8_t> decision(kLanes);
-    std::vector<ModelUpdate> span_out;
-    int64_t ambiguous = 0;
-    for (int frame = 1; frame <= 4; ++frame) {
-      const double t = 2.0 * frame;
-      for (int64_t i = 0; i < kLanes; ++i) {
-        const NodeId id = kBegin + static_cast<NodeId>(i);
-        const std::optional<LinearMotionModel> model =
-            scalar_encoder.ModelOf(id);
-        const Point base =
-            model ? model->PredictAt(t) : Point{7.0 * id, 3.0 * id};
-        const Vec2 offset = kOffsets[i % kNumOffsets];
-        x[i] = base.x + offset.x;
-        y[i] = base.y + offset.y;
-        vx[i] = 0.5 * frame + static_cast<double>(i % 5);
-        vy[i] = -1.0 + static_cast<double>(i % 2);
-      }
-      span_out.clear();
-      span_encoder.ObserveSpanUniform(kBegin, kLanes, x.data(), y.data(),
-                                      vx.data(), vy.data(), t, kDelta,
-                                      decision.data(), &span_out);
-      for (const uint8_t d : decision) {
-        ambiguous += d == kernels::kDevAmbiguous ? 1 : 0;
-      }
-      std::vector<ModelUpdate> scalar_out;
-      for (int64_t i = 0; i < kLanes; ++i) {
-        const NodeId id = kBegin + static_cast<NodeId>(i);
-        if (auto update = scalar_encoder.Observe(
-                MakeSample(id, t, {x[i], y[i]}, {vx[i], vy[i]}), kDelta)) {
-          scalar_out.push_back(*update);
-        }
-      }
-      ASSERT_EQ(span_out.size(), scalar_out.size()) << "frame " << frame;
-      for (size_t k = 0; k < span_out.size(); ++k) {
-        EXPECT_EQ(span_out[k].node_id, scalar_out[k].node_id);
-        ExpectBitwiseEqual(span_out[k].model, scalar_out[k].model);
-      }
-    }
-    // The exact-delta and in-band lanes reached the scalar fallback.
-    EXPECT_GT(ambiguous, 0);
-    EXPECT_EQ(span_encoder.updates_emitted(),
-              scalar_encoder.updates_emitted());
-    for (NodeId id = 0; id < kNodes; ++id) {
-      const auto span_model = span_encoder.ModelOf(id);
-      const auto scalar_model = scalar_encoder.ModelOf(id);
-      ASSERT_EQ(span_model.has_value(), scalar_model.has_value()) << id;
-      if (span_model) {
-        ExpectBitwiseEqual(*span_model, *scalar_model);
-      }
-    }
-    // An exactly-delta deviation never sends: lane 2 kept its frame-0 model.
-    const auto exact = span_encoder.ModelOf(kBegin + 2);
-    ASSERT_TRUE(exact.has_value());
-    EXPECT_EQ(exact->t0, 0.0);
   }
+  std::vector<double> x(kLanes);
+  std::vector<double> y(kLanes);
+  std::vector<double> vx(kLanes);
+  std::vector<double> vy(kLanes);
+  std::vector<uint8_t> decision(kLanes);
+  std::vector<ModelUpdate> span_out;
+  int64_t ambiguous = 0;
+  for (int frame = 1; frame <= 4; ++frame) {
+    const double t = 2.0 * frame;
+    for (int64_t i = 0; i < kLanes; ++i) {
+      const NodeId id = kBegin + static_cast<NodeId>(i);
+      const std::optional<LinearMotionModel> model =
+          scalar_encoder.ModelOf(id);
+      const Point base =
+          model ? model->PredictAt(t) : Point{7.0 * id, 3.0 * id};
+      const Vec2 offset = kOffsets[i % kNumOffsets];
+      x[i] = base.x + offset.x;
+      y[i] = base.y + offset.y;
+      vx[i] = 0.5 * frame + static_cast<double>(i % 5);
+      vy[i] = -1.0 + static_cast<double>(i % 2);
+    }
+    span_out.clear();
+    span_encoder.ObserveSpanUniform(kBegin, kLanes, x.data(), y.data(),
+                                    vx.data(), vy.data(), t, kDelta,
+                                    decision.data(), &span_out);
+    for (const uint8_t d : decision) {
+      ambiguous += d == kernels::kDevAmbiguous ? 1 : 0;
+    }
+    std::vector<ModelUpdate> scalar_out;
+    for (int64_t i = 0; i < kLanes; ++i) {
+      const NodeId id = kBegin + static_cast<NodeId>(i);
+      if (auto update = scalar_encoder.Observe(
+              MakeSample(id, t, {x[i], y[i]}, {vx[i], vy[i]}), kDelta)) {
+        scalar_out.push_back(*update);
+      }
+    }
+    ASSERT_EQ(span_out.size(), scalar_out.size()) << "frame " << frame;
+    for (size_t k = 0; k < span_out.size(); ++k) {
+      EXPECT_EQ(span_out[k].node_id, scalar_out[k].node_id);
+      ExpectBitwiseEqual(span_out[k].model, scalar_out[k].model);
+    }
+  }
+  // The exact-delta and in-band lanes reached the scalar fallback.
+  EXPECT_GT(ambiguous, 0);
+  EXPECT_EQ(span_encoder.updates_emitted(),
+            scalar_encoder.updates_emitted());
+  for (NodeId id = 0; id < kNodes; ++id) {
+    const auto span_model = span_encoder.ModelOf(id);
+    const auto scalar_model = scalar_encoder.ModelOf(id);
+    ASSERT_EQ(span_model.has_value(), scalar_model.has_value()) << id;
+    if (span_model) {
+      ExpectBitwiseEqual(*span_model, *scalar_model);
+    }
+  }
+  // An exactly-delta deviation never sends: lane 2 kept its frame-0 model.
+  const auto exact = span_encoder.ModelOf(kBegin + 2);
+  ASSERT_TRUE(exact.has_value());
+  EXPECT_EQ(exact->t0, 0.0);
 }
 
 TEST(PositionTrackerTest, ApplyAndPredict) {

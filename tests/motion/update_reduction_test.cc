@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include "lira/common/kernels.h"
 #include "lira/mobility/traffic_model.h"
 #include "lira/motion/dead_reckoning.h"
 #include "lira/roadnet/map_generator.h"
@@ -168,24 +167,8 @@ int64_t OracleUpdateCount(const Trace& trace, double delta) {
   return encoder.updates_emitted() - initial;
 }
 
-/// Pins the process to one kernel build for a scope and restores the
-/// previous choice on exit, also when an assertion returns early.
-class ScopedKernelBuild {
- public:
-  explicit ScopedKernelBuild(bool scalar)
-      : was_scalar_(kernels::scalar_reference_enabled()) {
-    kernels::set_scalar_reference(scalar);
-  }
-  ~ScopedKernelBuild() { kernels::set_scalar_reference(was_scalar_); }
-  ScopedKernelBuild(const ScopedKernelBuild&) = delete;
-  ScopedKernelBuild& operator=(const ScopedKernelBuild&) = delete;
-
- private:
-  bool was_scalar_;
-};
-
 /// MeasureReductionProbes and MeasureUpdateRate must equal the oracle
-/// exactly under both kernel builds.
+/// exactly.
 void ExpectCountsMatchOracle(const Trace& trace) {
   const CalibrationConfig config;
   const double ratio = config.delta_max / config.delta_min;
@@ -199,24 +182,20 @@ void ExpectCountsMatchOracle(const Trace& trace) {
   }
   ASSERT_GT(counts[0], 0);
   const double seconds = (trace.num_frames() - 1) * trace.dt();
-  for (const bool scalar : {false, true}) {
-    SCOPED_TRACE(scalar ? "scalar reference kernels" : "vector kernels");
-    const ScopedKernelBuild build(scalar);
-    auto probes = MeasureReductionProbes(trace, config);
-    ASSERT_TRUE(probes.ok());
-    ASSERT_EQ(probes->size(), deltas.size());
-    for (size_t p = 0; p < deltas.size(); ++p) {
-      EXPECT_EQ((*probes)[p].first, deltas[p]) << "probe " << p;
-      EXPECT_EQ((*probes)[p].second, static_cast<double>(counts[p]) /
-                                         static_cast<double>(counts[0]))
-          << "probe " << p;
-    }
-    for (const size_t p : {size_t{0}, deltas.size() / 2, deltas.size() - 1}) {
-      auto rate = MeasureUpdateRate(trace, deltas[p]);
-      ASSERT_TRUE(rate.ok());
-      EXPECT_EQ(*rate, static_cast<double>(counts[p]) / seconds)
-          << "delta " << deltas[p];
-    }
+  auto probes = MeasureReductionProbes(trace, config);
+  ASSERT_TRUE(probes.ok());
+  ASSERT_EQ(probes->size(), deltas.size());
+  for (size_t p = 0; p < deltas.size(); ++p) {
+    EXPECT_EQ((*probes)[p].first, deltas[p]) << "probe " << p;
+    EXPECT_EQ((*probes)[p].second, static_cast<double>(counts[p]) /
+                                       static_cast<double>(counts[0]))
+        << "probe " << p;
+  }
+  for (const size_t p : {size_t{0}, deltas.size() / 2, deltas.size() - 1}) {
+    auto rate = MeasureUpdateRate(trace, deltas[p]);
+    ASSERT_TRUE(rate.ok());
+    EXPECT_EQ(*rate, static_cast<double>(counts[p]) / seconds)
+        << "delta " << deltas[p];
   }
 }
 

@@ -340,6 +340,53 @@ TEST_F(CqServerTest, HistoricalRangeAnswers) {
       plain->AnswerHistoricalRange(queries_.Get(0).range, 0.0).ok());
 }
 
+TEST_F(CqServerTest, LateOlderReportKeepsNewerModel) {
+  auto config = BaseConfig();
+  config.record_history = true;
+  auto server =
+      CqServer::Create(config, &uniform_policy_, &*reduction_, &queries_);
+  ASSERT_TRUE(server.ok());
+  server->Receive({UpdateFor(0, {1200.0, 800.0}, {0.0, 0.0}, 2.0)});
+  ASSERT_TRUE(server->Tick(1.0).ok());
+  // A report older than the model in place arrives a tick later.
+  server->Receive({UpdateFor(0, {200.0, 800.0}, {0.0, 0.0}, 1.0)});
+  ASSERT_TRUE(server->Tick(1.0).ok());
+  EXPECT_EQ(server->updates_applied(), 2);
+  const auto believed = server->BelievedPositionAt(0, server->time());
+  ASSERT_TRUE(believed.has_value());
+  EXPECT_EQ(*believed, (Point{1200.0, 800.0}));
+  // The history keeps both reports and agrees with the tracker.
+  ASSERT_NE(server->history(), nullptr);
+  EXPECT_EQ(server->history()->RecordsFor(0), 2);
+  const auto recorded = server->history()->PositionAt(0, server->time());
+  ASSERT_TRUE(recorded.has_value());
+  EXPECT_EQ(*recorded, *believed);
+  const auto past = server->history()->PositionAt(0, 1.5);
+  ASSERT_TRUE(past.has_value());
+  EXPECT_EQ(*past, (Point{200.0, 800.0}));
+}
+
+TEST_F(CqServerTest, OverflowEventCarriesDropCount) {
+  telemetry::MemoryEventSink events;
+  telemetry::TelemetrySink sink(&events);
+  auto config = BaseConfig();
+  config.queue_capacity = 4;
+  config.telemetry = &sink;
+  auto server =
+      CqServer::Create(config, &uniform_policy_, &*reduction_, &queries_);
+  ASSERT_TRUE(server.ok());
+  std::vector<ModelUpdate> batch;
+  for (NodeId id = 0; id < 9; ++id) {
+    batch.push_back(UpdateFor(id, {10.0, 10.0}, {0.0, 0.0}, 0.0));
+  }
+  server->Receive(std::move(batch));
+  const auto overflows = events.Select(telemetry::EventKind::kQueueOverflow);
+  ASSERT_EQ(overflows.size(), 1u);
+  EXPECT_EQ(overflows[0].name, "lira.queue.dropped");
+  EXPECT_DOUBLE_EQ(overflows[0].value, 5.0);
+  EXPECT_DOUBLE_EQ(overflows[0].extra, 4.0);
+}
+
 TEST_F(CqServerTest, InstallQueriesTakesEffectAtAdaptation) {
   auto server = CqServer::Create(BaseConfig(), &uniform_policy_, &*reduction_,
                                  &queries_);

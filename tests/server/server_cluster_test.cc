@@ -1,12 +1,14 @@
 #include "lira/server/server_cluster.h"
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "lira/common/rng.h"
+#include "lira/server/cq_server.h"
 #include "lira/telemetry/telemetry.h"
 
 namespace lira {
@@ -81,12 +83,14 @@ class ServerClusterTest : public ::testing::Test {
 
   /// Two shards (x < 800 routes to shard 0) over four nodes, serving every
   /// update in the tick it arrives: the handoff-rule tests.
-  std::unique_ptr<ServerCluster> HandoffCluster(int32_t threads) {
+  std::unique_ptr<ServerCluster> HandoffCluster(int32_t threads,
+                                                bool record_history = false) {
     auto config = ClusterConfig(2, threads);
     config.server.num_nodes = 4;
     config.server.auto_throttle = false;
     config.server.fixed_z = 0.5;
     config.server.service_rate = 100.0;
+    config.server.record_history = record_history;
     return MustCreate(config);
   }
 
@@ -321,6 +325,26 @@ TEST_F(ServerClusterTest, LateOlderReportNeitherReplacesNorMovesTheNode) {
   }
 }
 
+TEST_F(ServerClusterTest, OwnersLateOlderReportKeepsNewerModel) {
+  for (const int32_t threads : {1, 2, 8}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    auto cluster = HandoffCluster(threads, /*record_history=*/true);
+    cluster->Receive({UpdateFor(0, {1200.0, 800.0}, {0.0, 0.0}, 2.0)});
+    ASSERT_TRUE(cluster->Tick(1.0).ok());
+    // The owner, shard 1, serves a report older than its own model a tick
+    // later: its own write keeps the newer model.
+    cluster->Receive({UpdateFor(0, {1300.0, 800.0}, {0.0, 0.0}, 1.0)});
+    ASSERT_TRUE(cluster->Tick(1.0).ok());
+    EXPECT_EQ(cluster->updates_applied(), 2);
+    ASSERT_NE(cluster->history(), nullptr);
+    EXPECT_EQ(cluster->history()->RecordsFor(0), 2);
+    const auto recorded = cluster->history()->PositionAt(0, cluster->time());
+    ASSERT_TRUE(recorded.has_value());
+    EXPECT_EQ(*recorded, (Point{1200.0, 800.0}));
+    ExpectBelief(*cluster, 0, {1200.0, 800.0}, {0, 1});
+  }
+}
+
 TEST_F(ServerClusterTest, NeverSeenNodeKeepsTheNewerOfItsFirstTwoReports) {
   for (const int32_t threads : {1, 2, 8}) {
     SCOPED_TRACE(::testing::Message() << "threads=" << threads);
@@ -446,7 +470,7 @@ TEST_F(ServerClusterTest, HistoryFollowsNodeAcrossShards) {
   config.server.auto_throttle = false;
   config.server.fixed_z = 0.5;
   auto cluster = MustCreate(config);
-  EXPECT_TRUE(cluster->records_history());
+  ASSERT_NE(cluster->history(), nullptr);
 
   // Left at t=0 moving right at 100 m/s; re-reports from the right half at
   // t=8 standing still.
@@ -458,11 +482,11 @@ TEST_F(ServerClusterTest, HistoryFollowsNodeAcrossShards) {
   }
 
   // t=1: governed by the first model, held by shard 0.
-  auto early = cluster->HistoricalPositionAt(0, 1.0);
+  auto early = cluster->history()->PositionAt(0, 1.0);
   ASSERT_TRUE(early.has_value());
   EXPECT_EQ(*early, (Point{250.0, 150.0}));
   // t=9: governed by the second model, held by shard 1.
-  auto late = cluster->HistoricalPositionAt(0, 9.0);
+  auto late = cluster->history()->PositionAt(0, 9.0);
   ASSERT_TRUE(late.has_value());
   EXPECT_EQ(*late, (Point{950.0, 150.0}));
 
@@ -475,13 +499,12 @@ TEST_F(ServerClusterTest, HistoryFollowsNodeAcrossShards) {
   EXPECT_TRUE(later->empty());
   EXPECT_FALSE(
       cluster->AnswerHistoricalRange(queries_.Get(0).range, 1e9).ok());
-  EXPECT_GT(cluster->history_bytes(), 0);
+  EXPECT_GT(cluster->history()->ApproxBytes(), 0);
 
   auto no_history = MustCreate(ClusterConfig(2));
-  EXPECT_FALSE(no_history->records_history());
+  EXPECT_EQ(no_history->history(), nullptr);
   EXPECT_FALSE(
       no_history->AnswerHistoricalRange(queries_.Get(0).range, 0.0).ok());
-  EXPECT_EQ(no_history->history_bytes(), 0);
 }
 
 TEST_F(ServerClusterTest, PerShardTelemetryAndSerialEvents) {
@@ -494,6 +517,9 @@ TEST_F(ServerClusterTest, PerShardTelemetryAndSerialEvents) {
   config.server.telemetry = &sink;
   auto cluster = MustCreate(config);
 
+  // The total queue depth after each batch, as the gauges should see it.
+  size_t depth = 0;
+  size_t high_watermark = 0;
   for (int t = 0; t < 5; ++t) {
     std::vector<ModelUpdate> batch;
     for (NodeId id = 0; id < 40; ++id) {
@@ -501,6 +527,8 @@ TEST_F(ServerClusterTest, PerShardTelemetryAndSerialEvents) {
           UpdateFor(id, {40.0 * id + 20.0, 800.0}, {1.0, 0.0}, t));
     }
     cluster->Receive(std::move(batch));
+    depth = cluster->queue_size();
+    high_watermark = std::max(high_watermark, depth);
     ASSERT_TRUE(cluster->Tick(1.0).ok());
   }
   ASSERT_TRUE(cluster->Adapt().ok());
@@ -515,6 +543,14 @@ TEST_F(ServerClusterTest, PerShardTelemetryAndSerialEvents) {
   EXPECT_EQ(metrics.FindCounter("lira.shard0.queue.arrivals")->value() +
                 metrics.FindCounter("lira.shard1.queue.arrivals")->value(),
             cluster->queue_arrivals());
+  // The server-wide gauges hold total depths, not one shard's.
+  EXPECT_DOUBLE_EQ(metrics.FindGauge("lira.queue.depth")->value(),
+                   static_cast<double>(depth));
+  EXPECT_DOUBLE_EQ(metrics.FindGauge("lira.queue.high_watermark")->value(),
+                   static_cast<double>(high_watermark));
+  EXPECT_GT(high_watermark,
+            std::max(cluster->shard_queue(0).high_watermark(),
+                     cluster->shard_queue(1).high_watermark()));
   // Per-shard node gauges reflect the post-adaptation split.
   EXPECT_DOUBLE_EQ(
       metrics.FindGauge("lira.shard0.stats.nodes")->value() +
@@ -525,6 +561,79 @@ TEST_F(ServerClusterTest, PerShardTelemetryAndSerialEvents) {
   ASSERT_FALSE(overflows.empty());
   for (const auto& event : overflows) {
     EXPECT_EQ(event.name, "lira.queue.dropped");
+  }
+}
+
+TEST_F(ServerClusterTest, MalformedUpdatesAreRejectedBeforeRouting) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const int32_t shards : {1, 2}) {
+    SCOPED_TRACE(::testing::Message() << "shards=" << shards);
+    telemetry::MemoryEventSink events;
+    telemetry::TelemetrySink sink(&events);
+    auto dirty_config = ClusterConfig(shards);
+    dirty_config.server.telemetry = &sink;
+    auto dirty = MustCreate(dirty_config);
+    auto clean = MustCreate(ClusterConfig(shards));
+    const int32_t n = BaseServerConfig().num_nodes;
+    const std::vector<ModelUpdate> bad = {
+        UpdateFor(-1, {100.0, 100.0}, {0.0, 0.0}, 0.0),
+        UpdateFor(n, {100.0, 100.0}, {0.0, 0.0}, 0.0),
+        UpdateFor(3, {kNaN, 100.0}, {0.0, 0.0}, 0.0),
+        UpdateFor(4, {100.0, kInf}, {0.0, 0.0}, 0.0),
+        UpdateFor(5, {100.0, 100.0}, {kNaN, 0.0}, 0.0),
+        UpdateFor(6, {100.0, 100.0}, {0.0, -kInf}, 0.0),
+        UpdateFor(7, {100.0, 100.0}, {0.0, 0.0}, kNaN),
+    };
+    Rng rng(31);
+    int64_t rejected = 0;
+    for (int t = 0; t < 12; ++t) {
+      std::vector<ModelUpdate> batch = RandomBatch(rng, n, t);
+      clean->Receive(batch);
+      // The same valid updates in the same order, with bad ones among them.
+      std::vector<ModelUpdate> mixed;
+      for (size_t i = 0; i < batch.size(); ++i) {
+        if (i % 7 == static_cast<size_t>(t % 7)) {
+          mixed.push_back(bad[(i + t) % bad.size()]);
+          ++rejected;
+        }
+        mixed.push_back(batch[i]);
+      }
+      dirty->Receive(std::move(mixed));
+      ASSERT_TRUE(clean->Tick(1.0).ok());
+      ASSERT_TRUE(dirty->Tick(1.0).ok());
+    }
+    ASSERT_GT(dirty->plan_builds(), 2);
+    EXPECT_EQ(dirty->queue_rejected(), rejected);
+    EXPECT_EQ(clean->queue_rejected(), 0);
+    EXPECT_EQ(sink.metrics().FindCounter("lira.queue.rejected")->value(),
+              rejected);
+    EXPECT_EQ(sink.metrics().FindCounter("lira.queue.arrivals")->value(),
+              clean->queue_arrivals());
+    EXPECT_EQ(dirty->queue_arrivals(), clean->queue_arrivals());
+    EXPECT_EQ(dirty->queue_dropped(), clean->queue_dropped());
+    EXPECT_EQ(dirty->updates_applied(), clean->updates_applied());
+    const ModelColumns a = dirty->tracker().columns();
+    const ModelColumns b = clean->tracker().columns();
+    for (NodeId id = 0; id < n; ++id) {
+      ASSERT_EQ(a.has[id], b.has[id]) << "id=" << id;
+      if (a.has[id] != 0) {
+        ASSERT_EQ(a.origin_x[id], b.origin_x[id]) << "id=" << id;
+        ASSERT_EQ(a.origin_y[id], b.origin_y[id]) << "id=" << id;
+        ASSERT_EQ(a.vel_x[id], b.vel_x[id]) << "id=" << id;
+        ASSERT_EQ(a.vel_y[id], b.vel_y[id]) << "id=" << id;
+        ASSERT_EQ(a.t0[id], b.t0[id]) << "id=" << id;
+      }
+    }
+    ExpectGridsBitwiseEqual(dirty->stats(), clean->stats());
+    ASSERT_EQ(dirty->plan().NumRegions(), clean->plan().NumRegions());
+    for (int32_t r = 0; r < dirty->plan().NumRegions(); ++r) {
+      EXPECT_EQ(dirty->plan().regions()[r].area,
+                clean->plan().regions()[r].area);
+      EXPECT_EQ(dirty->plan().regions()[r].delta,
+                clean->plan().regions()[r].delta);
+    }
+    EXPECT_EQ(dirty->z(), clean->z());
   }
 }
 

@@ -302,12 +302,13 @@ TEST_F(SnapshotGridTest, PooledRebuildAndConcurrentReadersMatchSerial) {
   EXPECT_EQ(ahead_got, ahead);
 
   SnapshotGrid inline_rebuild(kNodes, kAlpha);
-  inline_rebuild.Rebuild(*server, server->stats(), nullptr);
+  inline_rebuild.Rebuild(server->tracker(), server->time(), server->stats(),
+                         nullptr);
   EXPECT_EQ(inline_rebuild.time(), server->time());
   for (const int32_t threads : {1, 2, 8}) {
     ThreadPool pool(threads);
     SnapshotGrid pooled(kNodes, kAlpha);
-    pooled.Rebuild(*server, server->stats(), &pool);
+    pooled.Rebuild(server->tracker(), server->time(), server->stats(), &pool);
     EXPECT_EQ(pooled.size(), inline_rebuild.size());
     for (size_t q = 0; q < ranges.size(); ++q) {
       EXPECT_EQ(pooled.Range(server->stats(), ranges[q]), want[q])

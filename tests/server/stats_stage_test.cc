@@ -107,12 +107,12 @@ TEST(StatsStageTest, EveryPathMatchesFullRebuildAndIdleRebuildDirtiesNoCell) {
     auto config = BaseConfig(kNodes);
     config.incremental_stats = v.incremental;
     config.telemetry = &sink;
-    config.pool = v.threads > 1 ? &pool : nullptr;
     auto stage = StatsStage::Create(config);
     config = BaseConfig(kNodes);
     config.incremental_stats = false;
     auto oracle = StatsStage::Create(config);
     ASSERT_TRUE(stage.ok() && oracle.ok());
+    stage->set_pool(v.threads > 1 ? &pool : nullptr);
 
     PositionTracker tracker(kNodes);
     auto expect_equal = [&](const char* when) {
@@ -144,12 +144,12 @@ TEST(StatsStageTest, EveryPathMatchesFullRebuildAndIdleRebuildDirtiesNoCell) {
     }
 
     const int64_t dirtied_before =
-        sink.metrics().FindCounter("lira.stats.cells_dirtied")->value();
+        sink.metrics().FindCounter("lira.coord.stats.cells_dirtied")->value();
     stage->RebuildNodes(tracker, now);
     expect_equal("idle rebuild");
     if (v.incremental) {
       EXPECT_GT(dirtied_before, 0);
-      EXPECT_EQ(sink.metrics().FindCounter("lira.stats.cells_dirtied")->value(),
+      EXPECT_EQ(sink.metrics().FindCounter("lira.coord.stats.cells_dirtied")->value(),
                 dirtied_before);
     }
   }
@@ -196,11 +196,10 @@ TEST(StatsStageTest, PooledColumnarMatchesSerialBitwise) {
                              Input{"crowded", 95.0, 105.0, 4}}) {
     for (int32_t threads : {2, 8}) {
       ThreadPool pool(threads);
-      auto config = BaseConfig(kNodes);
-      config.pool = &pool;
-      auto pooled = StatsStage::Create(config);
+      auto pooled = StatsStage::Create(BaseConfig(kNodes));
       auto reference = StatsStage::Create(BaseConfig(kNodes));
       ASSERT_TRUE(pooled.ok() && reference.ok());
+      pooled->set_pool(&pool);
 
       PositionTracker tracker(kNodes);
       Rng rng(threads);
@@ -298,11 +297,10 @@ TEST(StatsStageTest, SampledRebuildIsUnbiased) {
   EXPECT_GT(stage->grid().TotalNodes(), 100.0);
 }
 
-TEST(StatsStageTest, CellsDirtiedCounterUsesPrefix) {
+TEST(StatsStageTest, CellsDirtiedCounterIsCoordinatorOwned) {
   telemetry::MemoryEventSink events;
   telemetry::TelemetrySink sink(&events);
   auto config = BaseConfig(4);
-  config.metric_prefix = "lira.coord";
   config.telemetry = &sink;
   auto stage = StatsStage::Create(config);
   ASSERT_TRUE(stage.ok());

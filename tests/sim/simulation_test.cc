@@ -2,10 +2,12 @@
 
 #include <memory>
 #include <optional>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "lira/sim/experiment.h"
+#include "lira/telemetry/trace.h"
 
 namespace lira {
 namespace {
@@ -323,6 +325,30 @@ TEST_F(SimulationTest, SingleShardClusterMatchesMonolithicServerBitwise) {
   EXPECT_EQ(cluster->final_plan_min_delta, mono->final_plan_min_delta);
   EXPECT_EQ(cluster->final_plan_max_delta, mono->final_plan_max_delta);
   EXPECT_EQ(cluster->plan_builds, mono->plan_builds);
+}
+
+// shards == 0 runs one shard, which traces into lane 1: the recorder needs
+// max(shards, 1) + 1 lanes, and a traced run records the shard's spans.
+TEST_F(SimulationTest, TracedSingleServerRecordsShardSpans) {
+  UniformDeltaPolicy policy;
+  SimulationConfig config = FastConfig();
+  config.shards = 0;
+  telemetry::TraceRecorder too_few(1);
+  config.trace = &too_few;
+  EXPECT_FALSE(RunSimulation(*world_, policy, config).ok());
+
+  telemetry::TraceRecorder recorder(2);
+  config.trace = &recorder;
+  ASSERT_TRUE(RunSimulation(*world_, policy, config).ok());
+  int64_t service = 0;
+  int64_t apply = 0;
+  for (const telemetry::SpanRecord& span : recorder.MergedSpans()) {
+    const std::string name = span.name;
+    service += name == "ingest.service" ? 1 : 0;
+    apply += name == "tracker.apply" ? 1 : 0;
+  }
+  EXPECT_EQ(service, world_->trace.num_frames());
+  EXPECT_EQ(apply, world_->trace.num_frames());
 }
 
 // With S > 1 the run is a genuinely different (sharded) system, but it must
