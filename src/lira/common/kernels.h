@@ -90,16 +90,6 @@ enum : uint8_t {
                               const double* obs_x, const double* obs_y,        \
                               double delta, uint8_t* decision);                \
                                                                                \
-  /* out = has ? origin + vel * (t - t0) : fallback, per lane                  \
-     (LinearMotionModel::PredictAt's exact expression). fallback_x/y may      \
-     be nullptr when every lane has a model. */                                \
-  void PredictPositions(int64_t n, const double* origin_x,                     \
-                        const double* origin_y, const double* vel_x,           \
-                        const double* vel_y, const double* t0,                 \
-                        const uint8_t* has, double t,                          \
-                        const double* fallback_x, const double* fallback_y,    \
-                        double* out_x, double* out_y);                         \
-                                                                               \
   /* Widens a stride-4 float frame row {x, y, vx, vy} into double columns     \
      (float->double conversion is exact). */                                   \
   void UnpackFrame(int64_t n, const float* states, double* x, double* y,       \

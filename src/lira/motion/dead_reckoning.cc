@@ -155,33 +155,29 @@ std::optional<LinearMotionModel> DeadReckoningEncoder::ModelOf(
                            Vec2{vel_x_[id], vel_y_[id]}, t0_[id]};
 }
 
-PositionTracker::PositionTracker(int32_t num_nodes)
-    : origin_x_(num_nodes, 0.0),
-      origin_y_(num_nodes, 0.0),
-      vel_x_(num_nodes, 0.0),
-      vel_y_(num_nodes, 0.0),
-      t0_(num_nodes, 0.0),
-      has_model_(num_nodes, 0) {
+PositionTracker::PositionTracker(int32_t num_nodes) : records_(num_nodes) {
   LIRA_CHECK(num_nodes >= 0);
 }
 
 void PositionTracker::Apply(const ModelUpdate& update) {
   const NodeId id = update.node_id;
   LIRA_DCHECK(id >= 0 && id < num_nodes());
-  origin_x_[id] = update.model.origin.x;
-  origin_y_[id] = update.model.origin.y;
-  vel_x_[id] = update.model.velocity.x;
-  vel_y_[id] = update.model.velocity.y;
-  t0_[id] = update.model.t0;
-  has_model_[id] = 1;
+  ModelRecord& record = records_[id];
+  record.origin_x = update.model.origin.x;
+  record.origin_y = update.model.origin.y;
+  record.vel_x = update.model.velocity.x;
+  record.vel_y = update.model.velocity.y;
+  record.t0 = update.model.t0;
+  record.has = 1;
 }
 
 std::optional<Point> PositionTracker::PredictAt(NodeId id, double t) const {
   if (!HasModel(id)) {
     return std::nullopt;
   }
-  const LinearMotionModel model{Point{origin_x_[id], origin_y_[id]},
-                                Vec2{vel_x_[id], vel_y_[id]}, t0_[id]};
+  const ModelRecord& r = records_[id];
+  const LinearMotionModel model{Point{r.origin_x, r.origin_y},
+                                Vec2{r.vel_x, r.vel_y}, r.t0};
   return model.PredictAt(t);
 }
 
@@ -189,7 +185,7 @@ double PositionTracker::BelievedSpeed(NodeId id) const {
   if (!HasModel(id)) {
     return 0.0;
   }
-  return Norm(Vec2{vel_x_[id], vel_y_[id]});
+  return Norm(Vec2{records_[id].vel_x, records_[id].vel_y});
 }
 
 void PositionTracker::PredictSpan(NodeId begin, int64_t n, double t,
@@ -198,26 +194,49 @@ void PositionTracker::PredictSpan(NodeId begin, int64_t n, double t,
                                   double* out_y, uint8_t* known) const {
   LIRA_DCHECK(begin >= 0 && begin + n <= num_nodes());
   LIRA_DCHECK((fallback_x == nullptr) == (fallback_y == nullptr));
-  kernels::PredictPositions(n, origin_x_.data() + begin,
-                            origin_y_.data() + begin, vel_x_.data() + begin,
-                            vel_y_.data() + begin, t0_.data() + begin,
-                            has_model_.data() + begin, t, fallback_x,
-                            fallback_y, out_x, out_y);
-  if (known != nullptr) {
-    for (int64_t i = 0; i < n; ++i) {
-      known[i] = has_model_[begin + i];
+  const ModelRecord* records = records_.data() + begin;
+  const auto predict = [&](int64_t i) {
+    const ModelRecord& r = records[i];
+    // LinearMotionModel::PredictAt's expression, operation for operation.
+    const double dt = t - r.t0;
+    double x = r.origin_x + r.vel_x * dt;
+    double y = r.origin_y + r.vel_y * dt;
+    if (r.has == 0 && fallback_x != nullptr) {
+      x = fallback_x[i];
+      y = fallback_y[i];
     }
+    out_x[i] = x;
+    out_y[i] = y;
+    if (known != nullptr) {
+      known[i] = r.has;
+    }
+  };
+  // A sequential walk over the records is one memory stream, and hardware
+  // prefetchers keep fewer lines in flight for one stream than for
+  // several. Walking the span as four interleaved quarters read a store
+  // too large for the cache about 1.5x faster (EXPERIMENTS.md). Lanes are
+  // independent, so the order changes no output.
+  constexpr int64_t kStreams = 4;
+  const int64_t quarter = n / kStreams;
+  for (int64_t i = 0; i < quarter; ++i) {
+    for (int64_t s = 0; s < kStreams; ++s) {
+      predict(s * quarter + i);
+    }
+  }
+  for (int64_t i = kStreams * quarter; i < n; ++i) {
+    predict(i);
   }
 }
 
 std::vector<std::pair<NodeId, Point>> PositionTracker::PredictAllAt(
     double t) const {
   std::vector<std::pair<NodeId, Point>> out;
-  out.reserve(t0_.size());
+  out.reserve(records_.size());
   for (NodeId id = 0; id < num_nodes(); ++id) {
-    if (has_model_[id]) {
-      const LinearMotionModel model{Point{origin_x_[id], origin_y_[id]},
-                                    Vec2{vel_x_[id], vel_y_[id]}, t0_[id]};
+    const ModelRecord& r = records_[id];
+    if (r.has != 0) {
+      const LinearMotionModel model{Point{r.origin_x, r.origin_y},
+                                    Vec2{r.vel_x, r.vel_y}, r.t0};
       out.emplace_back(id, model.PredictAt(t));
     }
   }

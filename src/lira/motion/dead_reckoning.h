@@ -1,11 +1,16 @@
 // Node-side dead-reckoning encoder and server-side position tracker.
 //
-// Both keep their motion-model state as structure-of-arrays columns
-// (origin_x/origin_y/vel_x/vel_y/t0/has) so the bulk paths -- ObserveSpan
-// and PredictSpan -- can stream contiguous lanes through the
-// DeviationFilter / PredictPositions kernels (common/kernels.h). The scalar
-// Observe / Apply / PredictAt API is unchanged and operates on the same
-// columns, so the two paths can never disagree about state.
+// The two stores are laid out for how each is used. The encoder keeps its
+// motion-model state as structure-of-arrays columns
+// (origin_x/origin_y/vel_x/vel_y/t0/has): every frame it streams contiguous
+// id spans through the DeviationFilter kernels (common/kernels.h), and the
+// scalar Observe works on the same columns, so the two paths can never
+// disagree about state. The tracker keeps one ModelRecord per node: a
+// server applies the reports its queues serve in random node order, and a
+// record puts everything one report reads and writes in one or two cache
+// lines, where six columns cost six. Its bulk readers (PredictSpan, the
+// statistics rebuild, the cluster's migration scan) stream the records in
+// id order with the same per-lane arithmetic.
 
 #ifndef LIRA_MOTION_DEAD_RECKONING_H_
 #define LIRA_MOTION_DEAD_RECKONING_H_
@@ -96,23 +101,26 @@ class DeadReckoningEncoder {
   std::atomic<int64_t> updates_emitted_{0};
 };
 
-/// Read-only view of a PositionTracker's motion-model columns (lane i of
-/// every column is one node).
-struct ModelColumns {
-  const double* origin_x = nullptr;
-  const double* origin_y = nullptr;
-  const double* vel_x = nullptr;
-  const double* vel_y = nullptr;
-  const double* t0 = nullptr;
-  const uint8_t* has = nullptr;
+/// One node's motion model as the server holds it: LinearMotionModel's
+/// operands and whether the node has reported. The operands are meaningful
+/// only where has != 0; a node that never reported holds zeros. `has` keeps
+/// a byte of its own, so shards writing adjacent ids never share a word.
+struct ModelRecord {
+  double origin_x = 0.0;
+  double origin_y = 0.0;
+  double vel_x = 0.0;
+  double vel_y = 0.0;
+  double t0 = 0.0;
+  uint8_t has = 0;
 };
+static_assert(sizeof(ModelRecord) == 48);
 
 /// Server-side tracker: the server's belief about node positions, built from
 /// the ModelUpdates that survived the network and the input queue. One
 /// store per server, indexed by node id (a cluster's shards own lanes of
 /// it, DESIGN.md §9).
 ///
-/// Thread-safety: Apply writes only the node's own lane, so concurrent
+/// Thread-safety: Apply writes only the node's own record, so concurrent
 /// calls for disjoint node ids are safe. Readers must not run concurrently
 /// with writers. The store counts nothing; servers count the updates they
 /// serve.
@@ -127,54 +135,51 @@ class PositionTracker {
   /// Replaces the node's model with the update's.
   void Apply(const ModelUpdate& update);
 
+  /// Prefetch hint for a coming Apply or read of the node's record (no
+  /// effect on state). A record may straddle two cache lines; both are
+  /// requested.
+  void PrefetchForWrite(NodeId id) const {
+    const char* first = reinterpret_cast<const char*>(records_.data() + id);
+    __builtin_prefetch(first, 1);
+    __builtin_prefetch(first + sizeof(ModelRecord) - 1, 1);
+  }
+
   /// Believed position of a node at time t; nullopt if never reported.
   std::optional<Point> PredictAt(NodeId id, double t) const;
 
   /// Believed speed of a node (from the last model); 0 if never reported.
   double BelievedSpeed(NodeId id) const;
 
-  /// Bulk PredictAt over the id range [begin, begin + n) via the
-  /// PredictPositions kernel (PredictAt's exact expression per lane).
-  /// Model-less lanes take fallback_x/fallback_y when given, else their
-  /// out slots are unspecified. `known` (optional) receives the model
-  /// flags, matching PredictAt's has_value() per lane.
+  /// Bulk PredictAt over the id range [begin, begin + n), with PredictAt's
+  /// exact expression per lane. Model-less lanes take fallback_x/fallback_y
+  /// when given, else their out slots are unspecified. `known` (optional)
+  /// receives the model flags, matching PredictAt's has_value() per lane.
   void PredictSpan(NodeId begin, int64_t n, double t,
                    const double* fallback_x, const double* fallback_y,
                    double* out_x, double* out_y, uint8_t* known) const;
 
   bool HasModel(NodeId id) const {
-    return id >= 0 && id < num_nodes() && has_model_[id] != 0;
+    return id >= 0 && id < num_nodes() && records_[id].has != 0;
   }
 
-  /// Raw model columns (lane i = node i; the operands are meaningful only
-  /// where has[i] != 0, i.e. HasModel(i)). Bulk consumers stream lanes
-  /// through the kernels in place; the statistics rebuild also compares
-  /// velocity lanes across rebuilds to skip recomputing the
-  /// non-vectorizable hypot in BelievedSpeed: equal operand bits imply an
-  /// equal speed, so a cached speed is bitwise safe.
-  ModelColumns columns() const {
-    return {origin_x_.data(), origin_y_.data(), vel_x_.data(),
-            vel_y_.data(),    t0_.data(),       has_model_.data()};
-  }
-  int32_t num_nodes() const { return static_cast<int32_t>(t0_.size()); }
+  /// The records, record i = node i, for bulk readers that stream them in
+  /// place. The statistics rebuild also compares velocity operands across
+  /// rebuilds to skip recomputing the non-vectorizable hypot in
+  /// BelievedSpeed: equal operand bits imply an equal speed, so a cached
+  /// speed is bitwise safe.
+  const ModelRecord* records() const { return records_.data(); }
+  int32_t num_nodes() const { return static_cast<int32_t>(records_.size()); }
 
-  /// Heap footprint of the model columns (health snapshots / telemetry).
+  /// Heap footprint of the records (health snapshots / telemetry).
   size_t MemoryBytes() const {
-    return (origin_x_.capacity() + origin_y_.capacity() + vel_x_.capacity() +
-            vel_y_.capacity() + t0_.capacity()) * sizeof(double) +
-           has_model_.capacity() * sizeof(uint8_t);
+    return records_.capacity() * sizeof(ModelRecord);
   }
 
   /// Believed positions of all reported nodes at time t, as (id, position).
   std::vector<std::pair<NodeId, Point>> PredictAllAt(double t) const;
 
  private:
-  std::vector<double> origin_x_;
-  std::vector<double> origin_y_;
-  std::vector<double> vel_x_;
-  std::vector<double> vel_y_;
-  std::vector<double> t0_;
-  std::vector<uint8_t> has_model_;
+  std::vector<ModelRecord> records_;
 };
 
 }  // namespace lira

@@ -331,12 +331,24 @@ Status ServerCluster::Tick(double dt) {
           service_span.Stop();
           telemetry::ScopedSpan apply_span(tr, lane, "tracker.apply", tick_,
                                            shard_id, time_);
-          apply_span.set_value(static_cast<double>(shard.served.size()));
-          for (const ModelUpdate& update : shard.served) {
+          const std::vector<ModelUpdate>& served = shard.served;
+          const auto count = static_cast<int32_t>(served.size());
+          apply_span.set_value(static_cast<double>(count));
+          // Served reports name nodes in random order, so each one's record
+          // and owner entry are cache misses. Requesting them this many
+          // reports ahead keeps several misses in flight.
+          constexpr int32_t kPrefetchAhead = 8;
+          for (int32_t i = 0; i < count; ++i) {
+            if (i + kPrefetchAhead < count) {
+              const NodeId ahead = served[i + kPrefetchAhead].node_id;
+              tracker_.tracker().PrefetchForWrite(ahead);
+              __builtin_prefetch(owner_of_.data() + ahead);
+            }
+            const ModelUpdate& update = served[i];
             if (owner_of_[update.node_id] == shard_id) {
               tracker_.Apply(update);
             } else {
-              shard.staged.push_back(update);
+              shard.staged.push_back(i);
             }
           }
         }
@@ -409,7 +421,9 @@ void ServerCluster::CommitStaged() {
   // shard; TrackerStage::Apply keeps such a stale report from undoing the
   // newer model, and then the node stays with its owner.
   for (int32_t k = 0; k < num_shards(); ++k) {
-    for (const ModelUpdate& update : shards_[k].staged) {
+    const Shard& shard = shards_[k];
+    for (const int32_t i : shard.staged) {
+      const ModelUpdate& update = shard.served[i];
       if (!tracker_.Apply(update)) {
         continue;
       }
@@ -569,7 +583,7 @@ int64_t ServerCluster::MigrateOwnership() {
   // walk's at any thread count. No model moves, so the grid is untouched:
   // its per-node rebuild state is keyed by id, and the unchanged model
   // leaves its cell alone at this adaptation's rebuild.
-  const ModelColumns lanes = tracker_.tracker().columns();
+  const ModelRecord* records = tracker_.tracker().records();
   const int32_t s = num_shards();
   // Per chunk: the owned-count change of each shard, then the movers.
   std::vector<int64_t> tallies(
@@ -585,7 +599,7 @@ int64_t ServerCluster::MigrateOwnership() {
             continue;
           }
           const int32_t next = shard_map_.ShardFor(
-              Point{lanes.origin_x[id], lanes.origin_y[id]});
+              Point{records[id].origin_x, records[id].origin_y});
           if (next != previous) {
             owner_of_[id] = next;
             --tally[previous];

@@ -224,7 +224,7 @@ class ServerCluster {
   /// Bulk BelievedPositionAt over the id range [begin, begin + n): writes
   /// the believed position columns and the known mask (lane i is node
   /// begin + i; out slots of unknown lanes are unspecified), predicting the
-  /// store's lanes in place with the PredictPositions kernel. Reads only,
+  /// store's records in place (PositionTracker::PredictSpan). Reads only,
   /// so disjoint id ranges may fill concurrently.
   void FillBelievedInto(NodeId begin, int64_t n, double t, double* out_x,
                         double* out_y, uint8_t* known) const {
@@ -301,11 +301,13 @@ class ServerCluster {
     int64_t owned = 0;
     /// Batch routing scratch, reused across ticks.
     std::vector<ModelUpdate> route;
-    /// The updates served this tick, reused across ticks.
+    /// The updates served this tick, reused across ticks. Valid until the
+    /// next tick's Service, so after the fan-out joins too.
     std::vector<ModelUpdate> served;
-    /// Served updates for nodes the shard did not own at tick start, in
-    /// serve order; committed after the fan-out joins. Reused.
-    std::vector<ModelUpdate> staged;
+    /// Indices into `served` of the updates for nodes the shard did not own
+    /// at tick start, in serve order; committed after the fan-out joins.
+    /// Reused.
+    std::vector<int32_t> staged;
     /// Receive fan-out scratch: drops admitted this batch.
     int64_t last_dropped = 0;
   };
@@ -324,7 +326,7 @@ class ServerCluster {
   void MaybeRebalance();
   /// Hands every owned node whose origin now routes to another shard to
   /// that shard; returns the migration count. One pool-parallel pass over
-  /// the store's origin columns rewrites owner entries; no model moves.
+  /// the store's records rewrites owner entries; no model moves.
   int64_t MigrateOwnership();
   /// max/mean per-shard load under the *current* strip boundaries, from
   /// per-column loads (1.0 = balanced, 0 when total load is 0).

@@ -69,11 +69,16 @@ SnapshotGrid::SnapshotGrid(int32_t num_nodes, int32_t alpha)
 void SnapshotGrid::Rebuild(const PositionTracker& tracker, double t,
                            const StatisticsGrid& grid, ThreadPool* pool) {
   LIRA_CHECK(tracker.num_nodes() == num_nodes());
+  // Prediction and cell lookup are per lane, so each chunk does both and
+  // only the counting sort stays serial.
   const auto fill = [&](int64_t begin, int64_t end) {
     tracker.PredictSpan(static_cast<NodeId>(begin), end - begin, t,
                         /*fallback_x=*/nullptr, /*fallback_y=*/nullptr,
                         fill_x_.data() + begin, fill_y_.data() + begin,
                         fill_known_.data() + begin);
+    grid.LocateCells(end - begin, fill_x_.data() + begin,
+                     fill_y_.data() + begin, fill_known_.data() + begin,
+                     cell_.data() + begin);
   };
   const auto n = static_cast<int64_t>(cell_.size());
   if (pool != nullptr) {
@@ -84,17 +89,22 @@ void SnapshotGrid::Rebuild(const PositionTracker& tracker, double t,
   } else {
     fill(0, n);
   }
-  Build(t, fill_x_.data(), fill_y_.data(), fill_known_.data(), grid);
+  SortByCell(t, fill_x_.data(), fill_y_.data(), grid);
 }
 
 void SnapshotGrid::Build(double t, const double* x, const double* y,
                          const uint8_t* known, const StatisticsGrid& grid) {
-  // A grid of another size would locate cells outside cell_start_.
+  grid.LocateCells(num_nodes(), x, y, known, cell_.data());
+  SortByCell(t, x, y, grid);
+}
+
+void SnapshotGrid::SortByCell(double t, const double* x, const double* y,
+                              const StatisticsGrid& grid) {
+  // A grid of another size would have located cells outside cell_start_.
   LIRA_CHECK(static_cast<size_t>(grid.alpha()) * grid.alpha() + 1 ==
              cell_start_.size());
   time_ = t;
   const auto n = static_cast<int32_t>(cell_.size());
-  grid.LocateCells(n, x, y, known, cell_.data());
   std::fill(cell_start_.begin(), cell_start_.end(), 0);
   for (int32_t i = 0; i < n; ++i) {
     if (cell_[i] >= 0) {

@@ -46,9 +46,9 @@ class SnapshotGrid {
   SnapshotGrid(int32_t num_nodes, int32_t alpha);
 
   /// Refills the snapshot with `tracker`'s believed positions at time t,
-  /// predicted in id blocks on `pool` (nullptr = inline; lanes are
-  /// independent, so any thread count gives the same snapshot), then Build.
-  /// The tracker spans num_nodes() ids.
+  /// predicted and located in id blocks on `pool` (nullptr = inline; lanes
+  /// are independent, so any thread count gives the same snapshot), then
+  /// counting-sorts them as Build does. The tracker spans num_nodes() ids.
   void Rebuild(const PositionTracker& tracker, double t,
                const StatisticsGrid& grid, ThreadPool* pool);
 
@@ -71,12 +71,18 @@ class SnapshotGrid {
   int32_t size() const { return cell_start_.back(); }
 
  private:
+  /// The serial counting sort over cell_, which holds every lane's cell in
+  /// `grid` (-1 = left out): fills the CSR arrays from the x/y columns and
+  /// sets the time.
+  void SortByCell(double t, const double* x, const double* y,
+                  const StatisticsGrid& grid);
+
   double time_ = 0.0;
   /// Rebuild's believed columns.
   std::vector<double> fill_x_;
   std::vector<double> fill_y_;
   std::vector<uint8_t> fill_known_;
-  /// Build scratch: each lane's flat cell, -1 for a lane without a model.
+  /// Each lane's flat cell, -1 for a lane without a model.
   std::vector<int32_t> cell_;
   /// CSR: cell c holds entries [cell_start_[c], cell_start_[c + 1]) of
   /// ids_ / x_ / y_.

@@ -9,7 +9,7 @@
 namespace lira {
 namespace {
 
-/// Columnar rebuild block size: ids stream through the prediction kernel
+/// Columnar rebuild block size: ids stream through the prediction pass
 /// this many lanes at a time (bounds the arena spans and keeps the block
 /// resident in cache), and a pooled rebuild never cuts chunks finer.
 constexpr int64_t kColumnarBlock = 8192;
@@ -47,7 +47,7 @@ StatusOr<StatsStage> StatsStage::Create(const StatsStageConfig& config) {
   return StatsStage(config, *std::move(grid));
 }
 
-int64_t StatsStage::RelocateRange(const ModelColumns& columns, double now,
+int64_t StatsStage::RelocateRange(const PositionTracker& tracker, double now,
                                   FrameArena* arena, int64_t begin,
                                   int64_t end, WorkerTally* shared) {
   arena->Reset();
@@ -55,6 +55,9 @@ int64_t StatsStage::RelocateRange(const ModelColumns& columns, double now,
       static_cast<size_t>(std::min<int64_t>(end - begin, kColumnarBlock));
   auto px = arena->AllocSpan<double>(span);
   auto py = arena->AllocSpan<double>(span);
+  auto has = arena->AllocSpan<uint8_t>(span);
+  auto vx = arena->AllocSpan<double>(span);
+  auto vy = arena->AllocSpan<double>(span);
   auto cells = arena->AllocSpan<int32_t>(span);
   auto skip = arena->AllocSpan<uint8_t>(span);
   int64_t dirtied = 0;
@@ -64,20 +67,23 @@ int64_t StatsStage::RelocateRange(const ModelColumns& columns, double now,
   int64_t speed_q = 0;
   for (int64_t block = begin; block < end; block += kColumnarBlock) {
     const int64_t n = std::min<int64_t>(kColumnarBlock, end - block);
-    const ModelColumns m = {columns.origin_x + block, columns.origin_y + block,
-                            columns.vel_x + block,    columns.vel_y + block,
-                            columns.t0 + block,       columns.has + block};
-    kernels::PredictPositions(n, m.origin_x, m.origin_y, m.vel_x, m.vel_y,
-                              m.t0, m.has, now, nullptr, nullptr, px, py);
+    tracker.PredictSpan(static_cast<NodeId>(block), n, now,
+                        /*fallback_x=*/nullptr, /*fallback_y=*/nullptr, px,
+                        py, has);
+    const ModelRecord* records = tracker.records() + block;
+    for (int64_t i = 0; i < n; ++i) {
+      vx[i] = records[i].vel_x;
+      vy[i] = records[i].vel_y;
+    }
     // The LocateCells kernel clamps internally and Rect::Clamp is
     // idempotent, so locating the raw predicted points matches a
     // Clamp-then-CellIndexOf bit-for-bit; model-less lanes come back -1.
-    grid_.LocateCells(n, px, py, m.has, cells);
+    grid_.LocateCells(n, px, py, has, cells);
     // Vectorized fast-path test: same cell, same velocity bits -> the grid
     // already holds this node's exact contribution. (A -1 model-less lane
     // never sets skip: cell >= 0 fails.)
-    kernels::RelocateSkipMask(n, cells, stats_cell_of_.data() + block,
-                              m.vel_x, m.vel_y, stats_vel_x_.data() + block,
+    kernels::RelocateSkipMask(n, cells, stats_cell_of_.data() + block, vx, vy,
+                              stats_vel_x_.data() + block,
                               stats_vel_y_.data() + block, skip);
     // How far ahead the relocation loop prefetches grid lines: far enough
     // to cover the lanes between two relocations, near enough that the
@@ -101,10 +107,10 @@ int64_t StatsStage::RelocateRange(const ModelColumns& columns, double now,
       const int32_t old_cell = stats_cell_of_[id];
       int32_t new_cell = -1;
       int64_t new_q = 0;
-      if (m.has[i] != 0) {
+      if (has[i] != 0) {
         new_cell = cells[i];
-        if (old_cell >= 0 && m.vel_x[i] == stats_vel_x_[id] &&
-            m.vel_y[i] == stats_vel_y_[id]) {
+        if (old_cell >= 0 && vx[i] == stats_vel_x_[id] &&
+            vy[i] == stats_vel_y_[id]) {
           // Velocity bits unchanged since the stored contribution:
           // BelievedSpeed would hypot the same operands, so the stored
           // quantized speed is bitwise the recomputed one. The mask already
@@ -112,10 +118,9 @@ int64_t StatsStage::RelocateRange(const ModelColumns& columns, double now,
           new_q = stats_speed_q_of_[id];
         } else {
           // PositionTracker::BelievedSpeed's expression.
-          new_q = StatisticsGrid::QuantizeSpeed(
-              Norm(Vec2{m.vel_x[i], m.vel_y[i]}));
-          stats_vel_x_[id] = m.vel_x[i];
-          stats_vel_y_[id] = m.vel_y[i];
+          new_q = StatisticsGrid::QuantizeSpeed(Norm(Vec2{vx[i], vy[i]}));
+          stats_vel_x_[id] = vx[i];
+          stats_vel_y_[id] = vy[i];
         }
       }
       const int64_t old_q = old_cell >= 0 ? stats_speed_q_of_[id] : 0;
@@ -158,7 +163,6 @@ int64_t StatsStage::RelocateRange(const ModelColumns& columns, double now,
 
 void StatsStage::RebuildNodesColumnar(const PositionTracker& tracker,
                                       double now) {
-  const ModelColumns columns = tracker.columns();
   const auto n = static_cast<int64_t>(stats_cell_of_.size());
   const bool pooled = pool_ != nullptr && pool_->num_threads() > 1 &&
                       n >= 2 * kColumnarBlock;
@@ -168,7 +172,7 @@ void StatsStage::RebuildNodesColumnar(const PositionTracker& tracker,
       rebuild_arenas_.resize(1);
     }
     dirtied =
-        RelocateRange(columns, now, &rebuild_arenas_[0], 0, n, nullptr);
+        RelocateRange(tracker, now, &rebuild_arenas_[0], 0, n, nullptr);
   } else {
     const auto workers = static_cast<size_t>(pool_->num_threads());
     if (rebuild_arenas_.size() < workers) {
@@ -182,7 +186,7 @@ void StatsStage::RebuildNodesColumnar(const PositionTracker& tracker,
     // gives the serial totals.
     pool_->ParallelFor(0, n, kColumnarBlock,
                        [&](int32_t chunk, int64_t begin, int64_t end) {
-                         RelocateRange(columns, now, &rebuild_arenas_[chunk],
+                         RelocateRange(tracker, now, &rebuild_arenas_[chunk],
                                        begin, end, &rebuild_tallies_[chunk]);
                        });
     for (const WorkerTally& tally : rebuild_tallies_) {

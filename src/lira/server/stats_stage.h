@@ -15,9 +15,10 @@
 //    not, so the stream is a function of (seed, rebuild ordinal) only --
 //    never of the shard count.
 //
-// The incremental path streams id blocks of the tracker's columns through
-// the PredictPositions kernel. Cells are located from the bulk-predicted
-// positions (Rect::Clamp is idempotent, so clamping once in CellIndexOf
+// The incremental path predicts id blocks of the tracker's records with
+// PositionTracker::PredictSpan and gathers their velocities beside the
+// predictions. Cells are located from the bulk-predicted positions
+// (Rect::Clamp is idempotent, so clamping once in CellIndexOf
 // matches a Clamp-then-locate bit-for-bit), and each node's believed
 // velocity is cached so the non-vectorizable std::hypot in BelievedSpeed
 // runs only for nodes whose velocity bits actually changed. The per-node
@@ -117,12 +118,12 @@ class StatsStage {
 
   StatsStage(const StatsStageConfig& config, StatisticsGrid grid);
 
-  /// Incremental rebuild over ids [begin, end) of `columns` (see file
+  /// Incremental rebuild over ids [begin, end) of `tracker` (see file
   /// comment). `shared` == nullptr mutates the grid with plain adds (serial
   /// mode); otherwise cell adds are atomic, so other workers may relocate
   /// into the grid at the same time, and the totals they move go into
   /// *shared instead of the grid. Returns cells dirtied.
-  int64_t RelocateRange(const ModelColumns& columns, double now,
+  int64_t RelocateRange(const PositionTracker& tracker, double now,
                         FrameArena* arena, int64_t begin, int64_t end,
                         WorkerTally* shared);
   void RebuildNodesColumnar(const PositionTracker& tracker, double now);
@@ -145,7 +146,8 @@ class StatsStage {
   std::vector<double> stats_vel_x_;
   std::vector<double> stats_vel_y_;
   /// Incremental-rebuild scratch: one arena (and, under a pool, one tally)
-  /// per worker; arenas hold the per-block prediction and cell spans.
+  /// per worker; arenas hold the per-block prediction, velocity and cell
+  /// spans.
   std::vector<FrameArena> rebuild_arenas_;
   std::vector<WorkerTally> rebuild_tallies_;
   /// Query-count refresh skip state.

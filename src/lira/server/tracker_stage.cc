@@ -1,5 +1,7 @@
 #include "lira/server/tracker_stage.h"
 
+#include "lira/common/check.h"
+
 namespace lira {
 
 TrackerStage::TrackerStage(int32_t num_nodes, bool record_history)
@@ -22,9 +24,9 @@ bool TrackerStage::Apply(const ModelUpdate& update) {
   if (history_.has_value()) {
     history_->Record(update);
   }
-  const NodeId id = update.node_id;
-  if (tracker_.HasModel(id) &&
-      !(update.model.t0 >= tracker_.columns().t0[id])) {
+  LIRA_DCHECK(update.node_id >= 0 && update.node_id < tracker_.num_nodes());
+  const ModelRecord& held = tracker_.records()[update.node_id];
+  if (held.has != 0 && !(update.model.t0 >= held.t0)) {
     return false;
   }
   tracker_.Apply(update);

@@ -168,8 +168,8 @@ StatusOr<SimulationResult> RunSimulation(const World& world,
   // at sampling time.
   NodeStore store(static_cast<int32_t>(num_nodes));
   // Evaluation truth: the reference prediction, falling back to the frame
-  // truth. Separate columns from the store because PredictSpan's outputs
-  // must not alias its fallback inputs (the kernels are restrict-qualified).
+  // truth. Separate columns from the store, so PredictSpan's outputs never
+  // alias its fallback inputs.
   std::vector<double> eval_truth_x(num_nodes);
   std::vector<double> eval_truth_y(num_nodes);
   const double delta_min = world.reduction.delta_min();
@@ -275,9 +275,9 @@ StatusOr<SimulationResult> RunSimulation(const World& world,
 
     // Accuracy sampling: phase one predicts every node's reference and
     // believed position into per-node column slots (parallel, no shared
-    // writes; reference via the PredictPositions kernel with the frame
-    // truth as fallback, believed via the pipeline's bulk fill), then the
-    // evaluator applies the columns to the snapshot indexes.
+    // writes; reference via the reference tracker's PredictSpan with the
+    // frame truth as fallback, believed via the server's bulk fill), then
+    // the evaluator applies the columns to the snapshot indexes.
     if (frame >= config.warmup_frames &&
         (frame - config.warmup_frames) % config.sample_every == 0) {
       pool.ParallelFor(

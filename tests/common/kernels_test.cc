@@ -245,42 +245,6 @@ TEST(KernelsTest, DeviationFilterDecisionsMatchExactHypotComparison) {
   EXPECT_EQ(udec, fdec);
 }
 
-TEST(KernelsTest, PredictPositionsMatchesLinearModelBitwise) {
-  Rng rng(5);
-  const double t = 77.25;
-  std::vector<double> ox(kLanes), oy(kLanes), vx(kLanes), vy(kLanes),
-      t0(kLanes), fx(kLanes), fy(kLanes);
-  std::vector<uint8_t> has(kLanes);
-  for (int64_t i = 0; i < kLanes; ++i) {
-    ox[i] = rng.Uniform(0.0, 1e4);
-    oy[i] = rng.Uniform(0.0, 1e4);
-    vx[i] = rng.Uniform(-20.0, 20.0);
-    vy[i] = rng.Uniform(-20.0, 20.0);
-    t0[i] = rng.Uniform(0.0, 77.0);
-    fx[i] = rng.Uniform(0.0, 1e4);
-    fy[i] = rng.Uniform(0.0, 1e4);
-    has[i] = i % 3 == 0 ? 0 : 1;
-  }
-  std::vector<double> vpx(kLanes), vpy(kLanes), rpx(kLanes), rpy(kLanes);
-  kernels::vec::PredictPositions(kLanes, ox.data(), oy.data(), vx.data(),
-                                 vy.data(), t0.data(), has.data(), t, fx.data(),
-                                 fy.data(), vpx.data(), vpy.data());
-  kernels::ref::PredictPositions(kLanes, ox.data(), oy.data(), vx.data(),
-                                 vy.data(), t0.data(), has.data(), t, fx.data(),
-                                 fy.data(), rpx.data(), rpy.data());
-  for (int64_t i = 0; i < kLanes; ++i) {
-    Point want{fx[i], fy[i]};
-    if (has[i] != 0) {
-      const LinearMotionModel model{{ox[i], oy[i]}, {vx[i], vy[i]}, t0[i]};
-      want = model.PredictAt(t);
-    }
-    EXPECT_EQ(vpx[i], want.x) << i;
-    EXPECT_EQ(vpy[i], want.y) << i;
-    EXPECT_EQ(rpx[i], want.x) << i;
-    EXPECT_EQ(rpy[i], want.y) << i;
-  }
-}
-
 TEST(KernelsTest, UnpackFrameWidensExactly) {
   Rng rng(6);
   std::vector<float> states(4 * kLanes);

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include "lira/common/kernels.h"
+#include "lira/common/parallel.h"
+#include "lira/common/rng.h"
 #include "lira/motion/linear_model.h"
 
 namespace lira {
@@ -249,6 +251,126 @@ TEST(PositionTrackerTest, PredictAllSkipsUnreported) {
   ASSERT_EQ(all.size(), 1u);
   EXPECT_EQ(all[0].first, 2);
   EXPECT_EQ(all[0].second, (Point{1.0, 1.0}));
+}
+
+ModelUpdate RandomUpdate(Rng& rng, NodeId id) {
+  ModelUpdate update;
+  update.node_id = id;
+  update.model = {{rng.Uniform(0.0, 1e4), rng.Uniform(0.0, 1e4)},
+                  {rng.Uniform(-20.0, 20.0), rng.Uniform(-20.0, 20.0)},
+                  rng.Uniform(0.0, 77.0)};
+  return update;
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+TEST(PositionTrackerTest, PredictSpanMatchesPredictAtBitwise) {
+  // A span that starts past id 0 over a store where every third node never
+  // reported: each lane must carry the bits of LinearMotionModel::PredictAt
+  // on the applied model (and of PositionTracker::PredictAt), or its
+  // fallback when the node has no model.
+  constexpr int32_t kNodes = 300;
+  constexpr NodeId kBegin = 37;
+  constexpr int64_t kLanes = 211;
+  Rng rng(5);
+  PositionTracker tracker(kNodes);
+  std::vector<std::optional<LinearMotionModel>> applied(kNodes);
+  for (NodeId id = 0; id < kNodes; ++id) {
+    if (id % 3 != 0) {
+      const ModelUpdate update = RandomUpdate(rng, id);
+      tracker.Apply(update);
+      applied[id] = update.model;
+    }
+  }
+  const double t = 77.25;
+  std::vector<double> fallback_x(kLanes);
+  std::vector<double> fallback_y(kLanes);
+  for (int64_t i = 0; i < kLanes; ++i) {
+    fallback_x[i] = rng.Uniform(0.0, 1e4);
+    fallback_y[i] = rng.Uniform(0.0, 1e4);
+  }
+  std::vector<double> x(kLanes);
+  std::vector<double> y(kLanes);
+  std::vector<uint8_t> known(kLanes, 7);
+  tracker.PredictSpan(kBegin, kLanes, t, fallback_x.data(), fallback_y.data(),
+                      x.data(), y.data(), known.data());
+  std::vector<double> bare_x(kLanes);
+  std::vector<double> bare_y(kLanes);
+  tracker.PredictSpan(kBegin, kLanes, t, /*fallback_x=*/nullptr,
+                      /*fallback_y=*/nullptr, bare_x.data(), bare_y.data(),
+                      /*known=*/nullptr);
+  int64_t model_less = 0;
+  for (int64_t i = 0; i < kLanes; ++i) {
+    const NodeId id = kBegin + static_cast<NodeId>(i);
+    const std::optional<Point> believed = tracker.PredictAt(id, t);
+    ASSERT_EQ(believed.has_value(), applied[id].has_value()) << id;
+    ASSERT_EQ(known[i], believed.has_value() ? 1 : 0) << id;
+    if (!applied[id].has_value()) {
+      ++model_less;
+      EXPECT_EQ(Bits(x[i]), Bits(fallback_x[i])) << id;
+      EXPECT_EQ(Bits(y[i]), Bits(fallback_y[i])) << id;
+      continue;
+    }
+    const Point want = applied[id]->PredictAt(t);
+    EXPECT_EQ(Bits(believed->x), Bits(want.x)) << id;
+    EXPECT_EQ(Bits(believed->y), Bits(want.y)) << id;
+    EXPECT_EQ(Bits(x[i]), Bits(want.x)) << id;
+    EXPECT_EQ(Bits(y[i]), Bits(want.y)) << id;
+    EXPECT_EQ(Bits(bare_x[i]), Bits(want.x)) << id;
+    EXPECT_EQ(Bits(bare_y[i]), Bits(want.y)) << id;
+  }
+  EXPECT_GT(model_less, 0);
+}
+
+TEST(PositionTrackerTest, ConcurrentApplyOnAdjacentIdsMatchesSerial) {
+  // Seven workers apply reports over contiguous id chunks of 143 records
+  // (6864 bytes, 16 past a multiple of 64) each, so the six chunk
+  // boundaries step through every 16-byte offset within a cache line and
+  // neighbouring workers write records that share a line. Every record
+  // must end as a serial apply leaves it.
+  constexpr int32_t kNodes = 1001;
+  constexpr int kRounds = 6;
+  Rng rng(11);
+  // reports[round][id]: ids divisible by 9 never report, every other id
+  // reports in round 0 and skips some later rounds.
+  std::vector<std::vector<std::optional<ModelUpdate>>> reports(
+      kRounds, std::vector<std::optional<ModelUpdate>>(kNodes));
+  for (int round = 0; round < kRounds; ++round) {
+    for (NodeId id = 0; id < kNodes; ++id) {
+      if (id % 9 != 0 && (round == 0 || rng.Uniform01() < 0.8)) {
+        reports[round][id] = RandomUpdate(rng, id);
+      }
+    }
+  }
+  PositionTracker serial(kNodes);
+  PositionTracker pooled(kNodes);
+  ThreadPool pool(7);
+  for (const auto& round : reports) {
+    for (const std::optional<ModelUpdate>& report : round) {
+      if (report.has_value()) {
+        serial.Apply(*report);
+      }
+    }
+    pool.ParallelFor(0, kNodes, /*grain=*/1,
+                     [&](int32_t /*chunk*/, int64_t begin, int64_t end) {
+                       for (int64_t id = begin; id < end; ++id) {
+                         if (round[id].has_value()) {
+                           pooled.Apply(*round[id]);
+                         }
+                       }
+                     });
+  }
+  for (NodeId id = 0; id < kNodes; ++id) {
+    const ModelRecord& a = pooled.records()[id];
+    const ModelRecord& b = serial.records()[id];
+    ASSERT_EQ(a.has, b.has) << id;
+    EXPECT_EQ(a.has, id % 9 != 0 ? 1 : 0) << id;
+    EXPECT_EQ(Bits(a.origin_x), Bits(b.origin_x)) << id;
+    EXPECT_EQ(Bits(a.origin_y), Bits(b.origin_y)) << id;
+    EXPECT_EQ(Bits(a.vel_x), Bits(b.vel_x)) << id;
+    EXPECT_EQ(Bits(a.vel_y), Bits(b.vel_y)) << id;
+    EXPECT_EQ(Bits(a.t0), Bits(b.t0)) << id;
+  }
 }
 
 TEST(EncoderTrackerLoopTest, ServerErrorBoundedByDeltaWithoutDrops) {

@@ -71,17 +71,18 @@ TEST_F(ClusterHealthTest, EmptyClusterSnapshotIsBenign) {
 }
 
 TEST_F(ClusterHealthTest, OneModelStoreAtEveryShardCount) {
-  // The cluster keeps one model store, so its bytes per node (five double
-  // columns and a flag byte) do not grow with the shard count.
+  // The cluster keeps one model store, so its bytes per node (one model
+  // record) do not grow with the shard count.
   const ClusterHealth one = MakeCluster(1)->HealthSnapshot();
   const ClusterHealth four = MakeCluster(4)->HealthSnapshot();
   EXPECT_EQ(four.tracker_bytes, one.tracker_bytes);
   EXPECT_DOUBLE_EQ(four.bytes_per_node, one.bytes_per_node);
   EXPECT_DOUBLE_EQ(four.bytes_per_node,
-                   static_cast<double>(5 * sizeof(double) + sizeof(uint8_t)));
+                   static_cast<double>(sizeof(ModelRecord)));
   std::stringstream prom;
   WriteHealthPrometheus(four, /*metrics=*/nullptr, prom);
-  EXPECT_NE(prom.str().find("lira_cluster_tracker_bytes 3280"),
+  // 80 nodes of 48 bytes.
+  EXPECT_NE(prom.str().find("lira_cluster_tracker_bytes 3840"),
             std::string::npos)
       << prom.str();
   EXPECT_EQ(prom.str().find("lira_cluster_shard_tracker_bytes"),

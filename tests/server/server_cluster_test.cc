@@ -613,16 +613,16 @@ TEST_F(ServerClusterTest, MalformedUpdatesAreRejectedBeforeRouting) {
     EXPECT_EQ(dirty->queue_arrivals(), clean->queue_arrivals());
     EXPECT_EQ(dirty->queue_dropped(), clean->queue_dropped());
     EXPECT_EQ(dirty->updates_applied(), clean->updates_applied());
-    const ModelColumns a = dirty->tracker().columns();
-    const ModelColumns b = clean->tracker().columns();
     for (NodeId id = 0; id < n; ++id) {
-      ASSERT_EQ(a.has[id], b.has[id]) << "id=" << id;
-      if (a.has[id] != 0) {
-        ASSERT_EQ(a.origin_x[id], b.origin_x[id]) << "id=" << id;
-        ASSERT_EQ(a.origin_y[id], b.origin_y[id]) << "id=" << id;
-        ASSERT_EQ(a.vel_x[id], b.vel_x[id]) << "id=" << id;
-        ASSERT_EQ(a.vel_y[id], b.vel_y[id]) << "id=" << id;
-        ASSERT_EQ(a.t0[id], b.t0[id]) << "id=" << id;
+      const ModelRecord& a = dirty->tracker().records()[id];
+      const ModelRecord& b = clean->tracker().records()[id];
+      ASSERT_EQ(a.has, b.has) << "id=" << id;
+      if (a.has != 0) {
+        ASSERT_EQ(a.origin_x, b.origin_x) << "id=" << id;
+        ASSERT_EQ(a.origin_y, b.origin_y) << "id=" << id;
+        ASSERT_EQ(a.vel_x, b.vel_x) << "id=" << id;
+        ASSERT_EQ(a.vel_y, b.vel_y) << "id=" << id;
+        ASSERT_EQ(a.t0, b.t0) << "id=" << id;
       }
     }
     ExpectGridsBitwiseEqual(dirty->stats(), clean->stats());
