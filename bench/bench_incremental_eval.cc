@@ -67,7 +67,8 @@ struct MotionSample {
 
 /// Deterministic synthetic motion at a 10 Hz sampling cadence (dt = 0.1 s,
 /// the regime where per-sample recomputation is most wasteful): vehicle
-/// speeds of 2-15 m/s give sub-meter frame moves (the clearance skip's
+/// speeds of 2-15 m/s give sub-meter frame moves in random directions,
+/// mostly inside the safe box the node's last walk certified (the skip's
 /// bread and butter), a few percent of frames are 30 m hops (GPS fixes /
 /// lane teleports in the feed) and rare respawns. The believed position is
 /// truth plus a dead-reckoning offset that persists between updates

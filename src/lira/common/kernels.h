@@ -53,26 +53,30 @@ enum : uint8_t {
   void ClampPoints(int64_t n, const double* in_x, const double* in_y,          \
                    const ClampSpec& spec, double* out_x, double* out_y);       \
                                                                                \
-  /* skip[i] = old_present & new_present & clearance > 0 &&                    \
-     L1(new, ref) < clearance. new_present == nullptr means all present. */    \
-  void L1SkipMask(int64_t n, const double* new_x, const double* new_y,         \
-                  const double* ref_x, const double* ref_y,                    \
-                  const double* clearance, const uint8_t* old_present,         \
-                  const uint8_t* new_present, uint8_t* skip);                  \
+  /* skip[i] = old_present & new_present & (x, y) lies strictly inside the    \
+     open box (lo_x, hi_x) x (lo_y, hi_y). new_present == nullptr means all   \
+     present. A box with lo >= hi on an axis is empty and never skips. */     \
+  void BoxSkipMask(int64_t n, const double* x, const double* y,                \
+                   const double* lo_x, const double* hi_x,                     \
+                   const double* lo_y, const double* hi_y,                     \
+                   const uint8_t* old_present, const uint8_t* new_present,     \
+                   uint8_t* skip);                                             \
                                                                                \
-  /* Same-cell candidate walk over a cell's partial-query rect columns, as   \
-     two sign-tagged double columns (byte-mask outputs block SSE2            \
-     vectorization, sign bits don't): old_side[i] = Contains(old) ? 1.0 :    \
-     -1.0, and new_flip[i] carries rect i's L1 flip distance for `new`       \
-     (FlipDistance's exact arithmetic, branchless) with the sign bit set     \
-     when `new` is outside -- the magnitudes are all born +0.0 or positive,  \
-     so fabs recovers the distance and signbit the containment exactly. The  \
-     min-reduction over the distances and the event emission stay with the   \
-     (scalar) caller to preserve evaluation order. */                          \
-  void RectWalkDistances(int64_t n, const double* min_x, const double* min_y,  \
-                         const double* max_x, const double* max_y,             \
-                         double old_x, double old_y, double new_x,             \
-                         double new_y, double* old_side, double* new_flip);    \
+  /* Candidate walk over a cell's partial-query rect columns. Containment     \
+     comes out as sign-tagged doubles (byte-mask outputs block SSE2           \
+     vectorization, sign bits don't): old_side[i] = Contains(old) ? 1.0 :     \
+     -1.0, new_side[i] likewise for `new`. cut_*[i] is rect i's safe-box cut   \
+     around `new`: inside, the rect's own edges; outside, the violated edge   \
+     with the largest gap (every tied edge cuts), on the side facing `new`,    \
+     and +-infinity for the bounds it leaves free. Every point strictly       \
+     inside (max cut_lo, min cut_hi) on both axes has the containment of       \
+     `new` in every rect. The caller reduces the cuts (min and max are exact  \
+     and order-free) and emits the events. */                                 \
+  void RectWalkBox(int64_t n, const double* min_x, const double* min_y,        \
+                   const double* max_x, const double* max_y, double old_x,     \
+                   double old_y, double new_x, double new_y,                   \
+                   double* old_side, double* new_side, double* cut_lo_x,       \
+                   double* cut_hi_x, double* cut_lo_y, double* cut_hi_y);      \
                                                                                \
   /* Dead-reckoning deviation band filter; delta varies per lane. */           \
   void DeviationFilter(int64_t n, const double* origin_x,                      \

@@ -5,7 +5,7 @@
 // one field dragged the rest of the struct through cache, and no loop could
 // auto-vectorize over the strided lanes. NodeStore and NodeColumns keep each
 // field in its own contiguous column with 32-bit node ids as the row index,
-// so the clearance/threshold/prediction kernels (common/kernels.h) stream
+// so the skip/threshold/prediction kernels (common/kernels.h) stream
 // exactly the bytes they need.
 //
 // NodeStore is the simulation-level store: the authoritative truth
@@ -13,9 +13,9 @@
 // the per-node delta threshold from the active shedding plan, and the
 // node's shedding-region cell.
 // NodeColumns is the per-family (truth / believed) membership-walk state
-// consumed by IncrementalEvaluator: position, the reference point of the
-// last candidate walk, the L1 clearance radius that walk certified, the
-// cached query-index cell, and the presence flag.
+// consumed by IncrementalEvaluator: position, the open safe box the last
+// candidate walk certified (no membership flips while the position stays
+// strictly inside it), the cached query-index cell, and the presence flag.
 //
 // Columns are plain std::vectors; callers hand raw pointers into kernels
 // (restrict-qualified there). Nothing here is thread-safe -- parallel
@@ -25,6 +25,7 @@
 #ifndef LIRA_COMMON_NODE_STORE_H_
 #define LIRA_COMMON_NODE_STORE_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -35,29 +36,41 @@ namespace lira {
 struct NodeColumns {
   std::vector<double> pos_x;
   std::vector<double> pos_y;
-  std::vector<double> ref_x;
-  std::vector<double> ref_y;
-  /// L1 clearance radius certified by the last candidate walk (0 disables
-  /// skipping).
-  std::vector<double> clearance;
-  /// Query-index cell of pos, cached so a skipped walk never recomputes
-  /// floor arithmetic; -1 while absent.
+  /// Open safe box (box_lo_x, box_hi_x) x (box_lo_y, box_hi_y) certified by
+  /// the last candidate walk. All four bounds 0 is the empty box, which no
+  /// point is strictly inside.
+  std::vector<double> box_lo_x;
+  std::vector<double> box_hi_x;
+  std::vector<double> box_lo_y;
+  std::vector<double> box_hi_y;
+  /// Query-index cell of pos, cached so a walk never recomputes the old
+  /// position's floor arithmetic; -1 when the box may leave the cell.
   std::vector<int32_t> cell;
   std::vector<uint8_t> present;
 
   void Resize(int32_t n) {
     pos_x.assign(n, 0.0);
     pos_y.assign(n, 0.0);
-    ref_x.assign(n, 0.0);
-    ref_y.assign(n, 0.0);
-    clearance.assign(n, 0.0);
+    box_lo_x.assign(n, 0.0);
+    box_hi_x.assign(n, 0.0);
+    box_lo_y.assign(n, 0.0);
+    box_hi_y.assign(n, 0.0);
     cell.assign(n, -1);
     present.assign(n, 0);
   }
 
+  /// Empties every box, so each node walks at its next sample.
+  void EmptyBoxes() {
+    for (std::vector<double>* bound :
+         {&box_lo_x, &box_hi_x, &box_lo_y, &box_hi_y}) {
+      std::fill(bound->begin(), bound->end(), 0.0);
+    }
+  }
+
   size_t MemoryBytes() const {
-    return (pos_x.capacity() + pos_y.capacity() + ref_x.capacity() +
-            ref_y.capacity() + clearance.capacity()) * sizeof(double) +
+    return (pos_x.capacity() + pos_y.capacity() + box_lo_x.capacity() +
+            box_hi_x.capacity() + box_lo_y.capacity() +
+            box_hi_y.capacity()) * sizeof(double) +
            cell.capacity() * sizeof(int32_t) +
            present.capacity() * sizeof(uint8_t);
   }

@@ -107,13 +107,11 @@ QueryId IncrementalEvaluator::AddQuery(const Rect& range) {
   }
   truth_size_[id] = truth_count;
   sym_diff_[id] = sym;
-  // A new boundary can cut into existing clearance balls; force fresh
-  // walks. (The cached cells stay valid: they certify the cell assignment,
-  // which no query can change.)
-  std::fill(cols_[kTruth].clearance.begin(), cols_[kTruth].clearance.end(),
-            0.0);
-  std::fill(cols_[kBelieved].clearance.begin(),
-            cols_[kBelieved].clearance.end(), 0.0);
+  // A new boundary can cut into existing safe boxes; force fresh walks.
+  // (The cached cells stay valid: they certify the cell assignment, which
+  // no query can change.)
+  cols_[kTruth].EmptyBoxes();
+  cols_[kBelieved].EmptyBoxes();
   return id;
 }
 
@@ -126,45 +124,12 @@ void IncrementalEvaluator::RemoveQuery(QueryId id) {
   if (mode_ == EvalMode::kIncremental) {
     query_index_.Erase(id, queries_[id]);
   }
-  // Removal only loosens clearance constraints, so stale (tighter)
-  // clearances stay sound and need no reset.
+  // Removal only loosens the constraints on a box, so stale (smaller)
+  // boxes stay sound and need no reset.
   truth_size_[id] = 0;
   believed_members_[id].clear();
   sym_diff_[id] = 0;
 }
-
-namespace {
-
-/// L1 displacement from `p` below which membership in `range` provably
-/// cannot flip. Inside: the exit distance to the nearest range edge
-/// (displacements strictly below it keep p >= min (closed) and p < max
-/// (open) on both axes). Outside: the entry distance -- every violated axis
-/// gap must close, and the gaps are disjoint displacement components, so
-/// L1 >= gx + gy is needed. A gap of exactly 0 on a max edge (p.x == max_x,
-/// outside by half-openness) yields 0 and disables skipping -- conservative.
-/// The RectWalkDistances kernel computes this identical arithmetic
-/// branchlessly for the same-cell walk.
-double FlipDistance(const Rect& range, Point p, bool inside) {
-  if (inside) {
-    return std::min(std::min(p.x - range.min_x, range.max_x - p.x),
-                    std::min(p.y - range.min_y, range.max_y - p.y));
-  }
-  double gx = 0.0;
-  double gy = 0.0;
-  if (p.x < range.min_x) {
-    gx = range.min_x - p.x;
-  } else if (p.x >= range.max_x) {
-    gx = p.x - range.max_x;
-  }
-  if (p.y < range.min_y) {
-    gy = range.min_y - p.y;
-  } else if (p.y >= range.max_y) {
-    gy = p.y - range.max_y;
-  }
-  return gx + gy;
-}
-
-}  // namespace
 
 namespace {
 
@@ -175,17 +140,29 @@ const std::vector<QueryId> kNoFull;
 
 }  // namespace
 
-double IncrementalEvaluator::WalkCandidates(Family family, NodeId id,
-                                            bool old_present, Point old_pos,
-                                            bool new_present, Point new_pos,
-                                            int32_t new_cell,
-                                            WorkerScratch* ws) {
+void IncrementalEvaluator::NarrowBox(int64_t n, const WalkColumns& walk,
+                                     SafeBox* box) {
+  // min and max each return one of their operands, so the reduction is
+  // exact and its order immaterial.
+  SafeBox b = *box;
+  for (int64_t i = 0; i < n; ++i) {
+    b.lo_x = std::max(b.lo_x, walk.cut_lo_x[i]);
+    b.hi_x = std::min(b.hi_x, walk.cut_hi_x[i]);
+    b.lo_y = std::max(b.lo_y, walk.cut_lo_y[i]);
+    b.hi_y = std::min(b.hi_y, walk.cut_hi_y[i]);
+  }
+  *box = b;
+}
+
+IncrementalEvaluator::SafeBox IncrementalEvaluator::WalkCandidates(
+    Family family, NodeId id, bool old_present, Point old_pos,
+    bool new_present, Point new_pos, int32_t new_cell, WorkerScratch* ws) {
   NodeColumns& cols = cols_[family];
-  // The cached cell (>= 0 only while the clearance ball provably kept the
+  // The cached cell (>= 0 only while the safe box provably kept the
   // floor-arithmetic cell assignment) saves recomputing CellIndexOf for the
-  // old position; when it was invalidated -- the ball leaned on the index
-  // margin and could cross the cell boundary -- fall back to the floor
-  // arithmetic, exactly as if nothing were cached.
+  // old position; when it was invalidated -- the box leaned on the index
+  // margin and could leave the cell -- fall back to the floor arithmetic,
+  // exactly as if nothing were cached.
   int32_t co = -1;
   if (old_present) {
     co = cols.cell[id];
@@ -194,149 +171,125 @@ double IncrementalEvaluator::WalkCandidates(Family family, NodeId id,
     }
   }
   const int32_t cn = new_cell;
-  // The new position's clearance is folded into the same pass that walks
-  // the candidate lists. Candidate completeness within the ball is
-  // certified two ways, and the looser one wins: staying inside the cell
-  // (distance to the cell boundary, minus the FP slack that absorbs the
-  // few-ulp floor-arithmetic disagreement), or staying within the index
-  // margin -- every query within L1 distance margin() of the cell is
-  // already in its lists, so a ball of that radius may leave the cell.
-  double clearance = 0.0;
-  double cell_bound = 0.0;
+  // The box starts as the new cell widened by the index margin: every query
+  // containing a point within per-axis distance margin() of the cell is in
+  // the cell's lists, and every full entry contains it (QueryIndex's
+  // coverage guarantee). Narrowing by the FP slack keeps the box clear of
+  // the few-ulp rounding in the cell geometry. The new cell's partial
+  // entries then cut it down; full entries never do.
+  SafeBox box;
+  Rect cell_rect{};
   if (cn >= 0) {
-    const Rect cr = query_index_.CellRectOf(cn);
-    cell_bound =
-        std::min(std::min(new_pos.x - cr.min_x, cr.max_x - new_pos.x),
-                 std::min(new_pos.y - cr.min_y, cr.max_y - new_pos.y)) -
-        query_index_.fp_slack();
-    clearance = std::max(cell_bound, query_index_.margin());
+    cell_rect = query_index_.CellRectOf(cn);
+    const double grow = query_index_.margin() - query_index_.fp_slack();
+    box = SafeBox{cell_rect.min_x - grow, cell_rect.max_x + grow,
+                  cell_rect.min_y - grow, cell_rect.max_y + grow};
   }
+  const WalkColumns& walk = ws->walk;
   if (co == cn) {
     // Same cell: queries fully covering it stay members; only partials can
     // flip. Stream the cell's rect columns through the kernel (into the
-    // per-chunk walk columns), then emit events and take the clearance min
-    // in list order -- identical evaluation order to the scalar loop. The
-    // kernel's sign encoding is exact: fabs recovers FlipDistance's bits,
-    // signbit the containment (kernels.h).
+    // per-chunk walk columns), then emit events in list order.
     const QueryIndex::CellPartials& pl = query_index_.Partial(co);
     const auto n = static_cast<int64_t>(pl.size());
-    if (n > 0) {
-      double* fo = ws->walk_old_side;
-      double* fn = ws->walk_new_flip;
-      kernels::RectWalkDistances(n, pl.min_x.data(), pl.min_y.data(),
-                                 pl.max_x.data(), pl.max_y.data(), old_pos.x,
-                                 old_pos.y, new_pos.x, new_pos.y, fo, fn);
-      ws->touched += n;
-      // Two min accumulators break the loop-carried min dependency chain
-      // (the loop's only serial constraint). A min over non-negative,
-      // NaN-free values selects the smallest element whatever the grouping
-      // -- fabs never yields -0.0 -- so the combined result is bitwise
-      // identical to the single-chain reduction.
-      double mn0 = clearance;
-      double mn1 = std::numeric_limits<double>::infinity();
-      int64_t i = 0;
-      for (; i + 1 < n; i += 2) {
-        const bool in_new0 = !std::signbit(fn[i]);
-        if (!std::signbit(fo[i]) != in_new0) {
-          ws->events.push_back(MakeEvent(pl.id[i], id, family, in_new0));
-        }
-        const bool in_new1 = !std::signbit(fn[i + 1]);
-        if (!std::signbit(fo[i + 1]) != in_new1) {
-          ws->events.push_back(MakeEvent(pl.id[i + 1], id, family, in_new1));
-        }
-        mn0 = std::min(mn0, std::fabs(fn[i]));
-        mn1 = std::min(mn1, std::fabs(fn[i + 1]));
+    kernels::RectWalkBox(n, pl.min_x.data(), pl.min_y.data(), pl.max_x.data(),
+                         pl.max_y.data(), old_pos.x, old_pos.y, new_pos.x,
+                         new_pos.y, walk.old_side, walk.new_side,
+                         walk.cut_lo_x, walk.cut_hi_x, walk.cut_lo_y,
+                         walk.cut_hi_y);
+    ws->touched += n;
+    for (int64_t i = 0; i < n; ++i) {
+      const bool in_new = !std::signbit(walk.new_side[i]);
+      if (std::signbit(walk.old_side[i]) == in_new) {
+        ws->events.push_back(MakeEvent(pl.id[i], id, family, in_new));
       }
-      if (i < n) {
-        const bool in_new = !std::signbit(fn[i]);
-        if (!std::signbit(fo[i]) != in_new) {
-          ws->events.push_back(MakeEvent(pl.id[i], id, family, in_new));
-        }
-        mn0 = std::min(mn0, std::fabs(fn[i]));
+    }
+    NarrowBox(n, walk, &box);
+  } else {
+    const QueryIndex::CellPartials& partial_old =
+        co >= 0 ? query_index_.Partial(co) : kNoPartial;
+    const std::vector<QueryId>& full_old =
+        co >= 0 ? query_index_.Full(co) : kNoFull;
+    const QueryIndex::CellPartials& partial_new =
+        cn >= 0 ? query_index_.Partial(cn) : kNoPartial;
+    const std::vector<QueryId>& full_new =
+        cn >= 0 ? query_index_.Full(cn) : kNoFull;
+    // The new cell's partial entries go through the same kernel (its
+    // old-position column goes unused): it gives their containment of
+    // new_pos for the merge below and cuts the box.
+    const auto n_new = static_cast<int64_t>(partial_new.size());
+    kernels::RectWalkBox(n_new, partial_new.min_x.data(),
+                         partial_new.min_y.data(), partial_new.max_x.data(),
+                         partial_new.max_y.data(), new_pos.x, new_pos.y,
+                         new_pos.x, new_pos.y, walk.old_side, walk.new_side,
+                         walk.cut_lo_x, walk.cut_hi_x, walk.cut_lo_y,
+                         walk.cut_hi_y);
+    NarrowBox(n_new, walk, &box);
+    // Four-way sorted merge over the union of candidate ids. A query absent
+    // from a cell's lists cannot contain any position assigned to that cell
+    // (QueryIndex coverage guarantee), so membership on that side is false.
+    size_t ipo = 0;
+    size_t ifo = 0;
+    size_t ipn = 0;
+    size_t ifn = 0;
+    while (true) {
+      QueryId q = std::numeric_limits<QueryId>::max();
+      if (ipo < partial_old.size()) {
+        q = std::min(q, partial_old.id[ipo]);
       }
-      clearance = std::min(mn0, mn1);
-    }
-    const double out = std::max(clearance, 0.0);
-    cols.cell[id] = out <= cell_bound ? cn : -1;
-    return out;
-  }
-  const QueryIndex::CellPartials& partial_old =
-      co >= 0 ? query_index_.Partial(co) : kNoPartial;
-  const std::vector<QueryId>& full_old =
-      co >= 0 ? query_index_.Full(co) : kNoFull;
-  const QueryIndex::CellPartials& partial_new =
-      cn >= 0 ? query_index_.Partial(cn) : kNoPartial;
-  const std::vector<QueryId>& full_new =
-      cn >= 0 ? query_index_.Full(cn) : kNoFull;
-  // Four-way sorted merge over the union of candidate ids. A query absent
-  // from a cell's lists cannot contain any position assigned to that cell
-  // (QueryIndex coverage guarantee), so membership on that side is false.
-  size_t ipo = 0;
-  size_t ifo = 0;
-  size_t ipn = 0;
-  size_t ifn = 0;
-  while (true) {
-    QueryId q = std::numeric_limits<QueryId>::max();
-    if (ipo < partial_old.size()) {
-      q = std::min(q, partial_old.id[ipo]);
-    }
-    if (ifo < full_old.size()) {
-      q = std::min(q, full_old[ifo]);
-    }
-    if (ipn < partial_new.size()) {
-      q = std::min(q, partial_new.id[ipn]);
-    }
-    if (ifn < full_new.size()) {
-      q = std::min(q, full_new[ifn]);
-    }
-    if (q == std::numeric_limits<QueryId>::max()) {
-      break;
-    }
-    const bool covers_old = ifo < full_old.size() && full_old[ifo] == q;
-    if (covers_old) {
-      ++ifo;
-    }
-    bool has_range_old = false;
-    size_t range_old = 0;
-    if (ipo < partial_old.size() && partial_old.id[ipo] == q) {
-      has_range_old = true;
-      range_old = ipo;
-      ++ipo;
-    }
-    const bool covers_new = ifn < full_new.size() && full_new[ifn] == q;
-    if (covers_new) {
-      ++ifn;
-    }
-    bool has_range_new = false;
-    size_t range_new = 0;
-    if (ipn < partial_new.size() && partial_new.id[ipn] == q) {
-      has_range_new = true;
-      range_new = ipn;
-      ++ipn;
-    }
-    ++ws->touched;
-    bool in_partial_new = false;
-    if (has_range_new) {
-      const Rect r = partial_new.RectAt(range_new);
-      in_partial_new = r.Contains(new_pos);
-      // Only the new cell's partial entries bound the clearance: its full
-      // entries cannot flip while the node stays in the cell, and the
-      // cell-boundary term already guards the cell assignment.
-      clearance =
-          std::min(clearance, FlipDistance(r, new_pos, in_partial_new));
-    }
-    const bool in_old =
-        old_present &&
-        (covers_old || (has_range_old &&
-                        partial_old.RectAt(range_old).Contains(old_pos)));
-    const bool in_new = new_present && (covers_new || in_partial_new);
-    if (in_old != in_new) {
-      ws->events.push_back(MakeEvent(q, id, family, in_new));
+      if (ifo < full_old.size()) {
+        q = std::min(q, full_old[ifo]);
+      }
+      if (ipn < partial_new.size()) {
+        q = std::min(q, partial_new.id[ipn]);
+      }
+      if (ifn < full_new.size()) {
+        q = std::min(q, full_new[ifn]);
+      }
+      if (q == std::numeric_limits<QueryId>::max()) {
+        break;
+      }
+      const bool covers_old = ifo < full_old.size() && full_old[ifo] == q;
+      if (covers_old) {
+        ++ifo;
+      }
+      bool has_range_old = false;
+      size_t range_old = 0;
+      if (ipo < partial_old.size() && partial_old.id[ipo] == q) {
+        has_range_old = true;
+        range_old = ipo;
+        ++ipo;
+      }
+      const bool covers_new = ifn < full_new.size() && full_new[ifn] == q;
+      if (covers_new) {
+        ++ifn;
+      }
+      bool in_partial_new = false;
+      if (ipn < partial_new.size() && partial_new.id[ipn] == q) {
+        in_partial_new = !std::signbit(walk.new_side[ipn]);
+        ++ipn;
+      }
+      ++ws->touched;
+      const bool in_old =
+          old_present &&
+          (covers_old || (has_range_old &&
+                          partial_old.RectAt(range_old).Contains(old_pos)));
+      const bool in_new = new_present && (covers_new || in_partial_new);
+      if (in_old != in_new) {
+        ws->events.push_back(MakeEvent(q, id, family, in_new));
+      }
     }
   }
-  const double out = cn >= 0 ? std::max(clearance, 0.0) : 0.0;
-  cols.cell[id] = (cn >= 0 && out <= cell_bound) ? cn : -1;
-  return out;
+  // Cache the cell only while the whole box stays inside it, shrunk by the
+  // FP slack: then every position a later sample skips with is assigned to
+  // cn by the floor arithmetic too.
+  const double fp = query_index_.fp_slack();
+  const bool box_in_cell =
+      cn >= 0 && box.lo_x >= cell_rect.min_x + fp &&
+      box.hi_x <= cell_rect.max_x - fp && box.lo_y >= cell_rect.min_y + fp &&
+      box.hi_y <= cell_rect.max_y - fp;
+  cols.cell[id] = box_in_cell ? cn : -1;
+  return box;
 }
 
 void IncrementalEvaluator::WalkFamily(Family family, NodeId id,
@@ -345,13 +298,15 @@ void IncrementalEvaluator::WalkFamily(Family family, NodeId id,
   NodeColumns& cols = cols_[family];
   const bool old_present = cols.present[id] != 0;
   const Point old_pos{cols.pos_x[id], cols.pos_y[id]};
-  cols.clearance[id] = WalkCandidates(family, id, old_present, old_pos,
-                                      new_present, new_pos, new_cell, ws);
+  const SafeBox box = WalkCandidates(family, id, old_present, old_pos,
+                                     new_present, new_pos, new_cell, ws);
+  cols.box_lo_x[id] = box.lo_x;
+  cols.box_hi_x[id] = box.hi_x;
+  cols.box_lo_y[id] = box.lo_y;
+  cols.box_hi_y[id] = box.hi_y;
   cols.present[id] = new_present ? 1 : 0;
   cols.pos_x[id] = new_pos.x;
   cols.pos_y[id] = new_pos.y;
-  cols.ref_x[id] = new_pos.x;
-  cols.ref_y[id] = new_pos.y;
 }
 
 void IncrementalEvaluator::ProcessChunk(
@@ -363,7 +318,7 @@ void IncrementalEvaluator::ProcessChunk(
   NodeColumns& bc = cols_[kBelieved];
   // Kernel pre-passes over the whole chunk: clamp the incoming positions
   // into the world (bit-identical to Rect::Clamp) and test every node
-  // against its clearance ball. Unknown believed lanes get clamped too --
+  // against its safe box. Unknown believed lanes get clamped too --
   // harmless, their skip lanes come out 0 and the values are never read.
   FrameArena& arena = ws->chunk_arena;
   arena.Reset();
@@ -373,19 +328,20 @@ void IncrementalEvaluator::ProcessChunk(
   double* cby = arena.AllocSpan<double>(n);
   uint8_t* skip_t = arena.AllocSpan<uint8_t>(n);
   uint8_t* skip_b = arena.AllocSpan<uint8_t>(n);
-  // Candidate-walk distance columns, sized by the index's partial-list high
+  // Candidate-walk columns, sized by the index's partial-list high
   // watermark so every walk in the chunk reuses them (queries cannot be
   // added mid-sample).
   const auto walk_n = static_cast<int64_t>(query_index_.max_partial_size());
-  ws->walk_old_side = arena.AllocSpan<double>(walk_n);
-  ws->walk_new_flip = arena.AllocSpan<double>(walk_n);
+  ws->walk = WalkColumns{
+      arena.AllocSpan<double>(walk_n), arena.AllocSpan<double>(walk_n),
+      arena.AllocSpan<double>(walk_n), arena.AllocSpan<double>(walk_n),
+      arena.AllocSpan<double>(walk_n), arena.AllocSpan<double>(walk_n)};
   // Deferred-walk keys: (new cell + 1, node, family) packed into one word.
   // Collecting the walks first and running them as a batch keeps the
   // bookkeeping loop's working set small and measures ~10% faster than
-  // walking inline. Walk order is immaterial to the output: a walk reads
-  // only the immutable query index and its own node's column slots, and
-  // ApplyEvents re-sorts every (query, family) bucket by node, so the
-  // applied event stream is independent of walk schedule and thread count.
+  // walking inline. The batch runs in ascending id, the order the keys are
+  // pushed in, and that order is load-bearing: ApplyEvents merges each
+  // (query, family) bucket as it arrives and needs it ascending by node.
   // (Sorting the batch by cell to reuse hot candidate lists was tried and
   // lost: scattering the node-column accesses costs more than the list
   // locality buys at these list sizes.)
@@ -395,14 +351,14 @@ void IncrementalEvaluator::ProcessChunk(
                        cty);
   kernels::ClampPoints(n, believed_x + begin, believed_y + begin, clamp_spec_,
                        cbx, cby);
-  kernels::L1SkipMask(n, ctx, cty, tc.ref_x.data() + begin,
-                      tc.ref_y.data() + begin, tc.clearance.data() + begin,
-                      tc.present.data() + begin, /*new_present=*/nullptr,
-                      skip_t);
-  kernels::L1SkipMask(n, cbx, cby, bc.ref_x.data() + begin,
-                      bc.ref_y.data() + begin, bc.clearance.data() + begin,
-                      bc.present.data() + begin, believed_known + begin,
-                      skip_b);
+  kernels::BoxSkipMask(n, ctx, cty, tc.box_lo_x.data() + begin,
+                       tc.box_hi_x.data() + begin, tc.box_lo_y.data() + begin,
+                       tc.box_hi_y.data() + begin, tc.present.data() + begin,
+                       /*new_present=*/nullptr, skip_t);
+  kernels::BoxSkipMask(n, cbx, cby, bc.box_lo_x.data() + begin,
+                       bc.box_hi_x.data() + begin, bc.box_lo_y.data() + begin,
+                       bc.box_hi_y.data() + begin, bc.present.data() + begin,
+                       believed_known + begin, skip_b);
   // Scalar driver: per-node bookkeeping inline, walks deferred and keyed
   // by destination cell.
   for (int64_t i = 0; i < n; ++i) {
@@ -417,8 +373,8 @@ void IncrementalEvaluator::ProcessChunk(
       node_distance_[id] = Distance(new_believed, new_truth);
     }
     if (skip_t[i] != 0) {
-      // Still inside the ball certified by the last walk: same candidate
-      // lists, no membership flips possible.
+      // Still inside the box certified by the last walk: no membership
+      // flips possible.
       tc.pos_x[id] = new_truth.x;
       tc.pos_y[id] = new_truth.y;
     } else {
@@ -500,8 +456,8 @@ void IncrementalEvaluator::ApplyEvents(
   // positions, and `present && Contains(pos)` equals list membership at all
   // times (walked nodes were classified by this very test -- the kernel sign
   // encoding and the full-coverage guarantee are both exact -- and a skipped
-  // node's clearance ball certifies that no membership flipped, so the
-  // stale membership still agrees with the fresh position). The one wrinkle
+  // node's safe box certifies that no membership flipped, so the stale
+  // membership still agrees with the fresh position). The one wrinkle
   // is membership *when*: the chosen logical order applies, per (query,
   // node), the believed event before the truth event. So truth events see
   // the believed columns as-is (final state), while believed events must
@@ -517,14 +473,12 @@ void IncrementalEvaluator::ApplyEvents(
       continue;
     }
     const auto query = static_cast<QueryId>(key / 2);
-    // Walks run in cell order, so a bucket's events arrive unordered;
-    // sorting by node (ids are unique within a bucket) restores the one
-    // canonical order the merge below and the bitwise contract rely on,
-    // whatever the walk schedule or thread count did.
-    std::sort(sorted_events_.begin() + begin, sorted_events_.begin() + end,
-              [](const MemberEvent& a, const MemberEvent& b) {
-                return a.node < b.node;
-              });
+    // The bucket is already ascending by node, the one canonical order the
+    // merge below and the bitwise contract rely on: walks run in ascending
+    // id within each static chunk, chunks are contiguous and ascending and
+    // their buffers are read in chunk order, and the counting sort is
+    // stable. A node walks at most once per family per sample, so the ids
+    // are unique within a bucket.
     const Rect range = queries_[query];
     int32_t sym = sym_diff_[query];
     if (key % 2 == static_cast<size_t>(kTruth)) {
@@ -552,8 +506,7 @@ void IncrementalEvaluator::ApplyEvents(
       LIRA_DCHECK(count >= 0);
       truth_size_[query] = count;
     } else {
-      // A node walks at most once per family per sample, so the bucket
-      // holds at most one event per node, ascending after the sort above.
+      // The bucket holds at most one event per node, ascending (above).
       // Rebuilding the sorted believed member vector with one linear merge
       // is O(members + events) for the whole bucket, where per-event
       // lower_bound + insert would memmove O(members) each time; same final

@@ -11,25 +11,28 @@
 // O(moved_nodes * queries_per_cell).
 //
 // Per-node walk state lives in structure-of-arrays columns (NodeColumns,
-// one instance per membership family), so the per-chunk pre-passes --
-// clamping the incoming positions and testing every node against its L1
-// clearance ball -- run as contiguous auto-vectorized kernels
-// (common/kernels.h) before a scalar driver walks only the nodes whose
-// clearance test failed. The same-cell candidate walk streams a cell's
-// partial-query rect columns through the RectWalkDistances kernel into
-// per-chunk FrameArena scratch (sized once per chunk from the query index's
-// partial-list high watermark); the min-reduction over flip distances and
-// the event emission stay scalar to preserve evaluation order.
+// one instance per membership family). Each candidate walk certifies a
+// safe box: an open axis-aligned box around the walked position inside
+// which no query of the cell changes membership and the cell's lists stay
+// complete. The per-chunk pre-passes -- clamping the incoming positions
+// and testing every node against its box -- run as contiguous
+// auto-vectorized kernels (common/kernels.h) before a scalar driver walks
+// only the nodes that left their box. A walk streams the new cell's
+// partial-query rect columns through the RectWalkBox kernel into per-chunk
+// FrameArena scratch (sized once per chunk from the query index's
+// partial-list high watermark); the event emission and the reduction of
+// the box cuts stay scalar.
 //
 // Determinism contract (DESIGN.md sections 7, 8 and 11): the evaluator's
 // output is bitwise identical to the from-scratch CompareAllQueries path at
 // any thread count, and identical between the vectorized and scalar-
 // reference kernel builds. ApplySample's parallel phase writes only
 // per-node column slots and per-worker delta buffers; the per-worker
-// buffers are regrouped into (query, family) buckets with a counting sort
-// and each bucket is sorted by node id before it is applied, so the
-// applied event stream is a pure function of the event SET -- independent
-// of walk schedule, chunk boundaries, and thread count.
+// buffers are regrouped into (query, family) buckets with a stable
+// counting sort. Every chunk walks its nodes in ascending id and the
+// chunks are contiguous and ascending, so each bucket arrives in ascending
+// node order whatever the thread count: the applied event stream is a pure
+// function of the event SET.
 // Membership deltas are integers, the symmetric difference is maintained as
 // an integer counter (its update rule keeps the invariant exact at every
 // step, so the final counts are independent of application order), and the
@@ -79,10 +82,10 @@ class IncrementalEvaluator {
   /// `cells_per_side` controls the QueryIndex granularity (use the same
   /// value as the snapshot GridIndexes it replaces). `margin` expands query
   /// ranges in the cell->query index: correctness never requires it, but it
-  /// lets clearance balls cross cell boundaries (a node hugging a cell edge
-  /// with no query nearby would otherwise re-walk every sample). The
-  /// default (any negative value) picks cell_size / 8, a good trade between
-  /// list length and skip rate; 0 disables the headroom.
+  /// lets safe boxes cross cell boundaries (a node hugging a cell edge with
+  /// no query nearby would otherwise re-walk every sample). The default
+  /// (any negative value) picks cell_size / 8, a good trade between list
+  /// length and skip rate; 0 disables the headroom.
   static StatusOr<IncrementalEvaluator> Create(
       const Rect& world, int32_t cells_per_side, int32_t num_nodes,
       const QueryRegistry& registry, EvalMode mode = EvalMode::kIncremental,
@@ -168,43 +171,61 @@ class IncrementalEvaluator {
                        node};
   }
 
+  /// Open axis-aligned box (lo_x, hi_x) x (lo_y, hi_y) certified by a
+  /// walk; the default is the empty box.
+  struct SafeBox {
+    double lo_x = 0.0;
+    double hi_x = 0.0;
+    double lo_y = 0.0;
+    double hi_y = 0.0;
+  };
+
+  /// RectWalkBox's output columns, one slot per partial entry of a cell.
+  struct WalkColumns {
+    double* old_side = nullptr;
+    double* new_side = nullptr;
+    double* cut_lo_x = nullptr;
+    double* cut_hi_x = nullptr;
+    double* cut_lo_y = nullptr;
+    double* cut_hi_y = nullptr;
+  };
+
   /// Per-worker output and scratch of the parallel phase. The arena is
   /// exclusively owned by one worker per sample (ParallelFor chunk c runs
   /// on worker c) and holds the per-chunk clamp/skip columns plus the
-  /// candidate-walk distance columns, all allocated once per chunk; the
-  /// walk pointers below alias into it and are rewritten by every
-  /// ProcessChunk call.
+  /// candidate-walk columns, all allocated once per chunk; `walk` aliases
+  /// into it and is rewritten by every ProcessChunk call.
   struct WorkerScratch {
     std::vector<MemberEvent> events;
     int64_t touched = 0;
     FrameArena chunk_arena;
-    double* walk_old_side = nullptr;
-    double* walk_new_flip = nullptr;
+    WalkColumns walk;
   };
 
   IncrementalEvaluator(const Rect& world, int32_t num_nodes, EvalMode mode,
                        QueryIndex query_index);
 
-  /// Runs the clamp + clearance-skip kernels over node rows [begin, end),
-  /// then walks the nodes whose skip test failed as one deferred batch
-  /// (ApplyEvents sorts each event bucket by node, so the walk schedule
-  /// never shows in the output).
+  /// Runs the clamp + box-skip kernels over node rows [begin, end), then
+  /// walks the nodes whose skip test failed as one deferred batch, in
+  /// ascending id (ApplyEvents relies on that order).
   void ProcessChunk(int64_t begin, int64_t end, const double* truth_x,
                     const double* truth_y, const double* believed_x,
                     const double* believed_y, const uint8_t* believed_known,
                     WorkerScratch* ws);
-  /// Re-walks one family of one node after a failed (or disabled) skip
-  /// test; updates the family's columns. `new_cell` is the query-index
-  /// cell of new_pos (-1 when !new_present), precomputed by the driver.
+  /// Re-walks one family of one node after a failed skip test; updates the
+  /// family's columns. `new_cell` is the query-index cell of new_pos (-1
+  /// when !new_present), precomputed by the driver.
   void WalkFamily(Family family, NodeId id, bool new_present, Point new_pos,
                   int32_t new_cell, WorkerScratch* ws);
   /// Emits membership-flip events for the move old -> new and returns the
-  /// clearance of `new_pos` in its cell (computed inside the same pass over
-  /// the cell's candidate lists; 0.0 when !new_present). Maintains the
-  /// family's cached cell id.
-  double WalkCandidates(Family family, NodeId id, bool old_present,
-                        Point old_pos, bool new_present, Point new_pos,
-                        int32_t new_cell, WorkerScratch* ws);
+  /// safe box around `new_pos` (computed inside the same pass over the new
+  /// cell's partial list; empty when !new_present). Maintains the family's
+  /// cached cell id.
+  SafeBox WalkCandidates(Family family, NodeId id, bool old_present,
+                         Point old_pos, bool new_present, Point new_pos,
+                         int32_t new_cell, WorkerScratch* ws);
+  /// Intersects `box` with the first n cuts in `walk`.
+  static void NarrowBox(int64_t n, const WalkColumns& walk, SafeBox* box);
   void ApplyEvents(const std::vector<WorkerScratch>& scratch);
 
   Rect world_;
@@ -232,11 +253,11 @@ class IncrementalEvaluator {
   std::vector<int32_t> sym_diff_;
 
   /// Per-family per-node walk state columns: authoritative clamped
-  /// position, the reference point of the last candidate walk, the L1
-  /// clearance ball that walk certified (largest displacement from ref that
-  /// provably flips no membership; 0 disables skipping), and the cached
-  /// query-index cell (>= 0 only while the ball provably keeps the cell
-  /// assignment, so a later walk can skip CellIndexOf's floor arithmetic).
+  /// position, the safe box the last candidate walk certified (no
+  /// membership flips while the position stays strictly inside it), and
+  /// the cached query-index cell (>= 0 only while the box provably keeps
+  /// the cell assignment, so a later walk can skip CellIndexOf's floor
+  /// arithmetic).
   std::array<NodeColumns, 2> cols_;
   /// Distance(believed, truth) per believed-known node, refreshed each
   /// sample; summed per query in ascending id order by Evaluate.
@@ -267,7 +288,7 @@ class IncrementalEvaluator {
   int64_t queries_touched_ = 0;
   /// False until the first ApplySample: no node is present yet, so
   /// AddQuery (Create's bulk registration) skips the member seeding walk
-  /// and the clearance-column reset.
+  /// and the box reset.
   bool sample_seen_ = false;
 };
 

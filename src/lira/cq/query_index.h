@@ -16,8 +16,8 @@
 //     query rectangles are stored inline as structure-of-arrays columns
 //     (CellPartials) so the membership test during a delta walk neither
 //     chases a pointer into the registry nor strides over interleaved
-//     fields -- the same-cell walk hands the four edge columns straight to
-//     the RectWalkDistances kernel (common/kernels.h).
+//     fields -- a walk hands the four edge columns straight to the
+//     RectWalkBox kernel (common/kernels.h).
 //
 // Correctness depends on a coverage guarantee: for any in-world position p
 // assigned to cell c by CellIndexOf's floor arithmetic, every query
@@ -93,10 +93,12 @@ class QueryIndex {
   /// The coverage slack (meters): total expansion applied on each side of a
   /// range when enumerating cells (margin + FP slack).
   double slack() const { return slack_; }
-  /// The caller-chosen margin component of the slack. Any point within L1
-  /// distance `margin()` of a cell is covered by that cell's lists, so a
-  /// clearance ball of radius <= margin() never needs the cell-boundary
-  /// term (see IncrementalEvaluator::WalkCandidates).
+  /// The caller-chosen margin component of the slack. Any point within
+  /// per-axis distance `margin()` of a cell (an L-infinity ball, not just
+  /// an L1 one) is covered by that cell's lists: every query containing it
+  /// is listed, and every full entry contains it. So a safe box may reach
+  /// margin() past the cell on each axis (see
+  /// IncrementalEvaluator::WalkCandidates).
   double margin() const { return margin_; }
   /// The FP component of the slack (slack() - margin()): the part that only
   /// absorbs floor-arithmetic ulp disagreement.

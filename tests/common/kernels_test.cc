@@ -5,8 +5,11 @@
 
 #include "lira/common/kernels.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -45,26 +48,55 @@ Columns RandomColumns(uint64_t seed) {
   return out;
 }
 
-/// FlipDistance as written in incremental_evaluator.cc (the pre-kernel
-/// scalar original), for bitwise comparison.
-double FlipDistanceScalar(const Rect& range, Point p, bool inside) {
-  if (inside) {
-    return std::min(std::min(p.x - range.min_x, range.max_x - p.x),
-                    std::min(p.y - range.min_y, range.max_y - p.y));
+/// Bit pattern of a double: EXPECT_EQ on doubles treats -0.0 == +0.0.
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+/// The walk kernel's outputs, one column each.
+struct WalkOut {
+  explicit WalkOut(size_t n)
+      : old_side(n), new_side(n), lo_x(n), hi_x(n), lo_y(n), hi_y(n) {}
+  std::vector<double> old_side, new_side, lo_x, hi_x, lo_y, hi_y;
+};
+
+/// Rect edge columns for the walk kernel.
+struct RectColumns {
+  std::vector<double> min_x, min_y, max_x, max_y;
+
+  void Add(const Rect& r) {
+    min_x.push_back(r.min_x);
+    min_y.push_back(r.min_y);
+    max_x.push_back(r.max_x);
+    max_y.push_back(r.max_y);
   }
-  double gx = 0.0;
-  double gy = 0.0;
-  if (p.x < range.min_x) {
-    gx = range.min_x - p.x;
-  } else if (p.x >= range.max_x) {
-    gx = p.x - range.max_x;
+  size_t size() const { return min_x.size(); }
+  Rect At(size_t i) const {
+    return Rect{min_x[i], min_y[i], max_x[i], max_y[i]};
   }
-  if (p.y < range.min_y) {
-    gy = range.min_y - p.y;
-  } else if (p.y >= range.max_y) {
-    gy = p.y - range.max_y;
+};
+
+template <typename Kernel>
+WalkOut RunWalk(Kernel kernel, const RectColumns& rects, Point old_p,
+                Point new_p) {
+  WalkOut out(rects.size());
+  kernel(static_cast<int64_t>(rects.size()), rects.min_x.data(),
+         rects.min_y.data(), rects.max_x.data(), rects.max_y.data(), old_p.x,
+         old_p.y, new_p.x, new_p.y, out.old_side.data(), out.new_side.data(),
+         out.lo_x.data(), out.hi_x.data(), out.lo_y.data(), out.hi_y.data());
+  return out;
+}
+
+/// Rects clustered around `p` (half-widths up to `spread`), so the probe
+/// lands inside some and outside others on every side.
+RectColumns RectsAround(Rng& rng, Point p, int64_t count, double spread) {
+  RectColumns rects;
+  for (int64_t i = 0; i < count; ++i) {
+    const double cx = p.x + rng.Uniform(-spread, spread);
+    const double cy = p.y + rng.Uniform(-spread, spread);
+    const double w = rng.Uniform(0.5, spread);
+    const double h = rng.Uniform(0.5, spread);
+    rects.Add(Rect{cx - w, cy - h, cx + w, cy + h});
   }
-  return gx + gy;
+  return rects;
 }
 
 TEST(KernelsTest, ClampPointsMatchesRectClampBitwise) {
@@ -95,77 +127,188 @@ TEST(KernelsTest, ClampPointsMatchesRectClampBitwise) {
   }
 }
 
-TEST(KernelsTest, L1SkipMaskMatchesScalarLogic) {
+TEST(KernelsTest, BoxSkipMaskMatchesScalarLogic) {
   Columns in = RandomColumns(2);
-  // Clearances: mostly small positive, some zero/negative.
+  std::vector<double> lo_x(kLanes), hi_x(kLanes), lo_y(kLanes), hi_y(kLanes);
   for (int64_t i = 0; i < kLanes; ++i) {
-    in.e[i] = i % 7 == 0 ? 0.0 : std::abs(in.e[i]) * 1e-3;
-    // Keep ref close to new so the l1 < clearance compare goes both ways.
-    in.c[i] = in.a[i] + in.f[i] * 1e-7;
-    in.d[i] = in.b[i] - in.f[i] * 1e-7;
+    // Boxes hugging the point so each strict compare goes both ways; every
+    // 7th box is empty.
+    const double rx = in.c[i] * 1e-7;
+    const double ry = in.d[i] * 1e-7;
+    lo_x[i] = in.a[i] - rx;
+    hi_x[i] = in.a[i] + in.e[i] * 1e-7;
+    lo_y[i] = in.b[i] - ry;
+    hi_y[i] = in.b[i] + in.f[i] * 1e-7;
+    // Points exactly on each of the four faces.
+    if (i % 11 == 0) {
+      lo_x[i] = in.a[i];
+    }
+    if (i % 13 == 0) {
+      hi_x[i] = in.a[i];
+    }
+    if (i % 17 == 0) {
+      lo_y[i] = in.b[i];
+    }
+    if (i % 19 == 0) {
+      hi_y[i] = in.b[i];
+    }
+    if (i % 7 == 0) {
+      lo_x[i] = hi_x[i] = lo_y[i] = hi_y[i] = 0.0;
+    }
   }
   std::vector<uint8_t> vmask(kLanes), rmask(kLanes);
   const uint8_t* variants[] = {in.v.data(), nullptr};
+  int seen = 0;
   for (const uint8_t* np : variants) {
-    kernels::vec::L1SkipMask(kLanes, in.a.data(), in.b.data(), in.c.data(),
-                             in.d.data(), in.e.data(), in.u.data(), np,
-                             vmask.data());
-    kernels::ref::L1SkipMask(kLanes, in.a.data(), in.b.data(), in.c.data(),
-                             in.d.data(), in.e.data(), in.u.data(), np,
-                             rmask.data());
+    kernels::vec::BoxSkipMask(kLanes, in.a.data(), in.b.data(), lo_x.data(),
+                              hi_x.data(), lo_y.data(), hi_y.data(),
+                              in.u.data(), np, vmask.data());
+    kernels::ref::BoxSkipMask(kLanes, in.a.data(), in.b.data(), lo_x.data(),
+                              hi_x.data(), lo_y.data(), hi_y.data(),
+                              in.u.data(), np, rmask.data());
     for (int64_t i = 0; i < kLanes; ++i) {
-      const double l1 = std::abs(in.a[i] - in.c[i]) + std::abs(in.b[i] - in.d[i]);
-      const bool want = in.u[i] != 0 && (np == nullptr || np[i] != 0) &&
-                        in.e[i] > 0.0 && l1 < in.e[i];
+      const bool inside = lo_x[i] < in.a[i] && in.a[i] < hi_x[i] &&
+                          lo_y[i] < in.b[i] && in.b[i] < hi_y[i];
+      const bool want =
+          in.u[i] != 0 && (np == nullptr || np[i] != 0) && inside;
       EXPECT_EQ(vmask[i], want ? 1 : 0) << i;
       EXPECT_EQ(rmask[i], vmask[i]) << i;
+      seen |= 1 << (want ? 1 : 0);
     }
   }
+  EXPECT_EQ(seen, 0b11) << "test boxes missed a skip outcome";
 }
 
-TEST(KernelsTest, RectWalkDistancesMatchesContainsAndFlipDistance) {
+TEST(KernelsTest, RectWalkBoxMatchesContainsAndScalarOracleBitwise) {
   Rng rng(3);
-  std::vector<double> mnx(kLanes), mny(kLanes), mxx(kLanes), mxy(kLanes);
   const Point old_p{512.0, 480.0};
   const Point new_p{512.25, 479.75};
-  for (int64_t i = 0; i < kLanes; ++i) {
-    // Rects clustered around the probe points so all containment
-    // combinations and both flip branches occur, including exact-edge rects.
-    const double cx = rng.Uniform(300.0, 700.0);
-    const double cy = rng.Uniform(300.0, 700.0);
-    const double w = rng.Uniform(0.5, 300.0);
-    mnx[i] = cx - w;
-    mny[i] = cy - w;
-    mxx[i] = cx + w;
-    mxy[i] = cy + w;
-  }
-  mnx[0] = new_p.x;  // p exactly on the min edge: inside on that axis
-  mxx[1] = new_p.x;  // p exactly on the max edge: outside, gap +0
-  std::vector<double> vside(kLanes), rside(kLanes);
-  std::vector<double> vflip(kLanes), rflip(kLanes);
-  kernels::vec::RectWalkDistances(kLanes, mnx.data(), mny.data(), mxx.data(),
-                                  mxy.data(), old_p.x, old_p.y, new_p.x,
-                                  new_p.y, vside.data(), vflip.data());
-  kernels::ref::RectWalkDistances(kLanes, mnx.data(), mny.data(), mxx.data(),
-                                  mxy.data(), old_p.x, old_p.y, new_p.x,
-                                  new_p.y, rside.data(), rflip.data());
+  RectColumns rects = RectsAround(rng, Point{500.0, 500.0}, kLanes, 200.0);
+  rects.min_x[0] = new_p.x;  // on a min edge: inside on that axis
+  rects.max_x[1] = new_p.x;  // on a max edge: outside, gap 0
+  rects.max_y[2] = new_p.y;
+  rects.min_y[3] = new_p.y;
+  const WalkOut vec = RunWalk(kernels::vec::RectWalkBox, rects, old_p, new_p);
+  const WalkOut ref = RunWalk(kernels::ref::RectWalkBox, rects, old_p, new_p);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   int seen = 0;
-  for (int64_t i = 0; i < kLanes; ++i) {
-    const Rect r{mnx[i], mny[i], mxx[i], mxy[i]};
+  for (size_t i = 0; i < rects.size(); ++i) {
+    const Rect r = rects.At(i);
     const bool in_old = r.Contains(old_p);
     const bool in_new = r.Contains(new_p);
-    // old_side is exactly +/-1.0; new_flip's sign bit encodes containment of
-    // new_p (a +0.0 distance outside must come out as -0.0).
-    EXPECT_EQ(vside[i], in_old ? 1.0 : -1.0) << i;
-    EXPECT_EQ(rside[i], vside[i]) << i;
-    EXPECT_EQ(!std::signbit(vflip[i]), in_new) << i;
-    const double want_flip = FlipDistanceScalar(r, new_p, in_new);
-    EXPECT_EQ(std::fabs(vflip[i]), want_flip) << i;
-    EXPECT_EQ(rflip[i], vflip[i]) << i;
-    EXPECT_EQ(std::signbit(rflip[i]), std::signbit(vflip[i])) << i;
+    EXPECT_EQ(vec.old_side[i], in_old ? 1.0 : -1.0) << i;
+    EXPECT_EQ(vec.new_side[i], in_new ? 1.0 : -1.0) << i;
+    for (const auto col : {&WalkOut::old_side, &WalkOut::new_side,
+                           &WalkOut::lo_x, &WalkOut::hi_x, &WalkOut::lo_y,
+                           &WalkOut::hi_y}) {
+      EXPECT_EQ(Bits((ref.*col)[i]), Bits((vec.*col)[i])) << i;
+    }
+    if (in_new) {
+      // Inside: the cuts are the rect's own edges.
+      EXPECT_EQ(vec.lo_x[i], r.min_x) << i;
+      EXPECT_EQ(vec.hi_x[i], r.max_x) << i;
+      EXPECT_EQ(vec.lo_y[i], r.min_y) << i;
+      EXPECT_EQ(vec.hi_y[i], r.max_y) << i;
+    } else {
+      // Outside: each edge either cuts, on the side facing new_p, or leaves
+      // its bound free; the cutting edges are exactly those with the
+      // largest gap.
+      const double gaps[] = {new_p.x - r.max_x, r.min_x - new_p.x,
+                             new_p.y - r.max_y, r.min_y - new_p.y};
+      const double cuts[] = {vec.lo_x[i], vec.hi_x[i], vec.lo_y[i],
+                             vec.hi_y[i]};
+      const double edges[] = {r.max_x, r.min_x, r.max_y, r.min_y};
+      const double free_bound[] = {-kInf, kInf, -kInf, kInf};
+      const double largest = *std::max_element(gaps, gaps + 4);
+      EXPECT_GE(largest, 0.0) << i;
+      for (int e = 0; e < 4; ++e) {
+        EXPECT_EQ(cuts[e], gaps[e] == largest ? edges[e] : free_bound[e])
+            << i << " edge " << e;
+      }
+    }
     seen |= 1 << ((in_old ? 1 : 0) | (in_new ? 2 : 0));
   }
   EXPECT_EQ(seen, 0b1111) << "test rects missed a containment combination";
+}
+
+TEST(KernelsTest, RectWalkBoxCertifiesEveryPointInsideTheBox) {
+  // Soundness of the safe box: every point strictly inside the reduced box
+  // has the probe's containment in every rect, down to the last double
+  // inside each face.
+  Rng rng(5);
+  int nonempty = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const Point probe{rng.Uniform(100.0, 900.0), rng.Uniform(100.0, 900.0)};
+    const auto count = static_cast<int64_t>(rng.UniformInt(48)) + 1;
+    RectColumns rects = RectsAround(rng, probe, count, 40.0);
+    // Odd trials add exact-edge rects: the probe on a min edge, the probe
+    // on a max edge, and two rects sharing an edge, once through the
+    // probe and once a little beside it.
+    const bool on_edges = trial % 2 == 1;
+    if (on_edges) {
+      rects.Add(Rect{probe.x, probe.y - 5.0, probe.x + 9.0, probe.y + 7.0});
+      rects.Add(Rect{probe.x - 3.0, probe.y - 8.0, probe.x + 4.0, probe.y});
+      rects.Add(Rect{probe.x - 6.0, probe.y - 6.0, probe.x, probe.y + 6.0});
+      rects.Add(Rect{probe.x, probe.y - 6.0, probe.x + 6.0, probe.y + 6.0});
+      const double shared = probe.y + 2.5;
+      rects.Add(Rect{probe.x - 4.0, probe.y - 9.0, probe.x + 4.0, shared});
+      rects.Add(Rect{probe.x - 4.0, shared, probe.x + 4.0, probe.y + 9.0});
+    }
+    const WalkOut vec = RunWalk(kernels::vec::RectWalkBox, rects, probe, probe);
+    const WalkOut ref = RunWalk(kernels::ref::RectWalkBox, rects, probe, probe);
+    double lo_x = probe.x - 64.0;
+    double hi_x = probe.x + 64.0;
+    double lo_y = probe.y - 64.0;
+    double hi_y = probe.y + 64.0;
+    for (size_t i = 0; i < rects.size(); ++i) {
+      lo_x = std::max(lo_x, vec.lo_x[i]);
+      hi_x = std::min(hi_x, vec.hi_x[i]);
+      lo_y = std::max(lo_y, vec.lo_y[i]);
+      hi_y = std::min(hi_y, vec.hi_y[i]);
+      EXPECT_EQ(Bits(ref.lo_x[i]), Bits(vec.lo_x[i]));
+      EXPECT_EQ(Bits(ref.hi_x[i]), Bits(vec.hi_x[i]));
+      EXPECT_EQ(Bits(ref.lo_y[i]), Bits(vec.lo_y[i]));
+      EXPECT_EQ(Bits(ref.hi_y[i]), Bits(vec.hi_y[i]));
+    }
+    const bool probe_inside =
+        lo_x < probe.x && probe.x < hi_x && lo_y < probe.y && probe.y < hi_y;
+    if (!on_edges) {
+      // No gap is 0 off the edges, so every cut keeps the probe inside.
+      EXPECT_TRUE(probe_inside) << "trial " << trial;
+    }
+    if (!(lo_x < hi_x && lo_y < hi_y)) {
+      continue;
+    }
+    ++nonempty;
+    // The extreme doubles inside each face, crossed with the middle and
+    // both extremes of the other axis, plus random interior points.
+    const double xs[] = {std::nextafter(lo_x, hi_x), 0.5 * (lo_x + hi_x),
+                         std::nextafter(hi_x, lo_x)};
+    const double ys[] = {std::nextafter(lo_y, hi_y), 0.5 * (lo_y + hi_y),
+                         std::nextafter(hi_y, lo_y)};
+    std::vector<Point> points;
+    for (const double x : xs) {
+      for (const double y : ys) {
+        points.push_back(Point{x, y});
+      }
+    }
+    for (int k = 0; k < 16; ++k) {
+      points.push_back(
+          Point{rng.Uniform(lo_x, hi_x), rng.Uniform(lo_y, hi_y)});
+    }
+    for (const Point& p : points) {
+      if (!(lo_x < p.x && p.x < hi_x && lo_y < p.y && p.y < hi_y)) {
+        continue;  // a rounded midpoint of a one-ulp box
+      }
+      for (size_t i = 0; i < rects.size(); ++i) {
+        const Rect r = rects.At(i);
+        EXPECT_EQ(r.Contains(p), r.Contains(probe))
+            << "trial " << trial << " rect " << i << " point (" << p.x
+            << ", " << p.y << ")";
+      }
+    }
+  }
+  EXPECT_GT(nonempty, 300) << "too few trials left a box to check";
 }
 
 TEST(KernelsTest, DeviationFilterDecisionsMatchExactHypotComparison) {

@@ -5,6 +5,7 @@
 
 #include "lira/cq/incremental_evaluator.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -29,7 +30,7 @@ struct MotionSample {
   std::vector<char> known;
 };
 
-/// Random walk with a mix of small jitter (exercises the clearance skip),
+/// Random walk with a mix of small jitter (exercises the box skip),
 /// medium hops (cell crossings), and teleports, wandering slightly outside
 /// the world to exercise clamping. Believed positions are noisy offsets of
 /// truth and occasionally unknown.
@@ -66,6 +67,48 @@ std::vector<MotionSample> MakeMotion(uint64_t seed,
   return motion;
 }
 
+/// Road-like motion on the integer lattice: each node moves along one axis
+/// at a time in whole-meter steps (switching axis now and then, with rare
+/// 40 m hops), so positions land exactly on the integer query edges of
+/// MakeLatticeQueries and on the 125 m cell edges. Believed positions are
+/// integer offsets of truth along the same axis, occasionally unknown; a
+/// few nodes stray past the world edge to exercise clamping.
+std::vector<MotionSample> MakeAxisMotion(uint64_t seed) {
+  Rng rng(seed);
+  std::vector<MotionSample> motion(kSamples);
+  std::vector<Point> pos(kNodes);
+  std::vector<int> axis(kNodes);
+  for (NodeId id = 0; id < kNodes; ++id) {
+    pos[id] = {static_cast<double>(rng.UniformInt(1001)),
+               static_cast<double>(rng.UniformInt(1001))};
+    axis[id] = static_cast<int>(rng.UniformInt(2));
+  }
+  const auto step = [&rng](int64_t reach) {
+    return static_cast<double>(
+               rng.UniformInt(static_cast<uint64_t>(2 * reach + 1))) -
+           static_cast<double>(reach);
+  };
+  for (MotionSample& out : motion) {
+    out.truth.resize(kNodes);
+    out.believed.resize(kNodes);
+    out.known.resize(kNodes);
+    for (NodeId id = 0; id < kNodes; ++id) {
+      if (rng.Uniform(0.0, 1.0) < 0.1) {
+        axis[id] = 1 - axis[id];
+      }
+      const double d = rng.Uniform(0.0, 1.0) < 0.05 ? step(40) : step(3);
+      double& coord = axis[id] == 0 ? pos[id].x : pos[id].y;
+      coord = std::clamp(coord + d, -5.0, 1005.0);
+      out.truth[id] = pos[id];
+      out.known[id] = rng.Uniform(0.0, 1.0) < 0.9 ? 1 : 0;
+      Point believed = pos[id];
+      (axis[id] == 0 ? believed.x : believed.y) += step(10);
+      out.believed[id] = believed;
+    }
+  }
+  return motion;
+}
+
 QueryRegistry MakeQueries(uint64_t seed, int32_t count = 40) {
   Rng rng(seed);
   QueryRegistry registry;
@@ -75,6 +118,24 @@ QueryRegistry MakeQueries(uint64_t seed, int32_t count = 40) {
     const double x0 = rng.Uniform(-100.0, 1000.0);
     const double y0 = rng.Uniform(-100.0, 1000.0);
     registry.Add(Rect{x0, y0, x0 + side, y0 + side});
+  }
+  return registry;
+}
+
+/// Queries with integer corners, some on the 125 m cell lines.
+QueryRegistry MakeLatticeQueries(uint64_t seed, int32_t count = 40) {
+  Rng rng(seed);
+  QueryRegistry registry;
+  for (int32_t q = 0; q < count; ++q) {
+    double x0 = static_cast<double>(rng.UniformInt(1000)) - 50.0;
+    double y0 = static_cast<double>(rng.UniformInt(1000)) - 50.0;
+    if (q % 4 == 0) {
+      x0 = 125.0 * static_cast<double>(rng.UniformInt(8));
+      y0 = 125.0 * static_cast<double>(rng.UniformInt(8));
+    }
+    const double w = static_cast<double>(rng.UniformInt(300) + 1);
+    const double h = static_cast<double>(rng.UniformInt(300) + 1);
+    registry.Add(Rect{x0, y0, x0 + w, y0 + h});
   }
   return registry;
 }
@@ -116,16 +177,11 @@ void ExpectBitwiseEqual(const std::vector<QueryAccuracy>& got,
   }
 }
 
-class IncrementalEvaluatorEquivalenceTest
-    : public ::testing::TestWithParam<int32_t> {};
-
-TEST_P(IncrementalEvaluatorEquivalenceTest,
-       RandomMotionMatchesFullRescanBitwise) {
-  const int32_t threads = GetParam();
-  const std::vector<MotionSample> motion = MakeMotion(1234);
-  const QueryRegistry registry = MakeQueries(77);
+/// Runs both evaluator modes over `motion` and checks every sample's output
+/// bitwise against the reference rescan.
+void ExpectMatchesRescan(const std::vector<MotionSample>& motion,
+                         const QueryRegistry& registry, int32_t threads) {
   const auto reference = ReferenceOutputs(motion, registry);
-
   ThreadPool pool(threads);
   ThreadPool* pool_ptr = threads > 1 ? &pool : nullptr;
   for (const EvalMode mode :
@@ -143,6 +199,22 @@ TEST_P(IncrementalEvaluatorEquivalenceTest,
       EXPECT_GT(evaluator->queries_touched(), 0);
     }
   }
+}
+
+class IncrementalEvaluatorEquivalenceTest
+    : public ::testing::TestWithParam<int32_t> {};
+
+TEST_P(IncrementalEvaluatorEquivalenceTest,
+       RandomMotionMatchesFullRescanBitwise) {
+  ExpectMatchesRescan(MakeMotion(1234), MakeQueries(77), GetParam());
+}
+
+// Exact-edge input: integer positions on integer query edges and cell
+// edges, where a half-open edge or a strict box bound decides membership.
+TEST_P(IncrementalEvaluatorEquivalenceTest,
+       AxisMotionOnQueryAndCellEdgesMatchesFullRescanBitwise) {
+  ExpectMatchesRescan(MakeAxisMotion(4321), MakeLatticeQueries(78),
+                      GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, IncrementalEvaluatorEquivalenceTest,

@@ -1,6 +1,7 @@
 #include "lira/cq/query_index.h"
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -100,11 +101,35 @@ TEST(QueryIndexTest, ListsStaySortedById) {
   }
 }
 
+/// Every query containing `p` is listed for `cell`, and every query listed
+/// as full for `cell` contains `p`.
+void ExpectCovered(const QueryIndex& index, const std::vector<Rect>& ranges,
+                   int32_t cell, Point p) {
+  const std::vector<QueryId> listed = Candidates(index, cell);
+  for (QueryId id = 0; id < static_cast<QueryId>(ranges.size()); ++id) {
+    if (ranges[id].Contains(p)) {
+      EXPECT_TRUE(std::binary_search(listed.begin(), listed.end(), id))
+          << "query " << id << " contains (" << p.x << ", " << p.y
+          << ") but is not listed for cell " << cell;
+    }
+  }
+  for (QueryId id : index.Full(cell)) {
+    EXPECT_TRUE(ranges[id].Contains(p))
+        << "query " << id << " is full for cell " << cell
+        << " but does not contain (" << p.x << ", " << p.y << ")";
+  }
+}
+
 // The coverage guarantee the IncrementalEvaluator depends on: every query
 // containing a point appears in the lists of the point's assigned cell, and
 // "full" classification implies containment of every point in the cell.
+// With a margin the guarantee reaches past the cell: it holds for every
+// point within per-axis distance < margin of the cell (the L-infinity form
+// the evaluator's safe boxes lean on).
 TEST(QueryIndexTest, CoverageGuaranteeAgainstBruteForce) {
+  constexpr double kMargin = 7.8125;  // cell size / 8, the evaluator default
   QueryIndex index = MakeIndex(/*cells=*/16);
+  QueryIndex wide = MakeIndex(/*cells=*/16, kMargin);
   Rng rng(404);
   std::vector<Rect> ranges;
   for (QueryId id = 0; id < 60; ++id) {
@@ -114,6 +139,18 @@ TEST(QueryIndexTest, CoverageGuaranteeAgainstBruteForce) {
                      y0 + rng.Uniform(5.0, 400.0)};
     ranges.push_back(range);
     index.Insert(id, range);
+    wide.Insert(id, range);
+  }
+  // Query edges on the cell lines, where a point leaving the cell meets
+  // them exactly.
+  for (QueryId id = 60; id < 80; ++id) {
+    const double x0 = 62.5 * static_cast<double>(rng.UniformInt(14));
+    const double y0 = 62.5 * static_cast<double>(rng.UniformInt(14));
+    const Rect range{x0, y0, x0 + 62.5 * (1 + rng.UniformInt(3)),
+                     y0 + 62.5 * (1 + rng.UniformInt(3))};
+    ranges.push_back(range);
+    index.Insert(id, range);
+    wide.Insert(id, range);
   }
   for (int trial = 0; trial < 2000; ++trial) {
     // Include exact cell-boundary coordinates in the probe distribution.
@@ -124,21 +161,34 @@ TEST(QueryIndexTest, CoverageGuaranteeAgainstBruteForce) {
     }
     // Positions are clamped before any containment test in the evaluator.
     p = kWorld.Clamp(p);
-    const int32_t cell = index.CellIndexOf(p);
-    const std::vector<QueryId> listed = Candidates(index, cell);
-    for (QueryId id = 0; id < 60; ++id) {
-      if (ranges[id].Contains(p)) {
-        EXPECT_TRUE(
-            std::binary_search(listed.begin(), listed.end(), id))
-            << "query " << id << " contains (" << p.x << ", " << p.y
-            << ") but is not listed for its cell";
-      }
+    ExpectCovered(index, ranges, index.CellIndexOf(p), p);
+    ExpectCovered(wide, ranges, wide.CellIndexOf(p), p);
+  }
+  // Points outside a cell but within per-axis distance < margin of it,
+  // answered by that cell's lists. The extreme picks are the last doubles
+  // short of the margin (cell edges and the margin are exact multiples of
+  // 1/128, so c.min_x - kMargin is exact).
+  for (int trial = 0; trial < 4000; ++trial) {
+    const auto cell = static_cast<int32_t>(rng.UniformInt(16 * 16));
+    const Rect c = wide.CellRectOf(cell);
+    const double pick[] = {std::nextafter(c.min_x - kMargin, c.min_x),
+                           std::nextafter(c.max_x + kMargin, c.max_x),
+                           rng.Uniform(c.min_x - kMargin, c.max_x + kMargin)};
+    const double pick_y[] = {std::nextafter(c.min_y - kMargin, c.min_y),
+                             std::nextafter(c.max_y + kMargin, c.max_y),
+                             rng.Uniform(c.min_y - kMargin, c.max_y + kMargin)};
+    Point p{pick[rng.UniformInt(3)], pick_y[rng.UniformInt(3)]};
+    if (trial % 4 == 0) {
+      p.x = rng.Uniform(c.min_x - kMargin, c.min_x);
     }
-    for (QueryId id : index.Full(cell)) {
-      EXPECT_TRUE(ranges[id].Contains(p))
-          << "query " << id << " is full for cell " << cell
-          << " but does not contain (" << p.x << ", " << p.y << ")";
+    p = kWorld.Clamp(p);
+    if (c.Contains(p)) {
+      continue;
     }
+    ASSERT_LT(std::max({c.min_x - p.x, p.x - c.max_x, c.min_y - p.y,
+                        p.y - c.max_y}),
+              kMargin);
+    ExpectCovered(wide, ranges, cell, p);
   }
 }
 
