@@ -1,8 +1,9 @@
 // Micro-benchmarks (google-benchmark) of the hot paths: GREEDYINCREMENT,
 // GRIDREDUCE (incl. quad-tree build), statistics-grid maintenance, grid-
-// index updates/queries, dead-reckoning encoding, f(delta) calibration, the
-// parallel-for dispatch, and the telemetry instruments. These back the
-// "lightweight by design" claim with per-operation numbers.
+// index updates/queries, dead-reckoning encoding, f(delta) calibration,
+// trace recording, the parallel-for dispatch, and the telemetry
+// instruments. These back the "lightweight by design" claim with
+// per-operation numbers.
 //
 // Besides the console table, the run writes BENCH_micro.json in the shared
 // bench_compare schema (metrics = name -> median real nanoseconds; the
@@ -216,6 +217,24 @@ void BM_ReductionCalibration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ReductionCalibration);
+
+// The world build's trace recorder: a random-walk TrafficModel on the
+// default 14 km map, 10k vehicles x 30 frames, Create included.
+void BM_TraceRecord(benchmark::State& state) {
+  auto map = GenerateMap(MapGeneratorConfig{});
+  if (!map.ok()) {
+    state.SkipWithError("map generation failed");
+    return;
+  }
+  TrafficModelConfig traffic;
+  traffic.num_vehicles = 10000;
+  for (auto _ : state) {
+    auto model = TrafficModel::Create(map->network, traffic);
+    auto trace = Trace::Record(*model, 30, 1.0);
+    benchmark::DoNotOptimize(trace);
+  }
+}
+BENCHMARK(BM_TraceRecord);
 
 void BM_TelemetryCounterIncrement(benchmark::State& state) {
   telemetry::MetricRegistry registry;

@@ -88,15 +88,20 @@ double Rng::Exponential(double rate) {
 bool Rng::Bernoulli(double p) { return Uniform01() < p; }
 
 size_t Rng::WeightedIndex(const std::vector<double>& weights) {
-  LIRA_CHECK(!weights.empty());
   double total = 0.0;
   for (double w : weights) {
     LIRA_DCHECK(w >= 0.0);
     total += w;
   }
+  return WeightedIndex(weights, total);
+}
+
+size_t Rng::WeightedIndex(const std::vector<double>& weights, double total) {
+  LIRA_CHECK(!weights.empty());
   LIRA_CHECK(total > 0.0);
   double target = Uniform01() * total;
   for (size_t i = 0; i < weights.size(); ++i) {
+    LIRA_DCHECK(weights[i] >= 0.0);
     target -= weights[i];
     if (target < 0.0) {
       return i;

@@ -54,6 +54,12 @@ class Rng {
   /// and a positive sum.
   size_t WeightedIndex(const std::vector<double>& weights);
 
+  /// The same draw with the weights' sum precomputed, for callers drawing
+  /// many times from one vector. `total` must be the sum of `weights` added
+  /// left to right (std::accumulate), for the draws to match the form
+  /// above bit for bit.
+  size_t WeightedIndex(const std::vector<double>& weights, double total);
+
   /// Forks an independent generator deterministically derived from this
   /// one's state and the given stream id. Useful for giving each vehicle or
   /// component its own stream.

@@ -1,17 +1,30 @@
 #include "lira/mobility/trace.h"
 
+#include <cmath>
+#include <string>
+
 namespace lira {
 
 StatusOr<Trace> Trace::FromFlatStates(int32_t num_frames, int32_t num_nodes,
                                       double dt,
                                       const std::vector<float>& flat) {
-  if (num_frames <= 0 || num_nodes <= 0 || dt <= 0.0) {
-    return InvalidArgumentError("num_frames, num_nodes and dt must be positive");
+  if (num_frames <= 0 || num_nodes <= 0 || !ValidDt(dt)) {
+    return InvalidArgumentError(
+        "num_frames and num_nodes must be positive and dt positive and "
+        "finite");
   }
   const size_t expected =
       4 * static_cast<size_t>(num_frames) * static_cast<size_t>(num_nodes);
   if (flat.size() != expected) {
     return InvalidArgumentError("flat state buffer has the wrong size");
+  }
+  for (size_t i = 0; i < flat.size(); ++i) {
+    if (!std::isfinite(flat[i])) {
+      const size_t row = i / 4;
+      return InvalidArgumentError(
+          "non-finite state at frame " + std::to_string(row / num_nodes) +
+          ", node " + std::to_string(row % num_nodes));
+    }
   }
   Trace trace(num_frames, num_nodes, dt);
   trace.states_.reserve(expected / 4);

@@ -8,6 +8,7 @@
 #ifndef LIRA_MOBILITY_TRACE_H_
 #define LIRA_MOBILITY_TRACE_H_
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -24,11 +25,13 @@ class Trace {
  public:
   /// Advances `model` by `num_frames` ticks of `dt` seconds, recording a
   /// snapshot after each tick. Works with any model exposing Tick /
-  /// NumVehicles / Sample (TrafficModel, TripTrafficModel).
+  /// NumVehicles / Sample (TrafficModel, TripTrafficModel). dt must be
+  /// finite.
   template <typename Model>
   static StatusOr<Trace> Record(Model& model, int32_t num_frames, double dt) {
-    if (num_frames <= 0 || dt <= 0.0) {
-      return InvalidArgumentError("num_frames and dt must be positive");
+    if (num_frames <= 0 || !ValidDt(dt)) {
+      return InvalidArgumentError(
+          "num_frames must be positive and dt positive and finite");
     }
     Trace trace(num_frames, model.NumVehicles(), dt);
     trace.states_.reserve(static_cast<size_t>(num_frames) *
@@ -48,8 +51,9 @@ class Trace {
 
   /// Builds a trace from raw interleaved state floats laid out row-major:
   /// for each frame, for each node, {x, y, vx, vy}. `flat` must have
-  /// exactly 4 * num_frames * num_nodes entries. Used by the trace-IO layer
-  /// to import externally produced traces.
+  /// exactly 4 * num_frames * num_nodes entries, all finite, and dt must be
+  /// positive and finite. Used by the trace-IO layer to import externally
+  /// produced traces.
   static StatusOr<Trace> FromFlatStates(int32_t num_frames,
                                         int32_t num_nodes, double dt,
                                         const std::vector<float>& flat);
@@ -84,6 +88,9 @@ class Trace {
 
   /// Mean speed over all nodes in a frame.
   double MeanSpeed(int32_t frame) const;
+
+  /// Whether dt can space a trace's frames: positive and finite.
+  static bool ValidDt(double dt) { return dt > 0.0 && std::isfinite(dt); }
 
  private:
   struct CompactState {

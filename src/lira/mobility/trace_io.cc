@@ -36,7 +36,7 @@ StatusOr<Trace> LoadTraceCsv(const std::string& path) {
   char line[256];
   double dt = 0.0;
   if (std::fgets(line, sizeof(line), file) == nullptr ||
-      std::sscanf(line, "# dt=%lf", &dt) != 1 || dt <= 0.0) {
+      std::sscanf(line, "# dt=%lf", &dt) != 1 || !Trace::ValidDt(dt)) {
     std::fclose(file);
     return InvalidArgumentError("missing or malformed '# dt=' header");
   }

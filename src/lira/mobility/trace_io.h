@@ -22,7 +22,8 @@ Status SaveTraceCsv(const Trace& trace, const std::string& path);
 
 /// Reads a trace written by SaveTraceCsv (or produced externally in the
 /// same format). Fails with a descriptive error on malformed input:
-/// missing header, non-numeric fields, out-of-order or missing rows.
+/// missing header, non-numeric fields, a dt or state value that is not
+/// finite (or a dt that is not positive), out-of-order or missing rows.
 StatusOr<Trace> LoadTraceCsv(const std::string& path);
 
 }  // namespace lira

@@ -9,9 +9,9 @@
 #define LIRA_MOBILITY_TRAFFIC_MODEL_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
-#include "lira/common/rng.h"
 #include "lira/common/status.h"
 #include "lira/mobility/position.h"
 #include "lira/mobility/vehicle.h"
@@ -37,21 +37,21 @@ class TrafficModel {
   /// Advances every vehicle by dt seconds and the model clock accordingly.
   void Tick(double dt);
 
-  int32_t NumVehicles() const { return static_cast<int32_t>(vehicles_.size()); }
+  int32_t NumVehicles() const { return fleet_.size(); }
   double CurrentTime() const { return time_; }
 
   /// Current kinematic state of vehicle `id`.
-  PositionSample Sample(NodeId id) const;
+  PositionSample Sample(NodeId id) const { return fleet_.Sample(id, time_); }
 
   /// Current states of all vehicles, ordered by node id.
-  std::vector<PositionSample> SampleAll() const;
+  std::vector<PositionSample> SampleAll() const {
+    return fleet_.SampleAll(time_);
+  }
 
  private:
-  TrafficModel(const RoadNetwork& network, std::vector<Vehicle> vehicles)
-      : network_(&network), vehicles_(std::move(vehicles)) {}
+  explicit TrafficModel(VehicleFleet fleet) : fleet_(std::move(fleet)) {}
 
-  const RoadNetwork* network_;
-  std::vector<Vehicle> vehicles_;
+  VehicleFleet fleet_;
   double time_ = 0.0;
 };
 

@@ -27,7 +27,7 @@ struct TripModelConfig {
 };
 
 /// Vehicle population on routed trips. Mirrors TrafficModel's interface so
-/// Trace::Record-style recording works on either (see RecordTripTrace).
+/// Trace::Record works on either.
 class TripTrafficModel {
  public:
   static StatusOr<TripTrafficModel> Create(const RoadNetwork& network,
@@ -37,29 +37,30 @@ class TripTrafficModel {
   /// destination and a fresh shortest-time route.
   void Tick(double dt);
 
-  int32_t NumVehicles() const { return static_cast<int32_t>(vehicles_.size()); }
+  int32_t NumVehicles() const { return fleet_.size(); }
   double CurrentTime() const { return time_; }
-  PositionSample Sample(NodeId id) const;
-  std::vector<PositionSample> SampleAll() const;
+  PositionSample Sample(NodeId id) const { return fleet_.Sample(id, time_); }
+  std::vector<PositionSample> SampleAll() const {
+    return fleet_.SampleAll(time_);
+  }
 
   /// Trips completed so far (new-route assignments past the initial one).
   int64_t trips_completed() const { return trips_completed_; }
 
  private:
-  TripTrafficModel(const RoadNetwork& network, std::vector<Vehicle> vehicles,
-                   std::vector<double> destination_weights, Rng rng)
-      : network_(&network),
-        vehicles_(std::move(vehicles)),
-        destination_weights_(std::move(destination_weights)),
-        rng_(std::move(rng)) {}
+  TripTrafficModel(const RoadNetwork& network, VehicleFleet fleet,
+                   std::vector<double> destination_weights, Rng rng);
 
-  void PlanNewTrip(Vehicle& vehicle);
+  void PlanNewTrip(int32_t vehicle);
 
   const RoadNetwork* network_;
-  std::vector<Vehicle> vehicles_;
+  VehicleFleet fleet_;
+  /// Each vehicle's route, beside the fleet.
+  std::vector<RouteCursor> routes_;
   /// Per-intersection destination weight (sum of incident segment volumes).
   std::vector<double> destination_weights_;
-  Rng rng_ = Rng(0);
+  double destination_total_ = 0.0;
+  Rng rng_;
   double time_ = 0.0;
   int64_t trips_completed_ = 0;
 };

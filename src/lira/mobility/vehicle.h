@@ -1,18 +1,31 @@
-// A single vehicle moving along the road network.
+// The vehicle fleet: every vehicle on the road network, advanced by one
+// motion law.
 //
 // Vehicles perform a volume-weighted random walk: at each intersection the
 // next segment is chosen with probability proportional to its traffic
 // volume (U-turns only at dead ends). Speed follows a mean-reverting noisy
 // process around a per-segment target, so true motion deviates smoothly from
 // any linear prediction -- the deviation process dead reckoning reacts to.
+// A routed vehicle (the trip model's) follows its route instead of turning
+// at random until the route drains.
+//
+// The fleet stores its vehicles as columns indexed by vehicle, and the road
+// geometry the step reads as one table entry per segment. Each step also
+// writes the vehicle's position and velocity, so reading a sample is a
+// load, not a geometry computation.
 
 #ifndef LIRA_MOBILITY_VEHICLE_H_
 #define LIRA_MOBILITY_VEHICLE_H_
 
-#include <deque>
+#include <cstddef>
+#include <cstdint>
+#include <vector>
 
+#include "lira/common/check.h"
 #include "lira/common/geometry.h"
 #include "lira/common/rng.h"
+#include "lira/common/status.h"
+#include "lira/mobility/position.h"
 #include "lira/roadnet/road_network.h"
 
 namespace lira {
@@ -34,57 +47,109 @@ struct VehicleDynamics {
   double max_fraction = 1.05;
 };
 
-/// Mutable state of one vehicle. Owned and advanced by TrafficModel.
-class Vehicle {
+/// A routed vehicle's path: at each intersection it reaches, the vehicle
+/// takes segments[next] and the cursor moves on. An empty vector allocates
+/// nothing.
+struct RouteCursor {
+  std::vector<SegmentId> segments;
+  size_t next = 0;
+
+  /// Segments still to take.
+  size_t Remaining() const { return segments.size() - next; }
+};
+
+/// The vehicle population of one traffic model, stored as per-vehicle
+/// columns. The referenced network must outlive the fleet.
+class VehicleFleet {
  public:
-  /// Places the vehicle on `segment`, `offset` meters from the `origin`
-  /// endpoint, with a freshly drawn target speed.
-  Vehicle(const RoadNetwork& network, SegmentId segment, IntersectionId origin,
-          double offset, const VehicleDynamics& dynamics, Rng rng);
+  /// An empty fleet on `network`; builds the per-segment geometry table.
+  VehicleFleet(const RoadNetwork& network, const VehicleDynamics& dynamics);
 
-  /// Advances the vehicle by dt seconds (crossing intersections as needed).
-  void Advance(const RoadNetwork& network, double dt);
+  /// Places `num_vehicles` vehicles: each on a segment drawn with
+  /// probability proportional to its traffic volume, at a uniform offset,
+  /// facing a random end, with its own stream forked from `rng`. Fails when
+  /// the count is non-positive or the network has no segments.
+  static StatusOr<VehicleFleet> Place(const RoadNetwork& network,
+                                      const VehicleDynamics& dynamics,
+                                      int32_t num_vehicles, Rng& rng);
 
-  /// Assigns a route: at each upcoming intersection the vehicle follows the
-  /// queued segments instead of random-walking; when the queue drains (or a
-  /// queued segment is not incident to the junction reached) it falls back
-  /// to the volume-weighted random walk. Used by the trip-based traffic
-  /// model.
-  void AssignRoute(std::deque<SegmentId> route);
+  /// Adds a vehicle on `segment`, `offset` meters from the `origin`
+  /// endpoint, driving on `rng`, from which its target speed is drawn
+  /// first. Returns its index.
+  int32_t Add(SegmentId segment, IntersectionId origin, double offset,
+              Rng rng);
 
-  /// Remaining queued route segments.
-  size_t RouteLength() const { return route_.size(); }
+  /// Advances vehicle `i` by dt seconds, crossing intersections as needed.
+  /// With a `route`, the vehicle takes its queued segments at the
+  /// intersections it reaches; when the route drains, or its next segment
+  /// does not touch the intersection reached (the route is then cleared),
+  /// the vehicle turns at random.
+  void Advance(int32_t i, double dt, RouteCursor* route = nullptr);
 
-  /// The intersection the vehicle is currently driving towards.
-  IntersectionId HeadingNode(const RoadNetwork& network) const {
-    return network.OtherEnd(segment_, origin_);
+  int32_t size() const { return static_cast<int32_t>(segment_.size()); }
+
+  /// Kinematic state of vehicle `i` at model time `time`.
+  PositionSample Sample(NodeId i, double time) const {
+    LIRA_DCHECK(i >= 0 && i < size());
+    return {i, time, position_[i], velocity_[i]};
+  }
+  /// Every vehicle's state at model time `time`, ordered by index.
+  std::vector<PositionSample> SampleAll(double time) const;
+
+  Point position(int32_t i) const { return position_[i]; }
+  Vec2 velocity(int32_t i) const { return velocity_[i]; }
+  double speed(int32_t i) const { return speed_[i]; }
+  SegmentId segment(int32_t i) const { return segment_[i]; }
+
+  /// The intersection vehicle `i` is driving towards.
+  IntersectionId HeadingNode(int32_t i) const {
+    const SegmentGeometry& g = geometry_[segment_[i]];
+    return origin_[i] == g.from_node ? g.to_node : g.from_node;
   }
 
-  /// Current position in the world frame.
-  Point Position(const RoadNetwork& network) const;
-
-  /// Current velocity vector (m/s).
-  Vec2 Velocity(const RoadNetwork& network) const;
-
-  double speed() const { return speed_; }
-  SegmentId segment() const { return segment_; }
-  IntersectionId origin() const { return origin_; }
-
  private:
-  void EnterSegment(const RoadNetwork& network, SegmentId segment,
-                    IntersectionId origin);
-  void DrawTargetSpeed(const RoadNetwork& network);
-  SegmentId ChooseNextSegment(const RoadNetwork& network,
-                              IntersectionId at_node);
+  /// What the motion step reads of one road segment.
+  struct SegmentGeometry {
+    Point from;  ///< position of the `from` intersection
+    Vec2 delta;  ///< to - from
+    double length = 0.0;
+    double speed_limit = 0.0;
+    /// Unit direction of travel when entered from `from` / from `to`, each
+    /// RoadNetwork::SegmentDirection's: normalized from its own difference
+    /// vector. Negating `forward` would turn a +0.0 component of an
+    /// axis-parallel road into -0.0 and change the trace's bytes.
+    Vec2 forward;
+    Vec2 backward;
+    IntersectionId from_node = kInvalidIntersection;
+    IntersectionId to_node = kInvalidIntersection;
+  };
 
-  SegmentId segment_;
-  std::deque<SegmentId> route_;
-  IntersectionId origin_;  ///< endpoint the vehicle entered the segment from
-  double offset_ = 0.0;    ///< meters travelled from origin_ along segment_
-  double speed_ = 0.0;
-  double target_speed_ = 0.0;
+  void Reserve(int32_t n);
+  double DrawTargetSpeed(Rng& rng, double speed_limit) const;
+  SegmentId ChooseNextSegment(Rng& rng, SegmentId current,
+                              IntersectionId at_node, RouteCursor* route);
+  /// Writes vehicle `i`'s position and velocity from its segment state.
+  void WriteKinematics(int32_t i, const SegmentGeometry& g,
+                       IntersectionId origin, double offset, double speed);
+
+  const RoadNetwork* network_;
   VehicleDynamics dynamics_;
-  Rng rng_;
+  std::vector<SegmentGeometry> geometry_;  ///< indexed by SegmentId
+
+  std::vector<SegmentId> segment_;
+  /// The endpoint each vehicle entered its segment from.
+  std::vector<IntersectionId> origin_;
+  /// Meters travelled from origin_ along segment_.
+  std::vector<double> offset_;
+  std::vector<double> speed_;
+  std::vector<double> target_speed_;
+  std::vector<Rng> rng_;
+  std::vector<Point> position_;
+  std::vector<Vec2> velocity_;
+
+  /// Turn-choice scratch, reused across steps.
+  std::vector<double> turn_weights_;
+  std::vector<SegmentId> turn_candidates_;
 };
 
 }  // namespace lira

@@ -1,6 +1,7 @@
 #include "lira/common/rng.h"
 
 #include <cmath>
+#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -130,6 +131,31 @@ TEST(RngTest, WeightedIndexFollowsWeights) {
 TEST(RngTest, WeightedIndexSingleElement) {
   Rng rng(37);
   EXPECT_EQ(rng.WeightedIndex({5.0}), 0u);
+}
+
+TEST(RngTest, WeightedIndexWithTotalMatchesOneArgumentForm) {
+  // A zero-weight tail: neither form may ever return it.
+  const std::vector<double> weights = {0.1, 0.7, 0.2, 2.5, 0.0, 0.0};
+  const double total = std::accumulate(weights.begin(), weights.end(), 0.0);
+  Rng a(47);
+  Rng b(47);
+  for (int i = 0; i < 10000; ++i) {
+    const size_t index = a.WeightedIndex(weights);
+    EXPECT_EQ(index, b.WeightedIndex(weights, total));
+    EXPECT_LT(index, 4u);
+  }
+  // A total above the weights' sum leaves slack at the end of the
+  // subtraction chain, the case float rounding leaves rarely. The slack
+  // falls back to the last positive weight, never into the zero tail.
+  Rng c(53);
+  int last_positive = 0;
+  const int n = 1000;
+  for (int i = 0; i < n; ++i) {
+    const size_t index = c.WeightedIndex(weights, 2.0 * total);
+    EXPECT_LT(index, 4u);
+    last_positive += index == 3 ? 1 : 0;
+  }
+  EXPECT_GT(last_positive, n / 2);  // every slack draw plus index 3's share
 }
 
 TEST(RngTest, ForkProducesIndependentStreams) {

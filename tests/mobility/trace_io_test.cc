@@ -1,6 +1,8 @@
 #include "lira/mobility/trace_io.h"
 
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -120,12 +122,42 @@ TEST(TraceIoTest, RejectsMalformedInputs) {
 
   WriteFile(path, "# dt=0.0\nframe,node,x,y,vx,vy\n0,0,1,1,0,0\n");
   EXPECT_FALSE(LoadTraceCsv(path).ok());  // bad dt
+
+  WriteFile(path, "# dt=nan\nframe,node,x,y,vx,vy\n0,0,1,1,0,0\n");
+  EXPECT_FALSE(LoadTraceCsv(path).ok());  // NaN dt
+
+  WriteFile(path, "# dt=inf\nframe,node,x,y,vx,vy\n0,0,1,1,0,0\n");
+  EXPECT_FALSE(LoadTraceCsv(path).ok());  // infinite dt
+
+  WriteFile(path,
+            "# dt=1.0\nframe,node,x,y,vx,vy\n0,0,1,1,0,0\n"
+            "0,1,nan,2,inf,4\n");
+  auto non_finite = LoadTraceCsv(path);
+  ASSERT_FALSE(non_finite.ok());  // non-finite state
+  EXPECT_NE(non_finite.status().message().find("frame 0, node 1"),
+            std::string::npos)
+      << non_finite.status().message();
 }
 
 TEST(TraceIoTest, FromFlatStatesValidation) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
   EXPECT_FALSE(Trace::FromFlatStates(0, 1, 1.0, {}).ok());
   EXPECT_FALSE(Trace::FromFlatStates(1, 1, 0.0, {1, 2, 3, 4}).ok());
+  EXPECT_FALSE(Trace::FromFlatStates(1, 1, std::nan(""), {1, 2, 3, 4}).ok());
+  EXPECT_FALSE(Trace::FromFlatStates(
+                   1, 1, std::numeric_limits<double>::infinity(), {1, 2, 3, 4})
+                   .ok());
   EXPECT_FALSE(Trace::FromFlatStates(1, 2, 1.0, {1, 2, 3, 4}).ok());
+  EXPECT_FALSE(Trace::FromFlatStates(1, 1, 1.0, {1, nan, 3, 4}).ok());
+  auto bad_velocity =
+      Trace::FromFlatStates(2, 2, 1.0, {1, 2, 3, 4, 1, 2, 3, 4,  //
+                                        1, 2, 3, 4, 1, 2, -inf, 4});
+  ASSERT_FALSE(bad_velocity.ok());
+  EXPECT_EQ(bad_velocity.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(bad_velocity.status().message().find("frame 1, node 1"),
+            std::string::npos)
+      << bad_velocity.status().message();
   auto trace = Trace::FromFlatStates(1, 1, 1.0, {1, 2, 3, 4});
   ASSERT_TRUE(trace.ok());
   EXPECT_EQ(trace->Position(0, 0), (Point{1.0, 2.0}));

@@ -1,9 +1,14 @@
 #include "lira/mobility/traffic_model.h"
 
+#include <cmath>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "lira/mobility/trace.h"
 #include "lira/roadnet/map_generator.h"
+#include "lira/sim/experiment.h"
+#include "trace_bytes.h"
 
 namespace lira {
 namespace {
@@ -166,6 +171,26 @@ TEST_F(TrafficModelTest, TraceRejectsBadArguments) {
   ASSERT_TRUE(model.ok());
   EXPECT_FALSE(Trace::Record(*model, 0, 1.0).ok());
   EXPECT_FALSE(Trace::Record(*model, 10, 0.0).ok());
+  EXPECT_FALSE(Trace::Record(*model, 3, std::nan("")).ok());
+  EXPECT_FALSE(
+      Trace::Record(*model, 3, std::numeric_limits<double>::infinity()).ok());
+  EXPECT_DOUBLE_EQ(model->CurrentTime(), 0.0);  // rejected before any tick
+}
+
+TEST_F(TrafficModelTest, RecordedTraceBytesArePinned) {
+  // The default world's recipe (BuildWorld's seed mapping, seed 42): every
+  // byte of all 600 frames, so any change to the motion law, its RNG draw
+  // order or the sign of a zero shows here.
+  auto map = GenerateMap(DefaultWorldConfig(3000).map);
+  ASSERT_TRUE(map.ok());
+  TrafficModelConfig config;
+  config.num_vehicles = 3000;
+  config.seed = 42 * 2654435761ULL + 1;
+  auto model = TrafficModel::Create(map->network, config);
+  ASSERT_TRUE(model.ok());
+  auto trace = Trace::Record(*model, 600, 1.0);
+  ASSERT_TRUE(trace.ok());
+  EXPECT_EQ(TraceBytesHash(*trace), 0x2cd22f6eb493d119ULL);
 }
 
 }  // namespace

@@ -1,12 +1,14 @@
 #include "lira/mobility/trip_model.h"
 
-#include <deque>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "lira/mobility/trace.h"
 #include "lira/roadnet/map_generator.h"
 #include "lira/roadnet/shortest_path.h"
+#include "lira/sim/experiment.h"
+#include "trace_bytes.h"
 
 namespace lira {
 namespace {
@@ -93,8 +95,24 @@ TEST_F(TripModelTest, RecordableAsTrace) {
   EXPECT_GT(trace->MeanSpeed(30), 1.0);
 }
 
+TEST_F(TripModelTest, RecordedTraceBytesArePinned) {
+  // The default world's map and seed mapping (seed 42) with 1000 routed
+  // vehicles: every byte of 300 frames, and the trips they complete.
+  auto map = GenerateMap(DefaultWorldConfig(3000).map);
+  ASSERT_TRUE(map.ok());
+  TripModelConfig config;
+  config.num_vehicles = 1000;
+  config.seed = 42 * 2654435761ULL + 1;
+  auto model = TripTrafficModel::Create(map->network, config);
+  ASSERT_TRUE(model.ok());
+  auto trace = Trace::Record(*model, 300, 1.0);
+  ASSERT_TRUE(trace.ok());
+  EXPECT_EQ(TraceBytesHash(*trace), 0x8601747ffa065d0eULL);
+  EXPECT_EQ(model->trips_completed(), 243);
+}
+
 TEST_F(TripModelTest, VehicleFollowsAssignedRoute) {
-  // Unit-level check of Vehicle route following on a simple chain.
+  // Unit-level check of the fleet's route following on a simple chain.
   RoadNetwork net;
   for (int i = 0; i < 5; ++i) {
     net.AddIntersection({i * 100.0, 0.0});
@@ -112,15 +130,16 @@ TEST_F(TripModelTest, VehicleFollowsAssignedRoute) {
   VehicleDynamics calm;
   calm.speed_noise = 0.0;
   calm.retarget_rate = 0.0;
-  Vehicle vehicle(net, chain[0], 0, 0.0, calm, Rng(3));
-  vehicle.AssignRoute({chain[1], chain[2], chain[3]});
-  for (int t = 0; t < 100 && vehicle.segment() != chain[3]; ++t) {
-    vehicle.Advance(net, 1.0);
+  VehicleFleet fleet(net, calm);
+  const int32_t vehicle = fleet.Add(chain[0], 0, 0.0, Rng(3));
+  RouteCursor route{{chain[1], chain[2], chain[3]}};
+  for (int t = 0; t < 100 && fleet.segment(vehicle) != chain[3]; ++t) {
+    fleet.Advance(vehicle, 1.0, &route);
     // Never diverts to the fork.
-    EXPECT_LT(vehicle.Position(net).y, 1.0);
+    EXPECT_LT(fleet.position(vehicle).y, 1.0);
   }
-  EXPECT_EQ(vehicle.segment(), chain[3]);
-  EXPECT_EQ(vehicle.RouteLength(), 0u);
+  EXPECT_EQ(fleet.segment(vehicle), chain[3]);
+  EXPECT_EQ(route.Remaining(), 0u);
 }
 
 TEST_F(TripModelTest, StaleRouteFallsBackToRandomWalk) {
@@ -136,11 +155,13 @@ TEST_F(TripModelTest, StaleRouteFallsBackToRandomWalk) {
   ASSERT_TRUE(s0.ok());
   ASSERT_TRUE(s1.ok());
   ASSERT_TRUE(far.ok());
-  Vehicle vehicle(net, *s0, 0, 0.0, VehicleDynamics{}, Rng(4));
+  VehicleFleet fleet(net, VehicleDynamics{});
+  const int32_t vehicle = fleet.Add(*s0, 0, 0.0, Rng(4));
   // A route whose first segment is not incident to the junction reached.
-  vehicle.AssignRoute({*far});
+  RouteCursor route{{*far}};
   for (int t = 0; t < 60; ++t) {
-    vehicle.Advance(net, 1.0);  // must not crash; falls back to random walk
+    // Must not crash; falls back to random walk.
+    fleet.Advance(vehicle, 1.0, &route);
   }
   SUCCEED();
 }

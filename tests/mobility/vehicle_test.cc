@@ -24,38 +24,42 @@ RoadNetwork MakeSquare() {
 
 TEST(VehicleTest, StartsWherePlaced) {
   RoadNetwork net = MakeSquare();
-  Vehicle v(net, /*segment=*/0, /*origin=*/0, /*offset=*/250.0,
-            VehicleDynamics{}, Rng(1));
-  const Point p = v.Position(net);
+  VehicleFleet fleet(net, VehicleDynamics{});
+  const int32_t v = fleet.Add(/*segment=*/0, /*origin=*/0, /*offset=*/250.0,
+                              Rng(1));
+  const Point p = fleet.position(v);
   EXPECT_NEAR(p.x, 250.0, 1e-9);
   EXPECT_NEAR(p.y, 0.0, 1e-9);
 }
 
 TEST(VehicleTest, OffsetMeasuredFromChosenOrigin) {
   RoadNetwork net = MakeSquare();
-  Vehicle v(net, /*segment=*/0, /*origin=*/1, /*offset=*/250.0,
-            VehicleDynamics{}, Rng(1));
-  EXPECT_NEAR(v.Position(net).x, 750.0, 1e-9);
+  VehicleFleet fleet(net, VehicleDynamics{});
+  const int32_t v = fleet.Add(/*segment=*/0, /*origin=*/1, /*offset=*/250.0,
+                              Rng(1));
+  EXPECT_NEAR(fleet.position(v).x, 750.0, 1e-9);
 }
 
 TEST(VehicleTest, SpeedStaysWithinDynamicBounds) {
   RoadNetwork net = MakeSquare();
   VehicleDynamics dyn;
-  Vehicle v(net, 0, 0, 0.0, dyn, Rng(2));
+  VehicleFleet fleet(net, dyn);
+  const int32_t v = fleet.Add(0, 0, 0.0, Rng(2));
   for (int i = 0; i < 2000; ++i) {
-    v.Advance(net, 1.0);
-    const double limit = net.Segment(v.segment()).speed_limit;
-    EXPECT_GE(v.speed(), dyn.min_fraction * limit - 1e-9);
-    EXPECT_LE(v.speed(), dyn.max_fraction * limit + 1e-9);
+    fleet.Advance(v, 1.0);
+    const double limit = net.Segment(fleet.segment(v)).speed_limit;
+    EXPECT_GE(fleet.speed(v), dyn.min_fraction * limit - 1e-9);
+    EXPECT_LE(fleet.speed(v), dyn.max_fraction * limit + 1e-9);
   }
 }
 
 TEST(VehicleTest, StaysOnTheRoadGraph) {
   RoadNetwork net = MakeSquare();
-  Vehicle v(net, 0, 0, 0.0, VehicleDynamics{}, Rng(3));
+  VehicleFleet fleet(net, VehicleDynamics{});
+  const int32_t v = fleet.Add(0, 0, 0.0, Rng(3));
   for (int i = 0; i < 2000; ++i) {
-    v.Advance(net, 1.0);
-    const Point p = v.Position(net);
+    fleet.Advance(v, 1.0);
+    const Point p = fleet.position(v);
     // On the square ring every point has x or y equal to 0 or 1000.
     const bool on_edge =
         std::abs(p.x) < 1e-6 || std::abs(p.x - 1000.0) < 1e-6 ||
@@ -66,24 +70,39 @@ TEST(VehicleTest, StaysOnTheRoadGraph) {
 
 TEST(VehicleTest, MovementMatchesSpeedWithinTick) {
   RoadNetwork net = MakeSquare();
-  Vehicle v(net, 0, 0, 100.0, VehicleDynamics{}, Rng(4));
+  VehicleFleet fleet(net, VehicleDynamics{});
+  const int32_t v = fleet.Add(0, 0, 100.0, Rng(4));
   for (int i = 0; i < 200; ++i) {
-    const Point before = v.Position(net);
-    v.Advance(net, 1.0);
-    const Point after = v.Position(net);
+    const Point before = fleet.position(v);
+    fleet.Advance(v, 1.0);
+    const Point after = fleet.position(v);
     // Displacement cannot exceed the post-update speed times dt by much
     // (path is piecewise straight; corners shorten the Euclidean step).
-    EXPECT_LE(Distance(before, after), v.speed() * 1.0 + 1e-6 +
-                                           0.5 * v.speed() /* speed change */);
+    EXPECT_LE(Distance(before, after),
+              fleet.speed(v) * 1.0 + 1e-6 +
+                  0.5 * fleet.speed(v) /* speed change */);
   }
 }
 
 TEST(VehicleTest, VelocityIsTangentToSegment) {
   RoadNetwork net = MakeSquare();
-  Vehicle v(net, 0, 0, 10.0, VehicleDynamics{}, Rng(5));
-  v.Advance(net, 1.0);
-  const Vec2 vel = v.Velocity(net);
-  EXPECT_NEAR(Norm(vel), v.speed(), 1e-9);
+  VehicleFleet fleet(net, VehicleDynamics{});
+  const int32_t v = fleet.Add(0, 0, 10.0, Rng(5));
+  fleet.Advance(v, 1.0);
+  const Vec2 vel = fleet.velocity(v);
+  EXPECT_NEAR(Norm(vel), fleet.speed(v), 1e-9);
+}
+
+TEST(VehicleTest, ReverseDirectionKeepsPositiveZero) {
+  // Driving segment 0 (along +x) from its `to` end: the velocity's y
+  // component is +0.0, as (a - b) / |a - b| gives it. Negating the forward
+  // direction would give -0.0, which equals +0.0 but changes trace bytes.
+  RoadNetwork net = MakeSquare();
+  VehicleFleet fleet(net, VehicleDynamics{});
+  const int32_t v = fleet.Add(0, /*origin=*/1, 500.0, Rng(9));
+  EXPECT_LT(fleet.velocity(v).x, 0.0);
+  EXPECT_EQ(fleet.velocity(v).y, 0.0);
+  EXPECT_FALSE(std::signbit(fleet.velocity(v).y));
 }
 
 TEST(VehicleTest, TurnsAroundAtDeadEnd) {
@@ -91,24 +110,27 @@ TEST(VehicleTest, TurnsAroundAtDeadEnd) {
   net.AddIntersection({0.0, 0.0});
   net.AddIntersection({100.0, 0.0});
   ASSERT_TRUE(net.AddSegment(0, 1, RoadClass::kCollector).ok());
-  Vehicle v(net, 0, 0, 90.0, VehicleDynamics{}, Rng(6));
+  VehicleFleet fleet(net, VehicleDynamics{});
+  const int32_t v = fleet.Add(0, 0, 90.0, Rng(6));
   for (int i = 0; i < 300; ++i) {
-    v.Advance(net, 1.0);
-    const Point p = v.Position(net);
+    fleet.Advance(v, 1.0);
+    const Point p = fleet.position(v);
     EXPECT_GE(p.x, -1e-9);
     EXPECT_LE(p.x, 100.0 + 1e-9);
   }
 }
 
 TEST(VehicleTest, DeterministicGivenSameRngStream) {
+  // Two vehicles of one fleet on equal streams move in lockstep.
   RoadNetwork net = MakeSquare();
-  Vehicle a(net, 0, 0, 10.0, VehicleDynamics{}, Rng(7));
-  Vehicle b(net, 0, 0, 10.0, VehicleDynamics{}, Rng(7));
+  VehicleFleet fleet(net, VehicleDynamics{});
+  const int32_t a = fleet.Add(0, 0, 10.0, Rng(7));
+  const int32_t b = fleet.Add(0, 0, 10.0, Rng(7));
   for (int i = 0; i < 500; ++i) {
-    a.Advance(net, 1.0);
-    b.Advance(net, 1.0);
-    EXPECT_EQ(a.Position(net), b.Position(net));
-    EXPECT_EQ(a.speed(), b.speed());
+    fleet.Advance(a, 1.0);
+    fleet.Advance(b, 1.0);
+    EXPECT_EQ(fleet.position(a), fleet.position(b));
+    EXPECT_EQ(fleet.speed(a), fleet.speed(b));
   }
 }
 
@@ -117,15 +139,16 @@ TEST(VehicleTest, ExploresNetworkOverTime) {
   // distinct segments.
   auto map = GenerateMap(MapGeneratorConfig{});
   ASSERT_TRUE(map.ok());
-  Vehicle v(map->network, 0, map->network.Segment(0).from, 0.0,
-            VehicleDynamics{}, Rng(8));
+  VehicleFleet fleet(map->network, VehicleDynamics{});
+  const int32_t v =
+      fleet.Add(0, map->network.Segment(0).from, 0.0, Rng(8));
   int changes = 0;
-  SegmentId last = v.segment();
+  SegmentId last = fleet.segment(v);
   for (int i = 0; i < 3000; ++i) {
-    v.Advance(map->network, 1.0);
-    if (v.segment() != last) {
+    fleet.Advance(v, 1.0);
+    if (fleet.segment(v) != last) {
       ++changes;
-      last = v.segment();
+      last = fleet.segment(v);
     }
   }
   EXPECT_GT(changes, 10);
