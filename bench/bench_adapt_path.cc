@@ -107,11 +107,19 @@ double PhaseTotal(const telemetry::TelemetrySink& sink,
                          : 0.0;
 }
 
-constexpr const char* kPhases[] = {
-    "lira.adapt.stats_rebuild_seconds", "lira.adapt.query_rebuild_seconds",
-    "lira.adapt.quad_build_seconds",    "lira.adapt.gridreduce_seconds",
-    "lira.adapt.greedy_seconds",        "lira.adapt.plan_build_seconds",
-    "lira.adapt.total_seconds",
+/// Each phase's histogram and the key it is printed and exported under.
+struct Phase {
+  const char* histogram;
+  const char* key;
+};
+constexpr Phase kPhases[] = {
+    {"lira.adapt.stats_rebuild_seconds", "stats_rebuild_seconds"},
+    {"lira.adapt.query_rebuild_seconds", "query_rebuild_seconds"},
+    {"lira.adapt.quad_build_seconds", "quad_build_seconds"},
+    {"lira.adapt.grid_reduce_seconds", "gridreduce_seconds"},
+    {"lira.adapt.greedy_increment_seconds", "greedy_seconds"},
+    {"lira.adapt.plan_build_seconds", "plan_build_seconds"},
+    {"lira.adapt.total_seconds", "total_seconds"},
 };
 constexpr size_t kNumPhases = sizeof(kPhases) / sizeof(kPhases[0]);
 
@@ -305,7 +313,7 @@ int main(int argc, char** argv) {
     // The sink has recorded since Create: subtract the warmup's phases.
     double warmup_phase[kNumPhases];
     for (size_t p = 0; p < kNumPhases; ++p) {
-      warmup_phase[p] = PhaseTotal(sinks[c], kPhases[p]);
+      warmup_phase[p] = PhaseTotal(sinks[c], kPhases[p].histogram);
     }
 
     double adapt_seconds = 0.0;
@@ -334,7 +342,8 @@ int main(int argc, char** argv) {
     results[c].adapt_seconds = adapt_seconds / rounds;
     for (size_t p = 0; p < kNumPhases; ++p) {
       results[c].phase_seconds[p] =
-          (PhaseTotal(sinks[c], kPhases[p]) - warmup_phase[p]) / rounds;
+          (PhaseTotal(sinks[c], kPhases[p].histogram) - warmup_phase[p]) /
+          rounds;
     }
     results[c].state_hash = StateHash(*server);
   }
@@ -342,8 +351,7 @@ int main(int argc, char** argv) {
   std::printf("%-32s %14s %14s\n", "phase (seconds per adaptation)",
               configs[0].label, configs[1].label);
   for (size_t p = 0; p < kNumPhases; ++p) {
-    std::printf("%-32s %14.4f %14.4f\n",
-                kPhases[p] + sizeof("lira.adapt.") - 1,
+    std::printf("%-32s %14.4f %14.4f\n", kPhases[p].key,
                 results[0].phase_seconds[p], results[1].phase_seconds[p]);
   }
   std::printf("%-32s %14.4f %14.4f\n", "adapt_wall_seconds",
@@ -375,8 +383,7 @@ int main(int argc, char** argv) {
     const std::string prefix = std::string(configs[c].label) + ".";
     export_.SetMetric(prefix + "adapt_seconds", results[c].adapt_seconds);
     for (size_t p = 0; p < kNumPhases; ++p) {
-      const char* short_name = kPhases[p] + sizeof("lira.adapt.") - 1;
-      export_.SetMetric(prefix + short_name, results[c].phase_seconds[p]);
+      export_.SetMetric(prefix + kPhases[p].key, results[c].phase_seconds[p]);
     }
   }
   export_.SetMetric("speedup", speedup);

@@ -39,13 +39,7 @@ StatusOr<SheddingPlan> FinishPlan(const PolicyContext& ctx,
   telemetry::ScopedTimer timer(ctx.telemetry,
                                "lira.adapt.greedy_increment_seconds", ctx.now);
   auto result = RunGreedyIncrement(stats, *ctx.reduction, greedy);
-  const double greedy_seconds = timer.Stop();
-  if (ctx.telemetry != nullptr) {
-    // Per-phase adaptation histogram; the legacy name above is kept for
-    // existing dashboards and tests.
-    ctx.telemetry->RecordSpan("lira.adapt.greedy_seconds", ctx.now,
-                              greedy_seconds);
-  }
+  timer.Stop();
   if (!result.ok()) {
     return result.status();
   }
@@ -105,13 +99,7 @@ StatusOr<SheddingPlan> LiraPolicy::BuildPlan(const PolicyContext& ctx) const {
   telemetry::ScopedTimer timer(ctx.telemetry, "lira.adapt.grid_reduce_seconds",
                                ctx.now);
   auto regions = GridReduce(tree, *ctx.reduction, reduce);
-  const double reduce_seconds = timer.Stop();
-  if (ctx.telemetry != nullptr) {
-    // Per-phase adaptation histogram; the legacy name above is kept for
-    // existing dashboards and tests.
-    ctx.telemetry->RecordSpan("lira.adapt.gridreduce_seconds", ctx.now,
-                              reduce_seconds);
-  }
+  timer.Stop();
   if (!regions.ok()) {
     return regions.status();
   }

@@ -5,6 +5,8 @@
 #include <string>
 #include <utility>
 
+#include "lira/common/check.h"
+
 namespace lira {
 namespace {
 
@@ -42,20 +44,23 @@ ServerCluster::ServerCluster(const ServerClusterConfig& config,
                              const LoadSheddingPolicy* policy,
                              const UpdateReductionFunction* reduction,
                              const QueryRegistry* queries, ShardMap shard_map,
-                             std::vector<Shard> shards, TrackerStage tracker,
-                             StatsStage stats, OptimizerStage optimizer)
+                             std::vector<Shard> shards, StatsStage stats,
+                             OptimizerStage optimizer)
     : config_(config),
       policy_(policy),
       reduction_(reduction),
       queries_(queries),
       shard_map_(std::move(shard_map)),
       shards_(std::move(shards)),
-      tracker_(std::move(tracker)),
+      tracker_(config.server.num_nodes),
       stats_(std::move(stats)),
       optimizer_(std::move(optimizer)),
       pool_(config.server.pool),
       next_adaptation_(config.server.adaptation_period),
       owner_of_(config.server.num_nodes, -1) {
+  if (config_.server.record_history) {
+    history_.emplace(config_.server.num_nodes);
+  }
   if (pool_ == nullptr) {
     owned_pool_ = std::make_unique<ThreadPool>(std::min(
         config.threads > 0 ? config.threads : ThreadPool::DefaultThreads(),
@@ -80,20 +85,20 @@ ServerCluster::ServerCluster(const ServerClusterConfig& config,
         metrics.GetCounter("lira.cluster.rebalance.columns_moved");
     rebalance_migrated_counter_ =
         metrics.GetCounter("lira.cluster.rebalance.nodes_migrated");
-    shard_nodes_gauges_.reserve(shards_.size());
     for (int32_t k = 0; k < num_shards(); ++k) {
-      shard_nodes_gauges_.push_back(
-          metrics.GetGauge(ShardPrefix(k) + ".stats.nodes"));
+      Shard& shard = shards_[k];
+      const std::string prefix = ShardPrefix(k);
+      shard.arrivals_counter = metrics.GetCounter(prefix + ".queue.arrivals");
+      shard.dropped_counter = metrics.GetCounter(prefix + ".queue.dropped");
+      shard.depth_gauge = metrics.GetGauge(prefix + ".queue.depth");
+      shard.high_watermark_gauge =
+          metrics.GetGauge(prefix + ".queue.high_watermark");
+      shard.nodes_gauge = metrics.GetGauge(prefix + ".stats.nodes");
     }
   }
   if (config_.server.maintain_index) {
     snapshot_.emplace(config_.server.num_nodes, config_.server.alpha);
   }
-}
-
-double ServerCluster::QueryMargin() const {
-  return config_.server.query_margin >= 0.0 ? config_.server.query_margin
-                                            : reduction_->delta_max();
 }
 
 StatusOr<std::unique_ptr<ServerCluster>> ServerCluster::Create(
@@ -115,9 +120,6 @@ StatusOr<ServerCluster> ServerCluster::Build(
   }
   if (server.num_nodes <= 0) {
     return InvalidArgumentError("num_nodes must be positive");
-  }
-  if (server.service_rate <= 0.0) {
-    return InvalidArgumentError("service_rate must be positive");
   }
   if (server.adaptation_period <= 0.0) {
     return InvalidArgumentError("adaptation_period must be positive");
@@ -150,33 +152,21 @@ StatusOr<ServerCluster> ServerCluster::Build(
   // Global resources split evenly: queue slots round up so S shard queues
   // always cover the global capacity B; the service rate divides exactly
   // (mu/S per shard, so S=1 keeps the service-credit float math bitwise).
+  // The queue rejects a capacity of 0 and a service rate that is not
+  // finite and positive.
   const size_t shard_capacity =
       (server.queue_capacity + static_cast<size_t>(num_shards) - 1) /
       static_cast<size_t>(num_shards);
   const double shard_rate = server.service_rate / num_shards;
-
   std::vector<Shard> shards;
   shards.reserve(num_shards);
   for (int32_t k = 0; k < num_shards; ++k) {
-    const uint64_t seed = ShardSeed(server.seed, k);
-    const std::string prefix = ShardPrefix(k);
-
-    IngestStageConfig ingest_config;
-    ingest_config.queue_capacity = shard_capacity;
-    ingest_config.service_rate = shard_rate;
-    ingest_config.seed = seed;
-    ingest_config.metric_prefix = prefix;
-    ingest_config.telemetry = server.telemetry;
-    auto ingest = IngestStage::Create(ingest_config);
-    if (!ingest.ok()) {
-      return ingest.status();
+    auto queue = UpdateQueue::Create(shard_capacity, shard_rate,
+                                     ShardSeed(server.seed, k));
+    if (!queue.ok()) {
+      return queue.status();
     }
-    shards.push_back(Shard{*std::move(ingest), 0, {}, {}, {}, 0});
-  }
-
-  auto tracker = TrackerStage::Create(server.num_nodes, server.record_history);
-  if (!tracker.ok()) {
-    return tracker.status();
+    shards.push_back(Shard{*std::move(queue), 0, {}, {}, {}});
   }
 
   // The cluster's only grid, rebuilt from the one store. Its sampling
@@ -194,9 +184,7 @@ StatusOr<ServerCluster> ServerCluster::Build(
   if (!stats.ok()) {
     return stats.status();
   }
-  const double margin = server.query_margin >= 0.0 ? server.query_margin
-                                                   : reduction->delta_max();
-  stats->RebuildQueries(*queries, margin);
+  stats->RebuildQueries(*queries, reduction->delta_max());
 
   OptimizerStageConfig optimizer_config;
   optimizer_config.queue_capacity =
@@ -214,8 +202,7 @@ StatusOr<ServerCluster> ServerCluster::Build(
 
   return ServerCluster(config, policy, reduction, queries,
                        *std::move(shard_map), std::move(shards),
-                       *std::move(tracker), *std::move(stats),
-                       *std::move(optimizer));
+                       *std::move(stats), *std::move(optimizer));
 }
 
 Status ServerCluster::InstallQueries(const QueryRegistry* queries) {
@@ -272,14 +259,24 @@ void ServerCluster::ReceiveBatch(std::vector<ModelUpdate>* updates) {
                   ? tr->lane(telemetry::TraceRecorder::LaneForShard(shard_id))
                   : nullptr,
               "ingest.receive", tick_, shard_id, time_);
-          span.set_value(static_cast<double>(shard.route.size()));
-          shard.last_dropped = shard.ingest.Receive(&shard.route);
+          const auto shard_arrived = static_cast<int64_t>(shard.route.size());
+          span.set_value(static_cast<double>(shard_arrived));
+          shard.last_dropped = shard.queue.Receive(&shard.route);
+          if (shard.arrivals_counter != nullptr) {
+            shard.arrivals_counter->Increment(shard_arrived);
+            shard.depth_gauge->Set(static_cast<double>(shard.queue.size()));
+            shard.high_watermark_gauge->Set(
+                static_cast<double>(shard.queue.high_watermark()));
+            if (shard.last_dropped > 0) {
+              shard.dropped_counter->Increment(shard.last_dropped);
+            }
+          }
         }
       });
   if (config_.server.telemetry != nullptr) {
-    // Server-wide instruments; shard stages count their own under
-    // lira.shard<k>, and only this serial section emits events (EventSink
-    // implementations are single-threaded).
+    // Server-wide instruments; each shard counts its own under
+    // lira.shard<k> above, and only this serial section emits events
+    // (EventSink implementations are single-threaded).
     int64_t dropped = 0;
     for (const Shard& shard : shards_) {
       dropped += shard.last_dropped;
@@ -303,8 +300,10 @@ void ServerCluster::ReceiveBatch(std::vector<ModelUpdate>* updates) {
 }
 
 Status ServerCluster::Tick(double dt) {
-  if (dt <= 0.0) {
-    return InvalidArgumentError("dt must be positive");
+  // A NaN or infinite dt would poison the clock and every queue's service
+  // credit for good.
+  if (!std::isfinite(dt) || dt <= 0.0) {
+    return InvalidArgumentError("dt must be finite and positive");
   }
   time_ += dt;
   ++tick_;
@@ -326,7 +325,7 @@ Status ServerCluster::Tick(double dt) {
           shard.staged.clear();
           telemetry::ScopedSpan service_span(tr, lane, "ingest.service",
                                              tick_, shard_id, time_);
-          shard.ingest.Service(dt, &shard.served);
+          shard.queue.Serve(dt, &shard.served);
           service_span.set_value(static_cast<double>(shard.served.size()));
           service_span.Stop();
           telemetry::ScopedSpan apply_span(tr, lane, "tracker.apply", tick_,
@@ -341,12 +340,12 @@ Status ServerCluster::Tick(double dt) {
           for (int32_t i = 0; i < count; ++i) {
             if (i + kPrefetchAhead < count) {
               const NodeId ahead = served[i + kPrefetchAhead].node_id;
-              tracker_.tracker().PrefetchForWrite(ahead);
+              tracker_.PrefetchForWrite(ahead);
               __builtin_prefetch(owner_of_.data() + ahead);
             }
             const ModelUpdate& update = served[i];
             if (owner_of_[update.node_id] == shard_id) {
-              tracker_.Apply(update);
+              ApplyReport(update);
             } else {
               shard.staged.push_back(i);
             }
@@ -366,7 +365,7 @@ Status ServerCluster::Tick(double dt) {
     // once. The fill runs on the pool the fan-out just released.
     telemetry::ScopedSpan rebuild_span(tr, driver_lane, "tracker.apply",
                                        tick_, -1, time_);
-    snapshot_->Rebuild(tracker_.tracker(), time_, stats_.grid(), pool_);
+    snapshot_->Rebuild(tracker_, time_, stats_.grid(), pool_);
     rebuild_span.set_value(static_cast<double>(snapshot_->size()));
   }
   if (time_ + 1e-9 >= next_adaptation_) {
@@ -390,9 +389,9 @@ void ServerCluster::RecordFlightSamples() {
     sample.tick = tick_;
     sample.time = time_;
     sample.shard = k;
-    sample.queue_depth = static_cast<int64_t>(shard.ingest.queue().size());
-    sample.queue_dropped = shard.ingest.queue().total_dropped();
-    sample.queue_arrivals = shard.ingest.queue().total_arrivals();
+    sample.queue_depth = static_cast<int64_t>(shard.queue.size());
+    sample.queue_dropped = shard.queue.total_dropped();
+    sample.queue_arrivals = shard.queue.total_arrivals();
     sample.z = optimizer_.z();
     sample.nodes = shard.owned;
     recorder->Record(sample);
@@ -414,17 +413,32 @@ void ServerCluster::RecordFlightSamples() {
   recorder->Record(coord);
 }
 
+bool ServerCluster::ApplyReport(const ModelUpdate& update) {
+  // The history keeps itself sorted by t0, so it takes every report; the
+  // store then stays equal to the history's latest record.
+  if (history_.has_value()) {
+    history_->Record(update);
+  }
+  LIRA_DCHECK(update.node_id >= 0 && update.node_id < tracker_.num_nodes());
+  const ModelRecord& held = tracker_.records()[update.node_id];
+  if (held.has != 0 && !(update.model.t0 >= held.t0)) {
+    return false;
+  }
+  tracker_.Apply(update);
+  return true;
+}
+
 void ServerCluster::CommitStaged() {
   // Serial, in shard order, so the outcome is independent of worker
-  // timing. Shards drain their queues independently, so a node's report
+  // timing. Shards serve their queues independently, so a node's report
   // can sit in one shard's backlog while a newer one reaches another
-  // shard; TrackerStage::Apply keeps such a stale report from undoing the
-  // newer model, and then the node stays with its owner.
+  // shard; ApplyReport keeps such a stale report from undoing the newer
+  // model, and then the node stays with its owner.
   for (int32_t k = 0; k < num_shards(); ++k) {
     const Shard& shard = shards_[k];
     for (const int32_t i : shard.staged) {
       const ModelUpdate& update = shard.served[i];
-      if (!tracker_.Apply(update)) {
+      if (!ApplyReport(update)) {
         continue;
       }
       const NodeId id = update.node_id;
@@ -471,13 +485,11 @@ Status ServerCluster::Adapt() {
       int64_t window_arrivals = 0;
       int64_t window_dropped = 0;
       for (Shard& shard : shards_) {
-        window_arrivals += shard.ingest.queue().window_arrivals();
-        window_dropped += shard.ingest.queue().window_dropped();
+        window_arrivals += shard.queue.window_arrivals();
+        window_dropped += shard.queue.window_dropped();
+        shard.queue.ResetWindow();
       }
       optimizer_.UpdateThrottle(window_arrivals, window_dropped, time_);
-      for (Shard& shard : shards_) {
-        shard.ingest.ResetWindow();
-      }
     } else {
       optimizer_.FixedThrottle(time_);
     }
@@ -491,10 +503,10 @@ Status ServerCluster::Adapt() {
     // One grid for the cluster, read from the one store in place. The
     // rebuild runs after the shard fan-out, so it may split the id range
     // across the same pool.
-    stats_.RebuildNodes(tracker_.tracker(), time_);
+    stats_.RebuildNodes(tracker_, time_);
     if (t != nullptr) {
-      for (int32_t k = 0; k < num_shards(); ++k) {
-        shard_nodes_gauges_[k]->Set(static_cast<double>(shards_[k].owned));
+      for (const Shard& shard : shards_) {
+        shard.nodes_gauge->Set(static_cast<double>(shard.owned));
       }
     }
     {
@@ -502,7 +514,7 @@ Status ServerCluster::Adapt() {
                                          time_);
       telemetry::ScopedSpan query_span(tr, driver_lane, "stats.query_rebuild",
                                        tick_, -1, time_);
-      stats_.RebuildQueries(*queries_, QueryMargin());
+      stats_.RebuildQueries(*queries_, reduction_->delta_max());
     }
     stats_span.set_value(stats_.grid().TotalNodes());
   }
@@ -583,7 +595,7 @@ int64_t ServerCluster::MigrateOwnership() {
   // walk's at any thread count. No model moves, so the grid is untouched:
   // its per-node rebuild state is keyed by id, and the unchanged model
   // leaves its cell alone at this adaptation's rebuild.
-  const ModelRecord* records = tracker_.tracker().records();
+  const ModelRecord* records = tracker_.records();
   const int32_t s = num_shards();
   // Per chunk: the owned-count change of each shard, then the movers.
   std::vector<int64_t> tallies(
@@ -634,10 +646,9 @@ ClusterHealth ServerCluster::HealthSnapshot() const {
     ShardHealth shard;
     shard.shard = k;
     shard.nodes_owned = shards_[k].owned;
-    shard.queue_depth =
-        static_cast<int64_t>(shards_[k].ingest.queue().size());
-    shard.queue_arrivals = shards_[k].ingest.queue().total_arrivals();
-    shard.queue_dropped = shards_[k].ingest.queue().total_dropped();
+    shard.queue_depth = static_cast<int64_t>(shards_[k].queue.size());
+    shard.queue_arrivals = shards_[k].queue.total_arrivals();
+    shard.queue_dropped = shards_[k].queue.total_dropped();
     shard.col_begin = shard_map_.ColumnBegin(k);
     shard.col_end = shard_map_.ColumnEnd(k);
     health.shards.push_back(shard);
@@ -646,7 +657,7 @@ ClusterHealth ServerCluster::HealthSnapshot() const {
         std::max(health.max_shard_nodes, shard.nodes_owned);
   }
   health.tracker_bytes =
-      static_cast<int64_t>(tracker_.tracker().MemoryBytes());
+      static_cast<int64_t>(tracker_.MemoryBytes());
   health.bytes_per_node =
       static_cast<double>(health.tracker_bytes) /
       std::max<int32_t>(1, config_.server.num_nodes);
@@ -663,7 +674,7 @@ ClusterHealth ServerCluster::HealthSnapshot() const {
 size_t ServerCluster::queue_size() const {
   size_t total = 0;
   for (const Shard& shard : shards_) {
-    total += shard.ingest.queue().size();
+    total += shard.queue.size();
   }
   return total;
 }
@@ -671,7 +682,7 @@ size_t ServerCluster::queue_size() const {
 int64_t ServerCluster::queue_arrivals() const {
   int64_t total = 0;
   for (const Shard& shard : shards_) {
-    total += shard.ingest.queue().total_arrivals();
+    total += shard.queue.total_arrivals();
   }
   return total;
 }
@@ -679,7 +690,7 @@ int64_t ServerCluster::queue_arrivals() const {
 int64_t ServerCluster::queue_dropped() const {
   int64_t total = 0;
   for (const Shard& shard : shards_) {
-    total += shard.ingest.queue().total_dropped();
+    total += shard.queue.total_dropped();
   }
   return total;
 }
@@ -689,7 +700,7 @@ int64_t ServerCluster::updates_applied() const {
   // wrote it, or a newer model outranked it.
   int64_t total = 0;
   for (const Shard& shard : shards_) {
-    total += shard.ingest.queue().total_served();
+    total += shard.queue.total_served();
   }
   return total;
 }

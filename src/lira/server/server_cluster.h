@@ -1,12 +1,12 @@
 // The CQ server (paper Section 2.2, first layer), region-sharded
 // (DESIGN.md §9).
 //
-// S shard ingest stages -- each with its own bounded queue (capacity
-// ceil(B/S)), service rate mu/S, and seed stream -- fed by a spatial
-// ShardMap that routes each update by its model origin to the shard owning
-// that statistics-grid column strip. The cluster holds one TrackerStage
-// (one model store and one history, indexed by node id), one StatsStage
-// and one OptimizerStage: at each adaptation it rebuilds the one global
+// S shard queues -- each an UpdateQueue with capacity ceil(B/S), service
+// rate mu/S and its own seed stream -- fed by a spatial ShardMap that routes
+// each update by its model origin to the shard owning that statistics-grid
+// column strip. The cluster holds one model store (a PositionTracker) and
+// one optional HistoryStore, both indexed by node id, one StatsStage and
+// one OptimizerStage: at each adaptation it rebuilds the one global
 // grid from the store in place, and builds ONE global SheddingPlan under
 // the global budget z * n * f(delta) and the fairness constraint, so shard
 // boundaries never fragment the optimizer's view. The single server is the
@@ -16,8 +16,8 @@
 // shard that may write each node's lane. In the parallel fan-out a shard
 // writes the lanes of the nodes it owned at tick start and stages its
 // other updates; after the join the staged updates are committed serially
-// in shard order. Every write goes through TrackerStage::Apply, the one
-// rule for which report a model keeps: the history records every served
+// in shard order. Every write goes through ApplyReport, the one rule for
+// which report a model keeps: the history records every served
 // report, and a report replaces the model unless the model in place has a
 // later t0 (ties go to the later write). A staged report that replaces the
 // model moves the node's ownership; a handoff or a migration is an
@@ -55,12 +55,10 @@
 #include "lira/motion/update_reduction.h"
 #include "lira/server/cluster_health.h"
 #include "lira/server/history_store.h"
-#include "lira/server/ingest_stage.h"
 #include "lira/server/optimizer_stage.h"
 #include "lira/server/shard_map.h"
 #include "lira/server/snapshot_grid.h"
 #include "lira/server/stats_stage.h"
-#include "lira/server/tracker_stage.h"
 #include "lira/server/update_queue.h"
 #include "lira/telemetry/flight_recorder.h"
 #include "lira/telemetry/telemetry.h"
@@ -82,10 +80,6 @@ struct CqServerConfig {
   /// When true, z comes from THROTLOOP; otherwise fixed_z is used.
   bool auto_throttle = false;
   double fixed_z = 0.5;
-  /// Margin (meters) added around query rectangles when counting them into
-  /// the statistics grid; negative means "use the reduction function's
-  /// delta_max" (see StatisticsGrid::AddQueries).
-  double query_margin = -1.0;
   /// When true the server keeps a range index, so AnswerQuery/AnswerRange
   /// work: a snapshot grid of every node's believed position, rebuilt at the
   /// end of every tick in O(n) (snapshot_grid.h). Turning it off saves the
@@ -166,7 +160,7 @@ struct ServerClusterConfig {
   int32_t rebalance_max_moves = 2;
 };
 
-/// Drives S shard ingest stages over one model store. Movable: the worker
+/// Drives S shard queues over one model store. Movable: the worker
 /// pool it may own sits behind a pointer.
 class ServerCluster {
  public:
@@ -210,16 +204,18 @@ class ServerCluster {
   /// The active (global) shedding plan.
   const SheddingPlan& plan() const { return optimizer_.plan(); }
   /// The server's one model store.
-  const PositionTracker& tracker() const { return tracker_.tracker(); }
+  const PositionTracker& tracker() const { return tracker_; }
   /// The history store, or nullptr when record_history is off.
-  const HistoryStore* history() const { return tracker_.history(); }
+  const HistoryStore* history() const {
+    return history_.has_value() ? &*history_ : nullptr;
+  }
   /// The statistics grid (valid after an adaptation).
   const StatisticsGrid& stats() const { return stats_.grid(); }
 
   /// The believed position of a node at time t; nullopt when the node has
   /// not reported (or its updates were shed).
   std::optional<Point> BelievedPositionAt(NodeId id, double t) const {
-    return tracker_.tracker().PredictAt(id, t);
+    return tracker_.PredictAt(id, t);
   }
   /// Bulk BelievedPositionAt over the id range [begin, begin + n): writes
   /// the believed position columns and the known mask (lane i is node
@@ -228,9 +224,8 @@ class ServerCluster {
   /// so disjoint id ranges may fill concurrently.
   void FillBelievedInto(NodeId begin, int64_t n, double t, double* out_x,
                         double* out_y, uint8_t* known) const {
-    tracker_.tracker().PredictSpan(begin, n, t, /*fallback_x=*/nullptr,
-                                   /*fallback_y=*/nullptr, out_x, out_y,
-                                   known);
+    tracker_.PredictSpan(begin, n, t, /*fallback_x=*/nullptr,
+                         /*fallback_y=*/nullptr, out_x, out_y, known);
   }
 
   /// Queue accounting, summed over the shards.
@@ -284,7 +279,7 @@ class ServerCluster {
   int64_t nodes_migrated() const { return nodes_migrated_; }
   /// One shard's queue, for tests and diagnostics.
   const UpdateQueue& shard_queue(int32_t shard) const {
-    return shards_[shard].ingest.queue();
+    return shards_[shard].queue;
   }
 
  protected:
@@ -296,13 +291,13 @@ class ServerCluster {
 
  private:
   struct Shard {
-    IngestStage ingest;
+    UpdateQueue queue;
     /// Nodes this shard owns (owner_of_ entries equal to its index).
     int64_t owned = 0;
     /// Batch routing scratch, reused across ticks.
     std::vector<ModelUpdate> route;
     /// The updates served this tick, reused across ticks. Valid until the
-    /// next tick's Service, so after the fan-out joins too.
+    /// next tick's Serve, so after the fan-out joins too.
     std::vector<ModelUpdate> served;
     /// Indices into `served` of the updates for nodes the shard did not own
     /// at tick start, in serve order; committed after the fan-out joins.
@@ -310,16 +305,29 @@ class ServerCluster {
     std::vector<int32_t> staged;
     /// Receive fan-out scratch: drops admitted this batch.
     int64_t last_dropped = 0;
+    /// `lira.shard<k>.*` instruments, resolved once; null when telemetry
+    /// is off.
+    telemetry::Counter* arrivals_counter = nullptr;
+    telemetry::Counter* dropped_counter = nullptr;
+    telemetry::Gauge* depth_gauge = nullptr;
+    telemetry::Gauge* high_watermark_gauge = nullptr;
+    /// Owned-node gauge, set after each adaptation's rebuild.
+    telemetry::Gauge* nodes_gauge = nullptr;
   };
 
   ServerCluster(const ServerClusterConfig& config,
                 const LoadSheddingPolicy* policy,
                 const UpdateReductionFunction* reduction,
                 const QueryRegistry* queries, ShardMap shard_map,
-                std::vector<Shard> shards, TrackerStage tracker,
-                StatsStage stats, OptimizerStage optimizer);
+                std::vector<Shard> shards, StatsStage stats,
+                OptimizerStage optimizer);
 
-  double QueryMargin() const;
+  /// Writes one served report: records it in the history (when enabled),
+  /// and replaces the node's model unless the model in place has a later t0.
+  /// Ties go to the later write, and a NaN t0 replaces nothing. Returns
+  /// whether the model was replaced. Touches only the report's node, so
+  /// shards call it concurrently for the lanes they own.
+  bool ApplyReport(const ModelUpdate& update);
   /// The deterministic rebalance step (start of every R-th adaptation):
   /// re-splits the map from the grid's column occupancy, migrates
   /// ownership, and records flight/telemetry.
@@ -347,8 +355,9 @@ class ServerCluster {
   ShardMap shard_map_;
   std::vector<Shard> shards_;
   /// The cluster's one model store and history; shards write the lanes
-  /// owner_of_ gives them.
-  TrackerStage tracker_;
+  /// owner_of_ gives them, through ApplyReport only.
+  PositionTracker tracker_;
+  std::optional<HistoryStore> history_;
   /// Coordinator-owned: the cluster's only grid (+ query-count cache).
   StatsStage stats_;
   OptimizerStage optimizer_;
@@ -384,8 +393,6 @@ class ServerCluster {
   telemetry::Counter* rebalance_epochs_counter_ = nullptr;
   telemetry::Counter* rebalance_columns_counter_ = nullptr;
   telemetry::Counter* rebalance_migrated_counter_ = nullptr;
-  /// Per-shard owned-node gauges, set after each adaptation's rebuild.
-  std::vector<telemetry::Gauge*> shard_nodes_gauges_;
 };
 
 }  // namespace lira

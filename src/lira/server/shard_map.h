@@ -3,8 +3,9 @@
 // The world is split into S vertical strips of whole statistics-grid
 // columns, so a shard's region is exactly a union of grid cells and its
 // load is a sum of the coordinator grid's column counts. Routing a point
-// is two multiplies and a clamp -- the same column computation the grid
-// itself uses -- so the ingest fan-out adds O(1) per update.
+// clamps it into the world, divides once for its column -- the same column
+// computation the grid itself uses -- and reads the column's shard from a
+// table, so the ingest fan-out adds O(1) per update.
 //
 // The map is epoch-versioned (DESIGN.md §12): it starts as the balanced
 // even split (epoch 0) and the cluster coordinator may Rebalance() it from

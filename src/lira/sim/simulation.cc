@@ -66,8 +66,8 @@ StatusOr<SimulationResult> RunSimulation(const World& world,
   } else if (policy.SheddingAtServer()) {
     // The update budget is the server capacity: Random Drop receives the
     // full load and the queue rejects what exceeds z times it.
-    server_config.service_rate = std::max(
-        1.0, config.capacity_headroom * config.z * world.full_update_rate);
+    server_config.service_rate =
+        std::max(1.0, config.z * world.full_update_rate);
   } else {
     // Source-actuated policies cut the load at the encoders; provision the
     // service stage so queueing delay does not confound the threshold-

@@ -23,14 +23,12 @@ struct SimulationConfig {
   /// Throttle fraction (ignored when auto_throttle is set).
   double z = 0.5;
   bool auto_throttle = false;
-  /// For policies that shed at the server (Random Drop), the service rate is
-  /// headroom * z * full_update_rate: the budget z *is* the server capacity.
-  /// Source-actuated policies shed at the encoders instead, so their service
-  /// rate is amply provisioned (the paper's fixed-z experiments likewise
-  /// charge them only for the accuracy lost to the thresholds).
-  double capacity_headroom = 1.0;
-  /// Explicit service rate (updates/s); overrides the formula above for all
-  /// policies when positive (used by the THROTLOOP experiments).
+  /// Explicit service rate (updates/s) for every policy when positive (used
+  /// by the THROTLOOP experiments). Otherwise a policy that sheds at the
+  /// server (Random Drop) is served at z * full_update_rate -- the budget z
+  /// *is* the server capacity -- and a source-actuated policy, which sheds
+  /// at the encoders, is amply provisioned (the paper's fixed-z experiments
+  /// likewise charge it only for the accuracy lost to the thresholds).
   double service_rate_override = 0.0;
   size_t queue_capacity = 500;
   double adaptation_period = 30.0;

@@ -1,6 +1,7 @@
 #include "lira/server/cq_server.h"
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -59,6 +60,10 @@ TEST_F(CqServerTest, CreateValidation) {
   EXPECT_FALSE(
       CqServer::Create(config, nullptr, &*reduction_, &queries_).ok());
   config.num_nodes = 0;
+  EXPECT_FALSE(
+      CqServer::Create(config, &uniform_policy_, &*reduction_, &queries_)
+          .ok());
+  config.num_nodes = -3;
   EXPECT_FALSE(
       CqServer::Create(config, &uniform_policy_, &*reduction_, &queries_)
           .ok());
@@ -188,11 +193,29 @@ TEST_F(CqServerTest, AutoThrottleReactsToOverload) {
 }
 
 TEST_F(CqServerTest, RejectsNonPositiveDt) {
-  auto server = CqServer::Create(BaseConfig(), &uniform_policy_, &*reduction_,
-                                 &queries_);
+  auto config = BaseConfig();
+  config.num_nodes = 4;
+  config.service_rate = 10.0;
+  auto server =
+      CqServer::Create(config, &uniform_policy_, &*reduction_, &queries_);
   ASSERT_TRUE(server.ok());
+  std::vector<ModelUpdate> batch;
+  for (NodeId id = 0; id < 4; ++id) {
+    batch.push_back(UpdateFor(id, {10.0 + id, 10.0}, {0.0, 0.0}, 0.0));
+  }
+  server->Receive(std::move(batch));
   EXPECT_FALSE(server->Tick(0.0).ok());
   EXPECT_FALSE(server->Tick(-1.0).ok());
+  // A non-finite dt would poison the clock and the service credit.
+  EXPECT_FALSE(server->Tick(std::numeric_limits<double>::quiet_NaN()).ok());
+  EXPECT_FALSE(server->Tick(std::numeric_limits<double>::infinity()).ok());
+  EXPECT_EQ(server->time(), 0.0);
+  EXPECT_EQ(server->ticks(), 0);
+  // The rejected ticks left the server able to serve.
+  ASSERT_TRUE(server->Tick(1.0).ok());
+  EXPECT_EQ(server->time(), 1.0);
+  EXPECT_EQ(server->updates_applied(), 4);
+  EXPECT_EQ(server->queue().size(), 0u);
 }
 
 TEST_F(CqServerTest, AnswerQueryMatchesTrackerBruteForce) {
@@ -340,6 +363,49 @@ TEST_F(CqServerTest, HistoricalRangeAnswers) {
       plain->AnswerHistoricalRange(queries_.Get(0).range, 0.0).ok());
 }
 
+TEST_F(CqServerTest, ServedReportsKeepTrackerAndHistoryConsistent) {
+  auto config = BaseConfig();
+  config.record_history = true;
+  auto server =
+      CqServer::Create(config, &uniform_policy_, &*reduction_, &queries_);
+  ASSERT_TRUE(server.ok());
+  server->Receive({UpdateFor(2, {100.0, 100.0}, {10.0, 0.0}, 0.0),
+                   UpdateFor(5, {500.0, 500.0}, {0.0, 0.0}, 0.0)});
+  ASSERT_TRUE(server->Tick(1.0).ok());
+
+  const auto p = server->tracker().PredictAt(2, 2.0);
+  ASSERT_TRUE(p.has_value());
+  EXPECT_EQ(*p, (Point{120.0, 100.0}));
+
+  ASSERT_NE(server->history(), nullptr);
+  const auto past = server->history()->PositionAt(2, 1.0);
+  ASSERT_TRUE(past.has_value());
+  EXPECT_EQ(*past, (Point{110.0, 100.0}));
+}
+
+TEST_F(CqServerTest, NewerReportReplacesModelAndHistoryKeepsEveryRecord) {
+  auto config = BaseConfig();
+  config.record_history = true;
+  auto server =
+      CqServer::Create(config, &uniform_policy_, &*reduction_, &queries_);
+  ASSERT_TRUE(server.ok());
+  server->Receive({UpdateFor(3, {100.0, 100.0}, {0.0, 0.0}, 0.0)});
+  ASSERT_TRUE(server->Tick(1.0).ok());
+  server->Receive({UpdateFor(3, {300.0, 300.0}, {0.0, 0.0}, 2.0)});
+  ASSERT_TRUE(server->Tick(1.0).ok());
+
+  // The tracker holds the latest model only...
+  const auto now = server->tracker().PredictAt(3, 2.0);
+  ASSERT_TRUE(now.has_value());
+  EXPECT_EQ(*now, (Point{300.0, 300.0}));
+  // ...but the history keeps serving the record it already stored.
+  ASSERT_NE(server->history(), nullptr);
+  const auto past = server->history()->PositionAt(3, 1.0);
+  ASSERT_TRUE(past.has_value());
+  EXPECT_EQ(*past, (Point{100.0, 100.0}));
+  EXPECT_EQ(server->history()->RecordsFor(3), 2);
+}
+
 TEST_F(CqServerTest, LateOlderReportKeepsNewerModel) {
   auto config = BaseConfig();
   config.record_history = true;
@@ -482,6 +548,13 @@ TEST_F(CqServerTest, TelemetryRecordsAdaptationLoop) {
                 metrics.FindHistogram("lira.adapt.greedy_increment_seconds")
                     ->max(),
             metrics.FindHistogram("lira.adapt.total_seconds")->max() * 2.0);
+  // Each phase is timed once, under the names above only.
+  for (const char* duplicate :
+       {"lira.adapt.gridreduce_seconds", "lira.adapt.greedy_seconds"}) {
+    EXPECT_EQ(metrics.FindHistogram(duplicate), nullptr) << duplicate;
+    EXPECT_TRUE(events.Select(EventKind::kSpan, duplicate).empty())
+        << duplicate;
+  }
 
   // GRIDREDUCE drill-down accounting: 4 splits per build, each split event
   // carrying a finite gain.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -517,9 +518,11 @@ TEST_F(ServerClusterTest, PerShardTelemetryAndSerialEvents) {
   config.server.telemetry = &sink;
   auto cluster = MustCreate(config);
 
-  // The total queue depth after each batch, as the gauges should see it.
+  // The total and per-shard queue depths after each batch, as the gauges
+  // should see them.
   size_t depth = 0;
   size_t high_watermark = 0;
+  size_t shard_depth[2] = {0, 0};
   for (int t = 0; t < 5; ++t) {
     std::vector<ModelUpdate> batch;
     for (NodeId id = 0; id < 40; ++id) {
@@ -529,6 +532,9 @@ TEST_F(ServerClusterTest, PerShardTelemetryAndSerialEvents) {
     cluster->Receive(std::move(batch));
     depth = cluster->queue_size();
     high_watermark = std::max(high_watermark, depth);
+    for (int32_t k = 0; k < 2; ++k) {
+      shard_depth[k] = cluster->shard_queue(k).size();
+    }
     ASSERT_TRUE(cluster->Tick(1.0).ok());
   }
   ASSERT_TRUE(cluster->Adapt().ok());
@@ -543,6 +549,20 @@ TEST_F(ServerClusterTest, PerShardTelemetryAndSerialEvents) {
   EXPECT_EQ(metrics.FindCounter("lira.shard0.queue.arrivals")->value() +
                 metrics.FindCounter("lira.shard1.queue.arrivals")->value(),
             cluster->queue_arrivals());
+  // Each shard's instruments track its own queue.
+  for (int32_t k = 0; k < 2; ++k) {
+    SCOPED_TRACE(::testing::Message() << "shard " << k);
+    const std::string prefix = "lira.shard" + std::to_string(k) + ".queue.";
+    const UpdateQueue& queue = cluster->shard_queue(k);
+    EXPECT_EQ(metrics.FindCounter(prefix + "arrivals")->value(),
+              queue.total_arrivals());
+    EXPECT_EQ(metrics.FindCounter(prefix + "dropped")->value(),
+              queue.total_dropped());
+    EXPECT_DOUBLE_EQ(metrics.FindGauge(prefix + "depth")->value(),
+                     static_cast<double>(shard_depth[k]));
+    EXPECT_DOUBLE_EQ(metrics.FindGauge(prefix + "high_watermark")->value(),
+                     static_cast<double>(queue.high_watermark()));
+  }
   // The server-wide gauges hold total depths, not one shard's.
   EXPECT_DOUBLE_EQ(metrics.FindGauge("lira.queue.depth")->value(),
                    static_cast<double>(depth));
