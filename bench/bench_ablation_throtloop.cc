@@ -20,8 +20,7 @@ int main() {
 
   std::printf("--- controller trace (lambda = z * 2000/s, mu = 1000/s, "
               "B = 500) ---\n");
-  ThrotLoopConfig throttle_config;
-  auto loop = ThrotLoop::Create(throttle_config);
+  auto loop = ThrotLoop::Create(/*queue_capacity=*/500);
   TablePrinter trace({"step", "z", "implied rho"}, 14);
   trace.PrintHeader();
   for (int step = 0; step <= 8; ++step) {

@@ -26,8 +26,7 @@ double TimeAdaptationMs(const lira::StatisticsGrid& stats,
   LiraConfig config = DefaultLiraConfig();
   config.l = l;
   const LiraPolicy policy(config);
-  ThrotLoopConfig throttle_config;
-  auto throttle = ThrotLoop::Create(throttle_config);
+  auto throttle = ThrotLoop::Create(/*queue_capacity=*/500);
   PolicyContext ctx;
   ctx.stats = &stats;
   ctx.reduction = &f;

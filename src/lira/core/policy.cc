@@ -16,7 +16,8 @@ Status ValidateContext(const PolicyContext& ctx) {
   if (ctx.stats == nullptr || ctx.reduction == nullptr) {
     return InvalidArgumentError("policy context is incomplete");
   }
-  if (ctx.z < 0.0 || ctx.z > 1.0) {
+  // Written so that a NaN z fails too.
+  if (!(ctx.z >= 0.0 && ctx.z <= 1.0)) {
     return InvalidArgumentError("z must be in [0, 1]");
   }
   return OkStatus();

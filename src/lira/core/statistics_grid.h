@@ -6,10 +6,10 @@
 //
 // Node statistics are held in integer accumulators (counts, plus speeds in
 // 2^-20 m/s fixed point) so that incremental maintenance is *exact*: any
-// interleaving of AddNode/RemoveNode pairs leaves the grid bitwise identical
-// to a from-scratch rebuild of the same observations, which is what lets the
-// CQ server delta-maintain the grid across adaptations instead of clearing
-// and repopulating it (DESIGN.md section 8).
+// interleaving of AddNodeQAt/RemoveNodeQAt pairs leaves the grid bitwise
+// identical to a from-scratch rebuild of the same observations, which is
+// what lets the CQ server delta-maintain the grid across adaptations
+// instead of clearing and repopulating it (DESIGN.md section 8).
 
 #ifndef LIRA_CORE_STATISTICS_GRID_H_
 #define LIRA_CORE_STATISTICS_GRID_H_
@@ -44,7 +44,7 @@ class StatisticsGrid {
   Rect CellRect(int32_t ix, int32_t iy) const;
 
   /// Flat index (iy * alpha + ix) of the cell containing the (clamped)
-  /// point -- the key used by AddNodeAt/RemoveNodeAt delta maintenance.
+  /// point -- the key used by AddNodeQAt/RemoveNodeQAt delta maintenance.
   int32_t CellIndexOf(Point p) const;
 
   /// Speeds are accumulated in units of 2^-20 m/s (~1e-6 m/s resolution,
@@ -64,20 +64,15 @@ class StatisticsGrid {
   /// Clears query statistics (m).
   void ClearQueries();
 
-  /// Adds one node observation at `position` moving at `speed` m/s.
+  /// Adds one node observation at `position` moving at `speed` m/s:
+  /// AddNodeQAt(CellIndexOf(position), QuantizeSpeed(speed)).
   void AddNode(Point position, double speed);
-  /// Removes a previously added node observation (incremental maintenance).
-  void RemoveNode(Point position, double speed);
 
-  /// As above with a precomputed flat cell index (from CellIndexOf) -- the
-  /// delta-maintenance hot path, which relocates only the observations that
-  /// actually changed cell or speed.
-  void AddNodeAt(int32_t cell, double speed);
-  void RemoveNodeAt(int32_t cell, double speed);
-
-  /// Add/Remove with the speed already quantized (q == QuantizeSpeed(speed)):
-  /// bitwise identical to AddNodeAt/RemoveNodeAt but without re-rounding,
-  /// for maintainers that cache the quantized contribution per node.
+  /// Adds / removes one node observation by flat cell index (from
+  /// CellIndexOf) with the speed already quantized (q ==
+  /// QuantizeSpeed(speed)) -- the delta-maintenance hot path, which caches
+  /// each node's contribution and relocates only the observations that
+  /// actually changed cell or speed. Unmatched removals clamp at zero.
   void AddNodeQAt(int32_t cell, int64_t q);
   void RemoveNodeQAt(int32_t cell, int64_t q);
 

@@ -4,22 +4,18 @@
 
 namespace lira {
 
-StatusOr<ThrotLoop> ThrotLoop::Create(const ThrotLoopConfig& config) {
-  if (config.queue_capacity < 2) {
+StatusOr<ThrotLoop> ThrotLoop::Create(int64_t queue_capacity) {
+  if (queue_capacity < 2) {
     return InvalidArgumentError("queue_capacity must be >= 2");
   }
-  if (config.min_z <= 0.0 || config.min_z > 1.0) {
-    return InvalidArgumentError("min_z must be in (0, 1]");
-  }
-  return ThrotLoop(config);
+  return ThrotLoop(queue_capacity);
 }
 
 double ThrotLoop::TargetUtilization() const {
-  return 1.0 - 1.0 / static_cast<double>(config_.queue_capacity);
+  return 1.0 - 1.0 / static_cast<double>(queue_capacity_);
 }
 
 double ThrotLoop::Update(double lambda, double mu) {
-  ++steps_;
   if (lambda <= 0.0 || mu <= 0.0) {
     // Nothing arriving (or a stalled server measurement): relax fully open;
     // the next period's measurements will pull z back down if needed.
@@ -28,7 +24,7 @@ double ThrotLoop::Update(double lambda, double mu) {
   }
   const double rho = lambda / mu;
   const double u = rho / TargetUtilization();
-  z_ = std::clamp(z_ / u, config_.min_z, 1.0);
+  z_ = std::clamp(z_ / u, kMinZ, 1.0);
   return z_;
 }
 

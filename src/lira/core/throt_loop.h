@@ -5,7 +5,7 @@
 // utilization keeping the mean queue length within the buffer is
 // rho* = 1 - 1/B. Periodically:
 //
-//     u = rho / (1 - 1/B),   z <- min(1, z / u)
+//     u = rho / (1 - 1/B),   z <- clamp(z / u, kMinZ, 1)
 //
 // so overload (u > 1) shrinks z and slack (u < 1) grows it back towards 1.
 
@@ -18,19 +18,16 @@
 
 namespace lira {
 
-struct ThrotLoopConfig {
-  /// Maximum input-queue size B (messages).
-  int64_t queue_capacity = 500;
-  /// Floor on z; keeps the controller out of the degenerate z = 0 fixpoint
-  /// under measurement noise.
-  double min_z = 0.01;
-};
-
 /// The throttle-fraction controller. Not thread-safe.
 class ThrotLoop {
  public:
-  /// Fails when queue_capacity < 2 or min_z outside (0, 1].
-  static StatusOr<ThrotLoop> Create(const ThrotLoopConfig& config);
+  /// Floor on z; keeps the controller out of the degenerate z = 0 fixpoint
+  /// under measurement noise.
+  static constexpr double kMinZ = 0.01;
+
+  /// `queue_capacity` is the maximum input-queue size B (messages). Fails
+  /// when B < 2.
+  static StatusOr<ThrotLoop> Create(int64_t queue_capacity);
 
   /// Current throttle fraction (starts at 1).
   double z() const { return z_; }
@@ -43,14 +40,12 @@ class ThrotLoop {
   /// arrival rate resets z towards 1. Returns the new z.
   double Update(double lambda, double mu);
 
-  int64_t steps() const { return steps_; }
-
  private:
-  explicit ThrotLoop(const ThrotLoopConfig& config) : config_(config) {}
+  explicit ThrotLoop(int64_t queue_capacity)
+      : queue_capacity_(queue_capacity) {}
 
-  ThrotLoopConfig config_;
+  int64_t queue_capacity_;
   double z_ = 1.0;
-  int64_t steps_ = 0;
 };
 
 }  // namespace lira

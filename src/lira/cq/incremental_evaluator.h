@@ -101,12 +101,6 @@ class IncrementalEvaluator {
                    const double* believed_x, const double* believed_y,
                    const uint8_t* believed_known, ThreadPool* pool = nullptr);
 
-  /// As above, straight from a NodeStore snapshot.
-  void ApplySample(const NodeStore& store, ThreadPool* pool = nullptr) {
-    ApplySample(store.truth_x(), store.truth_y(), store.believed_x(),
-                store.believed_y(), store.believed_known(), pool);
-  }
-
   /// Array-of-structs convenience overload (tests and legacy callers);
   /// stages the points into reusable columns and runs the SoA path.
   void ApplySample(const std::vector<Point>& truth_positions,

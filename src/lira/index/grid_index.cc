@@ -118,30 +118,4 @@ void GridIndex::RangeQuery(const Rect& range, std::vector<NodeId>* out) const {
   }
 }
 
-int32_t GridIndex::RangeCount(const Rect& range) const {
-  const Rect clipped = range.Intersection(world_);
-  if (clipped.Area() <= 0.0) {
-    return 0;
-  }
-  auto cx0 = static_cast<int32_t>((clipped.min_x - world_.min_x) / cell_w_);
-  auto cy0 = static_cast<int32_t>((clipped.min_y - world_.min_y) / cell_h_);
-  auto cx1 = static_cast<int32_t>((clipped.max_x - world_.min_x) / cell_w_);
-  auto cy1 = static_cast<int32_t>((clipped.max_y - world_.min_y) / cell_h_);
-  cx0 = std::clamp(cx0, 0, cells_per_side_ - 1);
-  cy0 = std::clamp(cy0, 0, cells_per_side_ - 1);
-  cx1 = std::clamp(cx1, 0, cells_per_side_ - 1);
-  cy1 = std::clamp(cy1, 0, cells_per_side_ - 1);
-  int32_t count = 0;
-  for (int32_t cy = cy0; cy <= cy1; ++cy) {
-    for (int32_t cx = cx0; cx <= cx1; ++cx) {
-      for (NodeId id : cells_[cy * cells_per_side_ + cx]) {
-        if (range.Contains(position_of_[id])) {
-          ++count;
-        }
-      }
-    }
-  }
-  return count;
-}
-
 }  // namespace lira

@@ -52,9 +52,6 @@ class GridIndex {
   /// across calls. Safe to call concurrently with other const methods.
   void RangeQuery(const Rect& range, std::vector<NodeId>* out) const;
 
-  /// Number of nodes inside `range` (no allocation).
-  int32_t RangeCount(const Rect& range) const;
-
   int32_t num_nodes() const { return static_cast<int32_t>(cell_of_.size()); }
   int32_t size() const { return size_; }
   int32_t cells_per_side() const { return cells_per_side_; }

@@ -1,7 +1,5 @@
 #include "lira/motion/dead_reckoning.h"
 
-#include <utility>
-
 #include "lira/common/check.h"
 #include "lira/common/kernels.h"
 
@@ -226,21 +224,6 @@ void PositionTracker::PredictSpan(NodeId begin, int64_t n, double t,
   for (int64_t i = kStreams * quarter; i < n; ++i) {
     predict(i);
   }
-}
-
-std::vector<std::pair<NodeId, Point>> PositionTracker::PredictAllAt(
-    double t) const {
-  std::vector<std::pair<NodeId, Point>> out;
-  out.reserve(records_.size());
-  for (NodeId id = 0; id < num_nodes(); ++id) {
-    const ModelRecord& r = records_[id];
-    if (r.has != 0) {
-      const LinearMotionModel model{Point{r.origin_x, r.origin_y},
-                                    Vec2{r.vel_x, r.vel_y}, r.t0};
-      out.emplace_back(id, model.PredictAt(t));
-    }
-  }
-  return out;
 }
 
 }  // namespace lira

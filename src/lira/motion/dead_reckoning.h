@@ -175,9 +175,6 @@ class PositionTracker {
     return records_.capacity() * sizeof(ModelRecord);
   }
 
-  /// Believed positions of all reported nodes at time t, as (id, position).
-  std::vector<std::pair<NodeId, Point>> PredictAllAt(double t) const;
-
  private:
   std::vector<ModelRecord> records_;
 };

@@ -1,9 +1,8 @@
 // Cluster health snapshots (DESIGN.md §10): a point-in-time summary of a
-// ServerCluster -- per-shard occupancy and queue state plus the load-skew
-// statistics the rebalancing roadmap item needs (max/mean shard occupancy
-// and their imbalance ratio) -- serializable as JSON (one line per
-// snapshot, JSONL-friendly) and as Prometheus text exposition alongside the
-// full metric registry.
+// ServerCluster -- per-shard occupancy and queue state plus load-skew
+// statistics (max/mean shard occupancy and their imbalance ratio) --
+// serializable as JSON (one line per snapshot, JSONL-friendly) and as
+// Prometheus text exposition alongside the full metric registry.
 
 #ifndef LIRA_SERVER_CLUSTER_HEALTH_H_
 #define LIRA_SERVER_CLUSTER_HEALTH_H_
@@ -40,13 +39,13 @@ struct ClusterHealth {
   int64_t total_nodes = 0;
   /// Load-skew statistics over per-shard owned-node counts. The imbalance
   /// ratio is max/mean (1.0 = perfectly balanced, 0 when no nodes are
-  /// tracked yet); a sustained high ratio is the signal shard rebalancing
-  /// would act on (ROADMAP).
+  /// tracked yet); a sustained high ratio is the skew the shard-map
+  /// rebalancing (rebalance_stride, DESIGN.md §12) corrects.
   int64_t max_shard_nodes = 0;
   double mean_shard_nodes = 0.0;
   double imbalance_ratio = 0.0;
-  /// Memory shape: heap bytes of the cluster's one model store (its
-  /// motion-model columns), and those bytes per configured node (41 at any
+  /// Memory shape: heap bytes of the cluster's one model store (one 48 B
+  /// ModelRecord per node), and those bytes per configured node (48 at any
   /// shard count).
   int64_t tracker_bytes = 0;
   double bytes_per_node = 0.0;

@@ -1,6 +1,7 @@
 #include "lira/server/server_cluster.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <string>
 #include <utility>
@@ -45,7 +46,7 @@ ServerCluster::ServerCluster(const ServerClusterConfig& config,
                              const UpdateReductionFunction* reduction,
                              const QueryRegistry* queries, ShardMap shard_map,
                              std::vector<Shard> shards, StatsStage stats,
-                             OptimizerStage optimizer)
+                             ThrotLoop throttle, SheddingPlan plan)
     : config_(config),
       policy_(policy),
       reduction_(reduction),
@@ -54,7 +55,8 @@ ServerCluster::ServerCluster(const ServerClusterConfig& config,
       shards_(std::move(shards)),
       tracker_(config.server.num_nodes),
       stats_(std::move(stats)),
-      optimizer_(std::move(optimizer)),
+      throttle_(std::move(throttle)),
+      plan_(std::move(plan)),
       pool_(config.server.pool),
       next_adaptation_(config.server.adaptation_period),
       owner_of_(config.server.num_nodes, -1) {
@@ -67,11 +69,6 @@ ServerCluster::ServerCluster(const ServerClusterConfig& config,
         config.shards));
     pool_ = owned_pool_.get();
   }
-  // The coordinator-side adaptation phases (stats rebuild, quad build,
-  // GRIDREDUCE waves) reuse the shard fan-out pool once the fan-out has
-  // returned (ParallelFor does not nest).
-  stats_.set_pool(pool_);
-  optimizer_.set_pool(pool_);
   if (config_.server.telemetry != nullptr) {
     telemetry::MetricRegistry& metrics = config_.server.telemetry->metrics();
     arrivals_counter_ = metrics.GetCounter("lira.queue.arrivals");
@@ -121,15 +118,25 @@ StatusOr<ServerCluster> ServerCluster::Build(
   if (server.num_nodes <= 0) {
     return InvalidArgumentError("num_nodes must be positive");
   }
-  if (server.adaptation_period <= 0.0) {
-    return InvalidArgumentError("adaptation_period must be positive");
+  // Each check below is written so that a NaN fails it.
+  const Rect& world = server.world;
+  if (!(std::isfinite(world.min_x) && std::isfinite(world.min_y) &&
+        std::isfinite(world.max_x) && std::isfinite(world.max_y) &&
+        world.min_x < world.max_x && world.min_y < world.max_y)) {
+    return InvalidArgumentError(
+        "world bounds must be finite with min < max on each axis");
+  }
+  if (!(std::isfinite(server.adaptation_period) &&
+        server.adaptation_period > 0.0)) {
+    return InvalidArgumentError(
+        "adaptation_period must be finite and positive");
   }
   if (!server.auto_throttle &&
-      (server.fixed_z < 0.0 || server.fixed_z > 1.0)) {
+      !(server.fixed_z >= 0.0 && server.fixed_z <= 1.0)) {
     return InvalidArgumentError("fixed_z must be in [0, 1]");
   }
-  if (server.stats_sample_fraction <= 0.0 ||
-      server.stats_sample_fraction > 1.0) {
+  if (!(server.stats_sample_fraction > 0.0 &&
+        server.stats_sample_fraction <= 1.0)) {
     return InvalidArgumentError("stats_sample_fraction must be in (0, 1]");
   }
   if (config.threads < 0) {
@@ -186,23 +193,19 @@ StatusOr<ServerCluster> ServerCluster::Build(
   }
   stats->RebuildQueries(*queries, reduction->delta_max());
 
-  OptimizerStageConfig optimizer_config;
-  optimizer_config.queue_capacity =
-      static_cast<int64_t>(server.queue_capacity);
-  optimizer_config.service_rate = server.service_rate;
-  optimizer_config.adaptation_period = server.adaptation_period;
-  optimizer_config.auto_throttle = server.auto_throttle;
-  optimizer_config.fixed_z = server.fixed_z;
-  optimizer_config.telemetry = server.telemetry;
-  auto optimizer = OptimizerStage::Create(optimizer_config, server.world,
-                                          reduction->delta_min());
-  if (!optimizer.ok()) {
-    return optimizer.status();
+  auto throttle =
+      ThrotLoop::Create(static_cast<int64_t>(server.queue_capacity));
+  if (!throttle.ok()) {
+    return throttle.status();
   }
+  // Until the first adaptation every node runs at maximum accuracy.
+  SheddingPlan plan =
+      SheddingPlan::MakeUniform(server.world, reduction->delta_min());
 
   return ServerCluster(config, policy, reduction, queries,
                        *std::move(shard_map), std::move(shards),
-                       *std::move(stats), *std::move(optimizer));
+                       *std::move(stats), *std::move(throttle),
+                       std::move(plan));
 }
 
 Status ServerCluster::InstallQueries(const QueryRegistry* queries) {
@@ -392,7 +395,7 @@ void ServerCluster::RecordFlightSamples() {
     sample.queue_depth = static_cast<int64_t>(shard.queue.size());
     sample.queue_dropped = shard.queue.total_dropped();
     sample.queue_arrivals = shard.queue.total_arrivals();
-    sample.z = optimizer_.z();
+    sample.z = z();
     sample.nodes = shard.owned;
     recorder->Record(sample);
   }
@@ -403,13 +406,13 @@ void ServerCluster::RecordFlightSamples() {
   coord.queue_depth = static_cast<int64_t>(queue_size());
   coord.queue_dropped = queue_dropped();
   coord.queue_arrivals = queue_arrivals();
-  coord.z = optimizer_.z();
-  coord.lambda = optimizer_.last_lambda();
-  coord.utilization = optimizer_.last_utilization();
+  coord.z = z();
+  coord.lambda = last_lambda_;
+  coord.utilization = last_lambda_ / config_.server.service_rate;
   coord.nodes = static_cast<int64_t>(stats_.grid().TotalNodes());
-  coord.plan_regions = static_cast<int32_t>(optimizer_.plan().NumRegions());
-  coord.plan_min_delta = optimizer_.plan().MinDelta();
-  coord.plan_max_delta = optimizer_.plan().MaxDelta();
+  coord.plan_regions = static_cast<int32_t>(plan_.NumRegions());
+  coord.plan_min_delta = plan_.MinDelta();
+  coord.plan_max_delta = plan_.MaxDelta();
   recorder->Record(coord);
 }
 
@@ -489,11 +492,27 @@ Status ServerCluster::Adapt() {
         window_dropped += shard.queue.window_dropped();
         shard.queue.ResetWindow();
       }
-      optimizer_.UpdateThrottle(window_arrivals, window_dropped, time_);
-    } else {
-      optimizer_.FixedThrottle(time_);
+      const double mu = config_.server.service_rate;
+      const double previous_z = throttle_.z();
+      last_lambda_ = static_cast<double>(window_arrivals) /
+                     config_.server.adaptation_period;
+      throttle_.Update(last_lambda_, mu);
+      if (t != nullptr) {
+        t->SampleGauge("lira.throtloop.lambda", time_, last_lambda_);
+        t->SampleGauge("lira.throtloop.utilization", time_,
+                       last_lambda_ / mu);
+        t->SampleGauge("lira.throtloop.z", time_, throttle_.z());
+        t->SampleGauge("lira.queue.window_dropped", time_,
+                       static_cast<double>(window_dropped));
+        if (throttle_.z() != previous_z) {
+          t->Emit(telemetry::EventKind::kZChanged, "lira.throtloop.z", time_,
+                  throttle_.z(), last_lambda_);
+        }
+      }
+    } else if (t != nullptr) {
+      t->SampleGauge("lira.throtloop.z", time_, config_.server.fixed_z);
     }
-    throttle_span.set_value(optimizer_.z());
+    throttle_span.set_value(z());
   }
   {
     telemetry::ScopedTimer stats_timer(t, "lira.adapt.stats_rebuild_seconds",
@@ -503,7 +522,7 @@ Status ServerCluster::Adapt() {
     // One grid for the cluster, read from the one store in place. The
     // rebuild runs after the shard fan-out, so it may split the id range
     // across the same pool.
-    stats_.RebuildNodes(tracker_, time_);
+    stats_.RebuildNodes(tracker_, time_, pool_);
     if (t != nullptr) {
       for (const Shard& shard : shards_) {
         shard.nodes_gauge->Set(static_cast<double>(shard.owned));
@@ -522,13 +541,36 @@ Status ServerCluster::Adapt() {
   {
     telemetry::ScopedSpan plan_span(tr, driver_lane, "optimizer.plan_build",
                                     tick_, -1, time_);
-    built = optimizer_.BuildPlan(*policy_, stats_.grid(), *reduction_, time_);
-    plan_span.set_value(static_cast<double>(optimizer_.plan().NumRegions()));
+    // The quad build and GRIDREDUCE waves run on the pool the fan-out
+    // released. A failed build leaves the plan in force and its accounting
+    // untouched.
+    const PolicyContext ctx{&stats_.grid(), reduction_, z(), t, time_, pool_};
+    const auto start = std::chrono::steady_clock::now();
+    auto plan = policy_->BuildPlan(ctx);
+    const double build_seconds = std::chrono::duration<double>(
+                                     std::chrono::steady_clock::now() - start)
+                                     .count();
+    if (plan.ok()) {
+      plan_ = *std::move(plan);
+      plan_build_seconds_ += build_seconds;
+      ++plan_builds_;
+      if (t != nullptr) {
+        const auto regions = static_cast<double>(plan_.NumRegions());
+        t->RecordSpan("lira.adapt.plan_build_seconds", time_, build_seconds);
+        t->SampleGauge("lira.plan.regions", time_, regions);
+        t->SampleGauge("lira.plan.min_delta", time_, plan_.MinDelta());
+        t->SampleGauge("lira.plan.max_delta", time_, plan_.MaxDelta());
+        t->Emit(telemetry::EventKind::kPlanRebuilt, "lira.plan.rebuilt",
+                time_, regions, build_seconds);
+      }
+    } else {
+      built = plan.status();
+    }
+    plan_span.set_value(static_cast<double>(plan_.NumRegions()));
   }
   // The new plan is what every shard (and the encoders) sees from here on.
   telemetry::RecordInstant(tr, driver_lane, "plan.broadcast", tick_, -1,
-                           time_,
-                           static_cast<double>(optimizer_.plan().NumRegions()));
+                           time_, static_cast<double>(plan_.NumRegions()));
   ++adaptations_;
   return built;
 }
@@ -637,7 +679,7 @@ ClusterHealth ServerCluster::HealthSnapshot() const {
   health.time = time_;
   health.tick = tick_;
   health.num_shards = num_shards();
-  health.z = optimizer_.z();
+  health.z = z();
   health.map_epoch = shard_map_.epoch();
   health.rebalances = rebalances_;
   health.nodes_migrated = nodes_migrated_;

@@ -5,11 +5,13 @@
 // rate mu/S and its own seed stream -- fed by a spatial ShardMap that routes
 // each update by its model origin to the shard owning that statistics-grid
 // column strip. The cluster holds one model store (a PositionTracker) and
-// one optional HistoryStore, both indexed by node id, one StatsStage and
-// one OptimizerStage: at each adaptation it rebuilds the one global
-// grid from the store in place, and builds ONE global SheddingPlan under
-// the global budget z * n * f(delta) and the fairness constraint, so shard
-// boundaries never fragment the optimizer's view. The single server is the
+// one optional HistoryStore, both indexed by node id, one StatsStage, the
+// THROTLOOP controller and the plan in force. One adaptation is one control
+// step (paper Section 3.4): rebalance, throttle (z from the summed queue
+// window), statistics (the one global grid, rebuilt from the store in
+// place), plan (ONE global SheddingPlan under the global budget
+// z * n * f(delta) and the fairness constraint, so shard boundaries never
+// fragment the optimizer's view), broadcast. The single server is the
 // S = 1 case (CqServer, cq_server.h); nothing here special-cases it.
 //
 // Shards own lanes of the store, not copies of it. owner_of_ names the
@@ -48,6 +50,7 @@
 #include "lira/core/policy.h"
 #include "lira/core/shedding_plan.h"
 #include "lira/core/statistics_grid.h"
+#include "lira/core/throt_loop.h"
 #include "lira/cq/query_registry.h"
 #include "lira/mobility/position.h"
 #include "lira/motion/dead_reckoning.h"
@@ -55,7 +58,6 @@
 #include "lira/motion/update_reduction.h"
 #include "lira/server/cluster_health.h"
 #include "lira/server/history_store.h"
-#include "lira/server/optimizer_stage.h"
 #include "lira/server/shard_map.h"
 #include "lira/server/snapshot_grid.h"
 #include "lira/server/stats_stage.h"
@@ -199,10 +201,14 @@ class ServerCluster {
   double time() const { return time_; }
   /// Ticks processed so far (the frame stamp on trace spans).
   int64_t ticks() const { return tick_; }
-  /// Throttle fraction currently in force.
-  double z() const { return optimizer_.z(); }
+  /// Throttle fraction currently in force: THROTLOOP's under auto_throttle,
+  /// the configured fixed_z otherwise.
+  double z() const {
+    return config_.server.auto_throttle ? throttle_.z()
+                                        : config_.server.fixed_z;
+  }
   /// The active (global) shedding plan.
-  const SheddingPlan& plan() const { return optimizer_.plan(); }
+  const SheddingPlan& plan() const { return plan_; }
   /// The server's one model store.
   const PositionTracker& tracker() const { return tracker_; }
   /// The history store, or nullptr when record_history is off.
@@ -238,10 +244,8 @@ class ServerCluster {
   int64_t updates_applied() const;
   /// Cumulative time spent building plans (seconds) and number of builds,
   /// for the server-side-cost experiments.
-  int64_t plan_builds() const { return optimizer_.plan_builds(); }
-  double total_plan_build_seconds() const {
-    return optimizer_.total_plan_build_seconds();
-  }
+  int64_t plan_builds() const { return plan_builds_; }
+  double total_plan_build_seconds() const { return plan_build_seconds_; }
 
   /// Answers an installed continual query at the server's current time.
   /// Requires maintain_index; InvalidArgument for an unknown query id.
@@ -320,7 +324,7 @@ class ServerCluster {
                 const UpdateReductionFunction* reduction,
                 const QueryRegistry* queries, ShardMap shard_map,
                 std::vector<Shard> shards, StatsStage stats,
-                OptimizerStage optimizer);
+                ThrotLoop throttle, SheddingPlan plan);
 
   /// Writes one served report: records it in the history (when enabled),
   /// and replaces the node's model unless the model in place has a later t0.
@@ -360,7 +364,17 @@ class ServerCluster {
   std::optional<HistoryStore> history_;
   /// Coordinator-owned: the cluster's only grid (+ query-count cache).
   StatsStage stats_;
-  OptimizerStage optimizer_;
+  /// THROTLOOP; steps only under auto_throttle.
+  ThrotLoop throttle_;
+  /// The plan in force: uniform at the reduction's delta_min (maximum
+  /// accuracy) until the first adaptation builds one.
+  SheddingPlan plan_;
+  /// Arrival rate (upd/s) of the last THROTLOOP window; 0 until the first
+  /// THROTLOOP step, so always 0 in fixed mode.
+  double last_lambda_ = 0.0;
+  /// Plan-build accounting: successful builds and their summed seconds.
+  double plan_build_seconds_ = 0.0;
+  int64_t plan_builds_ = 0;
   /// The pool the cluster built when config.server.pool is unset.
   std::unique_ptr<ThreadPool> owned_pool_;
   /// Every parallel section's pool: config.server.pool or owned_pool_.

@@ -162,9 +162,9 @@ int64_t StatsStage::RelocateRange(const PositionTracker& tracker, double now,
 }
 
 void StatsStage::RebuildNodesColumnar(const PositionTracker& tracker,
-                                      double now) {
+                                      double now, ThreadPool* pool) {
   const auto n = static_cast<int64_t>(stats_cell_of_.size());
-  const bool pooled = pool_ != nullptr && pool_->num_threads() > 1 &&
+  const bool pooled = pool != nullptr && pool->num_threads() > 1 &&
                       n >= 2 * kColumnarBlock;
   int64_t dirtied = 0;
   if (!pooled) {
@@ -174,7 +174,7 @@ void StatsStage::RebuildNodesColumnar(const PositionTracker& tracker,
     dirtied =
         RelocateRange(tracker, now, &rebuild_arenas_[0], 0, n, nullptr);
   } else {
-    const auto workers = static_cast<size_t>(pool_->num_threads());
+    const auto workers = static_cast<size_t>(pool->num_threads());
     if (rebuild_arenas_.size() < workers) {
       rebuild_arenas_.resize(workers);
     }
@@ -184,11 +184,11 @@ void StatsStage::RebuildNodesColumnar(const PositionTracker& tracker,
     // the cells end bitwise equal to the serial loop's whatever the
     // interleaving, and adding each worker's totals once after the join
     // gives the serial totals.
-    pool_->ParallelFor(0, n, kColumnarBlock,
-                       [&](int32_t chunk, int64_t begin, int64_t end) {
-                         RelocateRange(tracker, now, &rebuild_arenas_[chunk],
-                                       begin, end, &rebuild_tallies_[chunk]);
-                       });
+    pool->ParallelFor(0, n, kColumnarBlock,
+                      [&](int32_t chunk, int64_t begin, int64_t end) {
+                        RelocateRange(tracker, now, &rebuild_arenas_[chunk],
+                                      begin, end, &rebuild_tallies_[chunk]);
+                      });
     for (const WorkerTally& tally : rebuild_tallies_) {
       dirtied += tally.dirtied;
       grid_.AddNodeTotals(tally.nodes, tally.speed_q);
@@ -199,11 +199,12 @@ void StatsStage::RebuildNodesColumnar(const PositionTracker& tracker,
   }
 }
 
-void StatsStage::RebuildNodes(const PositionTracker& tracker, double now) {
+void StatsStage::RebuildNodes(const PositionTracker& tracker, double now,
+                              ThreadPool* pool) {
   const auto num_nodes = static_cast<NodeId>(stats_cell_of_.size());
   LIRA_CHECK(tracker.num_nodes() == num_nodes);
   if (IncrementalEnabled()) {
-    RebuildNodesColumnar(tracker, now);
+    RebuildNodesColumnar(tracker, now, pool);
     return;
   }
   grid_.ClearNodes();

@@ -81,8 +81,12 @@ class StatsStage {
 
   /// Refreshes node statistics (n, s) from the tracker's believed state at
   /// time `now`, by delta relocation or sampled repopulation per config.
-  /// The tracker spans num_nodes ids.
-  void RebuildNodes(const PositionTracker& tracker, double now);
+  /// The tracker spans num_nodes ids. The incremental rebuild splits the id
+  /// range across `pool` (not owned; nullptr = serial). It calls
+  /// ParallelFor, which does not nest, so it must run outside any other
+  /// section of the same pool.
+  void RebuildNodes(const PositionTracker& tracker, double now,
+                    ThreadPool* pool);
 
   /// Refreshes query statistics (m) with `margin` meters added around each
   /// query rectangle. Skips the pass entirely when the (registry size,
@@ -92,12 +96,6 @@ class StatsStage {
   /// full rescan otherwise. InvalidateQueryCache forces the full rescan.
   void RebuildQueries(const QueryRegistry& queries, double margin);
   void InvalidateQueryCache() { query_stats_valid_ = false; }
-
-  /// Points the incremental rebuild at a worker pool (not owned; nullptr =
-  /// serial, the default). The rebuild calls ParallelFor, which does not
-  /// nest: RebuildNodes must run outside any other section of the same
-  /// pool.
-  void set_pool(ThreadPool* pool) { pool_ = pool; }
 
   const StatisticsGrid& grid() const { return grid_; }
 
@@ -126,12 +124,12 @@ class StatsStage {
   int64_t RelocateRange(const PositionTracker& tracker, double now,
                         FrameArena* arena, int64_t begin, int64_t end,
                         WorkerTally* shared);
-  void RebuildNodesColumnar(const PositionTracker& tracker, double now);
+  void RebuildNodesColumnar(const PositionTracker& tracker, double now,
+                            ThreadPool* pool);
 
   Rect world_;
   double stats_sample_fraction_;
   bool incremental_stats_;
-  ThreadPool* pool_ = nullptr;
   StatisticsGrid grid_;
   Rng stats_rng_;
   /// Delta-maintenance state: each node's last contribution to the grid

@@ -1,5 +1,6 @@
 #include "lira/core/policy.h"
 
+#include <limits>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -147,6 +148,9 @@ TEST_F(PolicyTest, InvalidContextRejected) {
   bad = ctx_;
   bad.z = 2.0;
   EXPECT_FALSE(policy.BuildPlan(bad).ok());
+  bad.z = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(policy.BuildPlan(bad).ok());
+  EXPECT_FALSE(UniformDeltaPolicy().BuildPlan(bad).ok());
 }
 
 TEST_F(PolicyTest, MakePolicyFactory) {

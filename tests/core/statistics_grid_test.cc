@@ -19,6 +19,12 @@ StatisticsGrid MakeGrid(int32_t alpha = 8) {
   return *std::move(grid);
 }
 
+/// Removes one observation by point and speed, the inverse of AddNode.
+void RemoveNode(StatisticsGrid& grid, Point position, double speed) {
+  grid.RemoveNodeQAt(grid.CellIndexOf(position),
+                     StatisticsGrid::QuantizeSpeed(speed));
+}
+
 TEST(StatisticsGridTest, CreateRequiresPowerOfTwoAlpha) {
   EXPECT_TRUE(StatisticsGrid::Create(kWorld, 1).ok());
   EXPECT_TRUE(StatisticsGrid::Create(kWorld, 128).ok());
@@ -64,13 +70,13 @@ TEST(StatisticsGridTest, RemoveNodeIsInverseOfAdd) {
   StatisticsGrid grid = MakeGrid();
   grid.AddNode({50.0, 50.0}, 10.0);
   grid.AddNode({50.0, 50.0}, 30.0);
-  grid.RemoveNode({50.0, 50.0}, 10.0);
+  RemoveNode(grid, {50.0, 50.0}, 10.0);
   EXPECT_DOUBLE_EQ(grid.NodeCount(0, 0), 1.0);
   EXPECT_DOUBLE_EQ(grid.MeanSpeed(0, 0), 30.0);
-  grid.RemoveNode({50.0, 50.0}, 30.0);
+  RemoveNode(grid, {50.0, 50.0}, 30.0);
   EXPECT_DOUBLE_EQ(grid.NodeCount(0, 0), 0.0);
   // Extra removals clamp at zero rather than going negative.
-  grid.RemoveNode({50.0, 50.0}, 5.0);
+  RemoveNode(grid, {50.0, 50.0}, 5.0);
   EXPECT_DOUBLE_EQ(grid.NodeCount(0, 0), 0.0);
 }
 
@@ -197,7 +203,7 @@ TEST(StatisticsGridTest, CellStatsBundlesAccessors) {
   EXPECT_DOUBLE_EQ(stats.m, 0.0);
 }
 
-TEST(StatisticsGridTest, AddNodeAtMatchesAddNode) {
+TEST(StatisticsGridTest, AddNodeQAtMatchesAddNode) {
   StatisticsGrid by_point = MakeGrid();
   StatisticsGrid by_cell = MakeGrid();
   Rng rng(99);
@@ -205,7 +211,8 @@ TEST(StatisticsGridTest, AddNodeAtMatchesAddNode) {
     const Point p{rng.Uniform(0.0, 800.0), rng.Uniform(0.0, 800.0)};
     const double speed = rng.Uniform(0.0, 40.0);
     by_point.AddNode(p, speed);
-    by_cell.AddNodeAt(by_cell.CellIndexOf(p), speed);
+    by_cell.AddNodeQAt(by_cell.CellIndexOf(p),
+                       StatisticsGrid::QuantizeSpeed(speed));
   }
   for (int32_t iy = 0; iy < 8; ++iy) {
     for (int32_t ix = 0; ix < 8; ++ix) {
@@ -231,7 +238,7 @@ TEST(StatisticsGridTest, IncrementalMaintenanceIsBitwiseEqualToRebuild) {
   for (int step = 0; step < 3000; ++step) {
     const auto id = static_cast<int32_t>(rng.UniformInt(kNodes));
     if (present[id]) {
-      live.RemoveNode(positions[id], speeds[id]);
+      RemoveNode(live, positions[id], speeds[id]);
       present[id] = false;
     }
     if (rng.Uniform(0.0, 1.0) < 0.85) {
@@ -262,7 +269,7 @@ TEST(StatisticsGridTest, TotalsStayConsistentWithCellSums) {
   grid.AddNode({10.0, 10.0}, 5.0);
   grid.AddNode({700.0, 700.0}, 15.0);
   // Unmatched removal clamps at zero without corrupting the running totals.
-  grid.RemoveNode({400.0, 400.0}, 99.0);
+  RemoveNode(grid, {400.0, 400.0}, 99.0);
   double cell_nodes = 0.0;
   double cell_speed_dot = 0.0;
   for (int32_t iy = 0; iy < 8; ++iy) {
@@ -290,20 +297,14 @@ TEST(StatisticsGridTest, TotalsStayConsistentWithCellSums) {
   EXPECT_EQ(grid.TotalQueries(), 0.0);
 }
 
-TEST(StatisticsGridTest, QAtVariantsMatchDoubleSpeedVariants) {
-  StatisticsGrid a = MakeGrid();
+TEST(StatisticsGridTest, QAtRemoveUndoesQAtAdd) {
   StatisticsGrid b = MakeGrid();
-  const double speed = 13.377;
-  const int64_t q = StatisticsGrid::QuantizeSpeed(speed);
-  a.AddNodeAt(3, speed);
+  const int64_t q = StatisticsGrid::QuantizeSpeed(13.377);
   b.AddNodeQAt(3, q);
-  EXPECT_EQ(a.NodeCount(3, 0), b.NodeCount(3, 0));
-  EXPECT_EQ(a.MeanSpeed(3, 0), b.MeanSpeed(3, 0));
-  a.RemoveNodeAt(3, speed);
+  EXPECT_EQ(b.NodeCount(3, 0), 1.0);
   b.RemoveNodeQAt(3, q);
-  EXPECT_EQ(a.NodeCount(3, 0), 0.0);
   EXPECT_EQ(b.NodeCount(3, 0), 0.0);
-  EXPECT_EQ(a.TotalNodes(), b.TotalNodes());
+  EXPECT_EQ(b.TotalNodes(), 0.0);
 }
 
 TEST(StatisticsGridTest, AtomicNodeDeltaMatchesDirectPairsAnyOrder) {

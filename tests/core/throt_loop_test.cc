@@ -5,30 +5,21 @@
 namespace lira {
 namespace {
 
-ThrotLoop Make(int64_t capacity = 500, double min_z = 0.01) {
-  ThrotLoopConfig config;
-  config.queue_capacity = capacity;
-  config.min_z = min_z;
-  auto loop = ThrotLoop::Create(config);
+ThrotLoop Make(int64_t capacity = 500) {
+  auto loop = ThrotLoop::Create(capacity);
   EXPECT_TRUE(loop.ok());
   return *std::move(loop);
 }
 
 TEST(ThrotLoopTest, Validation) {
-  ThrotLoopConfig config;
-  config.queue_capacity = 1;
-  EXPECT_FALSE(ThrotLoop::Create(config).ok());
-  config = ThrotLoopConfig{};
-  config.min_z = 0.0;
-  EXPECT_FALSE(ThrotLoop::Create(config).ok());
-  config.min_z = 1.5;
-  EXPECT_FALSE(ThrotLoop::Create(config).ok());
+  EXPECT_FALSE(ThrotLoop::Create(1).ok());
+  EXPECT_FALSE(ThrotLoop::Create(0).ok());
+  EXPECT_TRUE(ThrotLoop::Create(2).ok());
 }
 
 TEST(ThrotLoopTest, StartsFullyOpen) {
   ThrotLoop loop = Make();
   EXPECT_DOUBLE_EQ(loop.z(), 1.0);
-  EXPECT_EQ(loop.steps(), 0);
 }
 
 TEST(ThrotLoopTest, TargetUtilizationFormula) {
@@ -64,11 +55,12 @@ TEST(ThrotLoopTest, ZIsCappedAtOne) {
 }
 
 TEST(ThrotLoopTest, ZRespectsFloor) {
-  ThrotLoop loop = Make(500, 0.05);
+  ThrotLoop loop = Make();
   for (int i = 0; i < 50; ++i) {
     loop.Update(100000.0, 1000.0);
   }
-  EXPECT_DOUBLE_EQ(loop.z(), 0.05);
+  EXPECT_DOUBLE_EQ(loop.z(), ThrotLoop::kMinZ);
+  EXPECT_DOUBLE_EQ(loop.z(), 0.01);
 }
 
 TEST(ThrotLoopTest, ZeroArrivalsResetTowardsOpen) {
@@ -92,13 +84,6 @@ TEST(ThrotLoopTest, ConvergesWhenLoadScalesWithZ) {
   EXPECT_NEAR(loop.z(), mu * loop.TargetUtilization() / full_rate, 1e-6);
   // After convergence the implied utilization matches the target.
   EXPECT_NEAR(loop.z() * full_rate / mu, loop.TargetUtilization(), 1e-6);
-}
-
-TEST(ThrotLoopTest, StepsCount) {
-  ThrotLoop loop = Make();
-  loop.Update(1.0, 1.0);
-  loop.Update(1.0, 1.0);
-  EXPECT_EQ(loop.steps(), 2);
 }
 
 }  // namespace

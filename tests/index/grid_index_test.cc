@@ -51,8 +51,8 @@ TEST(GridIndexTest, RangeQueryExactBoundaries) {
   GridIndex index = MakeIndex();
   index.Update(0, {50.0, 50.0});
   // Half-open semantics: max edge excluded, min edge included.
-  EXPECT_EQ(index.RangeCount(Rect{50.0, 50.0, 60.0, 60.0}), 1);
-  EXPECT_EQ(index.RangeCount(Rect{40.0, 40.0, 50.0, 50.0}), 0);
+  EXPECT_EQ(index.RangeQuery(Rect{50.0, 50.0, 60.0, 60.0}).size(), 1u);
+  EXPECT_EQ(index.RangeQuery(Rect{40.0, 40.0, 50.0, 50.0}).size(), 0u);
 }
 
 TEST(GridIndexTest, OutOfWorldPositionsAreClamped) {
@@ -60,7 +60,7 @@ TEST(GridIndexTest, OutOfWorldPositionsAreClamped) {
   index.Update(0, {-10.0, 500.0});
   EXPECT_TRUE(index.Contains(0));
   // Clamped into the world: findable with a whole-world query.
-  EXPECT_EQ(index.RangeCount(Rect{0.0, 0.0, 100.0, 100.0}), 1);
+  EXPECT_EQ(index.RangeQuery(Rect{0.0, 0.0, 100.0, 100.0}).size(), 1u);
 }
 
 TEST(GridIndexTest, RangeQueryAgainstBruteForce) {
@@ -85,8 +85,6 @@ TEST(GridIndexTest, RangeQueryAgainstBruteForce) {
     std::vector<NodeId> actual = index.RangeQuery(range);
     std::sort(actual.begin(), actual.end());
     EXPECT_EQ(actual, expected) << "trial " << trial;
-    EXPECT_EQ(index.RangeCount(range),
-              static_cast<int32_t>(expected.size()));
   }
 }
 
@@ -110,13 +108,12 @@ TEST(GridIndexTest, QueryOutsideWorldIsEmpty) {
   GridIndex index = MakeIndex();
   index.Update(0, {50.0, 50.0});
   EXPECT_TRUE(index.RangeQuery(Rect{200.0, 200.0, 300.0, 300.0}).empty());
-  EXPECT_EQ(index.RangeCount(Rect{200.0, 200.0, 300.0, 300.0}), 0);
 }
 
 TEST(GridIndexTest, QueryPartiallyOutsideWorldIsClipped) {
   GridIndex index = MakeIndex();
   index.Update(0, {1.0, 1.0});
-  EXPECT_EQ(index.RangeCount(Rect{-50.0, -50.0, 5.0, 5.0}), 1);
+  EXPECT_EQ(index.RangeQuery(Rect{-50.0, -50.0, 5.0, 5.0}).size(), 1u);
 }
 
 // Swap-remove compaction must keep every bucket, slot, and position
@@ -174,7 +171,8 @@ TEST(GridIndexTest, ManyUpdatesKeepConsistentSize) {
     index.Update(id, {rng.Uniform(0.0, 100.0), rng.Uniform(0.0, 100.0)});
   }
   EXPECT_LE(index.size(), 50);
-  EXPECT_EQ(index.RangeCount(Rect{0.0, 0.0, 100.0, 100.0}), index.size());
+  EXPECT_EQ(index.RangeQuery(Rect{0.0, 0.0, 100.0, 100.0}).size(),
+            static_cast<size_t>(index.size()));
 }
 
 }  // namespace

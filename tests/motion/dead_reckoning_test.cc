@@ -241,16 +241,20 @@ TEST(PositionTrackerTest, ApplyAndPredict) {
   EXPECT_DOUBLE_EQ(tracker.BelievedSpeed(1), 0.0);
 }
 
-TEST(PositionTrackerTest, PredictAllSkipsUnreported) {
+TEST(PositionTrackerTest, PredictSpanSkipsUnreported) {
   PositionTracker tracker(3);
   ModelUpdate update;
   update.node_id = 2;
   update.model = {{1.0, 1.0}, {0.0, 0.0}, 0.0};
   tracker.Apply(update);
-  const auto all = tracker.PredictAllAt(5.0);
-  ASSERT_EQ(all.size(), 1u);
-  EXPECT_EQ(all[0].first, 2);
-  EXPECT_EQ(all[0].second, (Point{1.0, 1.0}));
+  std::vector<double> x(3, -1.0);
+  std::vector<double> y(3, -1.0);
+  std::vector<uint8_t> known(3, 7);
+  tracker.PredictSpan(0, 3, 5.0, /*fallback_x=*/nullptr,
+                      /*fallback_y=*/nullptr, x.data(), y.data(),
+                      known.data());
+  EXPECT_EQ(known, (std::vector<uint8_t>{0, 0, 1}));
+  EXPECT_EQ((Point{x[2], y[2]}), (Point{1.0, 1.0}));
 }
 
 ModelUpdate RandomUpdate(Rng& rng, NodeId id) {

@@ -1,19 +1,50 @@
 #include "lira/server/cq_server.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "lira/common/rng.h"
+#include "lira/telemetry/flight_recorder.h"
 #include "lira/telemetry/telemetry.h"
 
 namespace lira {
 namespace {
 
 constexpr Rect kWorld{0.0, 0.0, 1600.0, 1600.0};
+
+/// FNV-1a 64, fed 8-byte little-endian numbers and NUL-terminated strings.
+class Fnv1a {
+ public:
+  void Add(uint64_t value) {
+    for (int i = 0; i < 8; ++i) {
+      AddByte((value >> (8 * i)) & 0xff);
+    }
+  }
+  void Add(int64_t value) { Add(static_cast<uint64_t>(value)); }
+  void Add(double value) { Add(std::bit_cast<uint64_t>(value)); }
+  void Add(std::string_view text) {
+    for (const char c : text) {
+      AddByte(static_cast<unsigned char>(c));
+    }
+    AddByte(0);
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  void AddByte(uint64_t byte) {
+    hash_ ^= byte;
+    hash_ *= 1099511628211ULL;
+  }
+
+  uint64_t hash_ = 1469598103934665603ULL;
+};
 
 class CqServerTest : public ::testing::Test {
  protected:
@@ -77,6 +108,51 @@ TEST_F(CqServerTest, CreateValidation) {
   EXPECT_FALSE(
       CqServer::Create(config, &uniform_policy_, &*reduction_, &queries_)
           .ok());
+  // auto_throttle ignores fixed_z.
+  config.auto_throttle = true;
+  EXPECT_TRUE(
+      CqServer::Create(config, &uniform_policy_, &*reduction_, &queries_)
+          .ok());
+  config = BaseConfig();
+  config.adaptation_period = 0.0;
+  EXPECT_FALSE(
+      CqServer::Create(config, &uniform_policy_, &*reduction_, &queries_)
+          .ok());
+
+  // Non-finite floats fail too: a NaN fixed_z, period or sample fraction
+  // would leave a server that never adapts or plans from an empty grid, and
+  // a non-finite world bound makes the first plan build fail or abort.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto rejected = [&](const CqServerConfig& bad) {
+    auto server =
+        CqServer::Create(bad, &uniform_policy_, &*reduction_, &queries_);
+    return !server.ok() &&
+           server.status().code() == StatusCode::kInvalidArgument;
+  };
+  config = BaseConfig();
+  config.fixed_z = kNaN;
+  EXPECT_TRUE(rejected(config)) << "fixed_z NaN";
+  for (const double period : {kNaN, kInf}) {
+    config = BaseConfig();
+    config.adaptation_period = period;
+    EXPECT_TRUE(rejected(config)) << "adaptation_period " << period;
+  }
+  config = BaseConfig();
+  config.stats_sample_fraction = kNaN;
+  EXPECT_TRUE(rejected(config)) << "stats_sample_fraction NaN";
+  for (const double bound : {kNaN, kInf, -kInf}) {
+    for (int side = 0; side < 4; ++side) {
+      config = BaseConfig();
+      double* const fields[] = {&config.world.min_x, &config.world.min_y,
+                                &config.world.max_x, &config.world.max_y};
+      *fields[side] = bound;
+      EXPECT_TRUE(rejected(config)) << "world side " << side << " " << bound;
+    }
+  }
+  config = BaseConfig();
+  config.world.max_x = config.world.min_x;
+  EXPECT_TRUE(rejected(config)) << "empty world";
 }
 
 TEST_F(CqServerTest, InitialPlanIsMaximumAccuracy) {
@@ -86,6 +162,18 @@ TEST_F(CqServerTest, InitialPlanIsMaximumAccuracy) {
   EXPECT_EQ(server->plan().NumRegions(), 1);
   EXPECT_DOUBLE_EQ(server->plan().MaxDelta(), 5.0);
   EXPECT_EQ(server->plan_builds(), 0);
+  EXPECT_DOUBLE_EQ(server->z(), 0.5);  // fixed mode starts at fixed_z
+}
+
+TEST_F(CqServerTest, AdaptInstallsPolicyPlan) {
+  auto server = CqServer::Create(BaseConfig(), &uniform_policy_, &*reduction_,
+                                 &queries_);
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE(server->Adapt().ok());
+  EXPECT_EQ(server->plan_builds(), 1);
+  EXPECT_GE(server->total_plan_build_seconds(), 0.0);
+  // Uniform-Delta at z = 0.5 sets f^{-1}(0.5) everywhere.
+  EXPECT_NEAR(server->plan().MaxDelta(), reduction_->InverseEval(0.5), 1e-9);
 }
 
 TEST_F(CqServerTest, TickServicesQueueAndAppliesUpdates) {
@@ -520,6 +608,8 @@ TEST_F(CqServerTest, TelemetryRecordsAdaptationLoop) {
   EXPECT_NEAR(z_changes[0].extra, 40.0, 1.0);  // lambda ~ 40 upd/s
   EXPECT_DOUBLE_EQ(metrics.FindGauge("lira.throtloop.z")->value(),
                    server->z());
+  // The second window saw 5 ticks x 40 arrivals over its 5 s.
+  EXPECT_DOUBLE_EQ(metrics.FindGauge("lira.throtloop.lambda")->value(), 40.0);
 
   // Overload produced queue-overflow events with plausible depths.
   const auto overflows = events.Select(EventKind::kQueueOverflow);
@@ -565,6 +655,107 @@ TEST_F(CqServerTest, TelemetryRecordsAdaptationLoop) {
     EXPECT_GE(split.value, 0.0);
   }
   EXPECT_DOUBLE_EQ(metrics.FindGauge("lira.plan.regions")->value(), 13.0);
+}
+
+TEST_F(CqServerTest, AdaptationLoopTelemetryIsPinned) {
+  // Pins, bit for bit, every event the adaptation loop emits (in order) and
+  // every flight sample, in both throttle modes. Span values and the plan
+  // build's extra field are wall time, so they stay out of the hash.
+  struct Outcome {
+    uint64_t hash = 0;
+    size_t events = 0;
+    size_t samples = 0;
+    int64_t builds = 0;
+    size_t z_changes = 0;
+    double z = 0.0;
+  };
+  const auto run = [&](bool auto_throttle) {
+    using telemetry::EventKind;
+    telemetry::MemoryEventSink events;
+    telemetry::TelemetrySink sink(&events);
+    telemetry::FlightRecorder recorder(64);
+    auto config = BaseConfig();
+    config.queue_capacity = 15;
+    config.service_rate = 10.0;
+    config.adaptation_period = 5.0;
+    config.auto_throttle = auto_throttle;
+    config.telemetry = &sink;
+    config.flight_recorder = &recorder;
+    LiraConfig lira_config;
+    lira_config.l = 13;
+    LiraPolicy lira_policy(lira_config);
+    auto server =
+        CqServer::Create(config, &lira_policy, &*reduction_, &queries_);
+    EXPECT_TRUE(server.ok());
+    Outcome out;
+    if (!server.ok()) {
+      return out;
+    }
+    // Overload for 11 s, then a light load.
+    for (int t = 0; t < 25; ++t) {
+      const int count = t <= 10 ? 40 : 4;
+      std::vector<ModelUpdate> batch;
+      for (int k = 0; k < count; ++k) {
+        batch.push_back(UpdateFor(k % config.num_nodes,
+                                  {10.0 + 30.0 * k, 10.0 + 100.0 * (t % 16)},
+                                  {1.0, 0.0}, t));
+      }
+      server->Receive(std::move(batch));
+      EXPECT_TRUE(server->Tick(1.0).ok());
+    }
+    Fnv1a h;
+    for (const telemetry::Event& event : events.events()) {
+      h.Add(telemetry::EventKindName(event.kind));
+      h.Add(std::string_view(event.name));
+      h.Add(event.time);
+      if (event.kind != EventKind::kSpan) {
+        h.Add(event.value);
+      }
+      if (event.kind != EventKind::kSpan &&
+          event.kind != EventKind::kPlanRebuilt) {
+        h.Add(event.extra);
+      }
+    }
+    const std::vector<telemetry::FlightSample> samples = recorder.Snapshot();
+    for (const telemetry::FlightSample& s : samples) {
+      h.Add(s.tick);
+      h.Add(s.time);
+      h.Add(static_cast<int64_t>(s.shard));
+      h.Add(s.queue_depth);
+      h.Add(s.queue_dropped);
+      h.Add(s.queue_arrivals);
+      h.Add(s.z);
+      h.Add(s.lambda);
+      h.Add(s.utilization);
+      h.Add(s.nodes);
+      h.Add(static_cast<int64_t>(s.plan_regions));
+      h.Add(s.plan_min_delta);
+      h.Add(s.plan_max_delta);
+    }
+    out.hash = h.value();
+    out.events = events.events().size();
+    out.samples = samples.size();
+    out.builds = server->plan_builds();
+    out.z_changes = events.Select(EventKind::kZChanged).size();
+    out.z = server->z();
+    return out;
+  };
+
+  const Outcome throttled = run(/*auto_throttle=*/true);
+  EXPECT_EQ(throttled.events, 121u);
+  EXPECT_EQ(throttled.samples, 25u);
+  EXPECT_EQ(throttled.builds, 5);
+  EXPECT_EQ(throttled.z_changes, 5u);
+  EXPECT_EQ(throttled.z, 0.24701646090534976);
+  EXPECT_EQ(throttled.hash, 0x961d7b87947d31d9ULL);
+
+  const Outcome fixed = run(/*auto_throttle=*/false);
+  EXPECT_EQ(fixed.events, 101u);
+  EXPECT_EQ(fixed.samples, 25u);
+  EXPECT_EQ(fixed.builds, 5);
+  EXPECT_EQ(fixed.z_changes, 0u);
+  EXPECT_EQ(fixed.z, 0.5);
+  EXPECT_EQ(fixed.hash, 0x801d9da75c3f5751ULL);
 }
 
 TEST_F(CqServerTest, NoTelemetryByDefault) {

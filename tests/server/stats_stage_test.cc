@@ -68,8 +68,8 @@ TEST(StatsStageTest, IncrementalMatchesFullRescanBitwise) {
                       {rng.Uniform(-40.0, 1640.0), rng.Uniform(-40.0, 1640.0)},
                       {rng.Uniform(-8.0, 8.0), rng.Uniform(-8.0, 8.0)}, t));
       }
-      incremental->RebuildNodes(tracker, t + 0.5);
-      rescan->RebuildNodes(tracker, t + 0.5);
+      incremental->RebuildNodes(tracker, t + 0.5, /*pool=*/nullptr);
+      rescan->RebuildNodes(tracker, t + 0.5, /*pool=*/nullptr);
       for (int32_t iy = 0; iy < 16; ++iy) {
         for (int32_t ix = 0; ix < 16; ++ix) {
           ASSERT_EQ(incremental->grid().NodeCount(ix, iy),
@@ -112,7 +112,7 @@ TEST(StatsStageTest, EveryPathMatchesFullRebuildAndIdleRebuildDirtiesNoCell) {
     config.incremental_stats = false;
     auto oracle = StatsStage::Create(config);
     ASSERT_TRUE(stage.ok() && oracle.ok());
-    stage->set_pool(v.threads > 1 ? &pool : nullptr);
+    ThreadPool* const stage_pool = v.threads > 1 ? &pool : nullptr;
 
     PositionTracker tracker(kNodes);
     auto expect_equal = [&](const char* when) {
@@ -138,14 +138,14 @@ TEST(StatsStageTest, EveryPathMatchesFullRebuildAndIdleRebuildDirtiesNoCell) {
             {rng.Uniform(-8.0, 8.0), rng.Uniform(-8.0, 8.0)}, t));
       }
       now = t + 0.5;
-      stage->RebuildNodes(tracker, now);
-      oracle->RebuildNodes(tracker, now);
+      stage->RebuildNodes(tracker, now, stage_pool);
+      oracle->RebuildNodes(tracker, now, /*pool=*/nullptr);
       expect_equal("rebuild");
     }
 
     const int64_t dirtied_before =
         sink.metrics().FindCounter("lira.coord.stats.cells_dirtied")->value();
-    stage->RebuildNodes(tracker, now);
+    stage->RebuildNodes(tracker, now, stage_pool);
     expect_equal("idle rebuild");
     if (v.incremental) {
       EXPECT_GT(dirtied_before, 0);
@@ -199,7 +199,6 @@ TEST(StatsStageTest, PooledColumnarMatchesSerialBitwise) {
       auto pooled = StatsStage::Create(BaseConfig(kNodes));
       auto reference = StatsStage::Create(BaseConfig(kNodes));
       ASSERT_TRUE(pooled.ok() && reference.ok());
-      pooled->set_pool(&pool);
 
       PositionTracker tracker(kNodes);
       Rng rng(threads);
@@ -212,8 +211,8 @@ TEST(StatsStageTest, PooledColumnarMatchesSerialBitwise) {
                rng.Uniform(input.lo, input.hi)},
               {rng.Uniform(-8.0, 8.0), rng.Uniform(-8.0, 8.0)}, t));
         }
-        pooled->RebuildNodes(tracker, t + 0.5);
-        reference->RebuildNodes(tracker, t + 0.5);
+        pooled->RebuildNodes(tracker, t + 0.5, &pool);
+        reference->RebuildNodes(tracker, t + 0.5, /*pool=*/nullptr);
       }
       int32_t occupied = 0;
       for (int32_t iy = 0; iy < 16; ++iy) {
@@ -292,7 +291,7 @@ TEST(StatsStageTest, SampledRebuildIsUnbiased) {
   for (NodeId id = 0; id < 400; ++id) {
     tracker.Apply(UpdateFor(id, {4.0 * id, 4.0 * id}, {1.0, 1.0}, 0.0));
   }
-  stage->RebuildNodes(tracker, 0.0);
+  stage->RebuildNodes(tracker, 0.0, /*pool=*/nullptr);
   EXPECT_NEAR(stage->grid().TotalNodes(), 400.0, 120.0);
   EXPECT_GT(stage->grid().TotalNodes(), 100.0);
 }
@@ -306,7 +305,7 @@ TEST(StatsStageTest, CellsDirtiedCounterIsCoordinatorOwned) {
   ASSERT_TRUE(stage.ok());
   PositionTracker tracker(4);
   tracker.Apply(UpdateFor(0, {100.0, 100.0}, {0.0, 0.0}, 0.0));
-  stage->RebuildNodes(tracker, 0.0);
+  stage->RebuildNodes(tracker, 0.0, /*pool=*/nullptr);
   EXPECT_GT(
       sink.metrics().FindCounter("lira.coord.stats.cells_dirtied")->value(),
       0);
